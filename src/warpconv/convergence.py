@@ -3,9 +3,13 @@
 The experiment pipeline estimates how far a family stage's distances sit from
 the family's limit metric:
 
-* probe pairs come from a deterministic sample plan (shared sources so one
-  multi-source sweep answers everything) plus family-specific worst cases,
-* the stage's distances come from the grid oracle,
+* probe pairs come from a deterministic sample plan (shared sources) plus
+  family-specific worst cases,
+* the stage's distances come from the grid oracle's orbit cache: edge
+  weights depend only on the start row, so one sweep per source row (one
+  per graph when every row got the same weights) answers all pairs, and
+  the rows stay on the graph, so further limits on the same stage and the
+  cached reference grids of later stages sweep only rows not yet seen,
 * the limit metric is evaluated in closed form at the snapped endpoints,
 * a reference run discretizes the LIMIT geometry on the same grid, so the
   grid's systematic error (anisotropy, quadrature) can be cancelled by
@@ -186,7 +190,8 @@ class DiscrepancyResult:
 
 
 def _pair_values(graph: GridGraph, plan: SamplePlan):
-    """Snap the plan onto the graph and sweep all pairs from shared sources.
+    """Snap the plan onto the graph and read every pair from the graph's
+    orbit cache (one sweep per source row not yet swept on this graph).
 
     Returns (pairs, values, errors) where pairs holds the snapped endpoints.
     """
@@ -198,27 +203,15 @@ def _pair_values(graph: GridGraph, plan: SamplePlan):
             snap_cache[key] = graph.snap(pt)
         return snap_cache[key]
 
-    raw_pairs = list(plan.pairs())
-    lefts = []
-    left_index: Dict[int, int] = {}
-    pair_nodes = []
-    for a, b in raw_pairs:
+    pairs, nodes = [], []
+    for a, b in plan.pairs():
         ia, pa, _ = snap(a)
         ib, pb, _ = snap(b)
-        if ia not in left_index:
-            left_index[ia] = len(lefts)
-            lefts.append(ia)
-        pair_nodes.append((left_index[ia], ib, pa, pb))
-
-    table = graph.distances_from(lefts)
-    aniso = graph.aniso_bound
-    pairs, values, errors = [], [], []
-    for row, ib, pa, pb in pair_nodes:
-        d = float(table[row, ib])
         pairs.append((pa, pb))
-        values.append(d)
-        # endpoints are exact nodes here, so snap costs do not enter
-        errors.append(aniso * d + 1e-9)
+        nodes.append((ia, ib))
+    values = graph.pair_distances(nodes)
+    # endpoints are exact nodes here, so snap costs do not enter
+    errors = [graph.aniso_bound * d + 1e-9 for d in values]
     return pairs, values, errors
 
 

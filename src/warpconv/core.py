@@ -293,9 +293,9 @@ def ridge_bump(h0: float, center: float = 0.0, half_width: float = 1.0) -> BumpP
 class SumOfBumpsProfile(WarpingProfile):
     """Constant level plus a finite list of cosine bumps.
 
-    Bumps are (peak, center, half_width) triples.  Supports are expected to be
-    disjoint (overlaps superpose deviations, which none of the stock families
-    use).
+    Bumps are (peak, center, half_width) triples.  Supports must be disjoint,
+    also across the seam of a 2*pi circle base: the extremum and integral
+    formulas read each bump on its own, so construction rejects overlaps.
     """
 
     level: float
@@ -307,6 +307,11 @@ class SumOfBumpsProfile(WarpingProfile):
         for peak, _c, hw in self.bumps:
             if not (peak > 0 and hw > 0):
                 raise InvalidDescriptor("bumps need positive peak and half_width")
+        for i, (_peak, center, hw) in enumerate(self.bumps):
+            for _peak2, center2, hw2 in self.bumps[i + 1:]:
+                gap = abs(center - center2) % TAU
+                if min(gap, TAU - gap) < hw + hw2:
+                    raise InvalidDescriptor("bump supports must not overlap")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)

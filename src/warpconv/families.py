@@ -249,11 +249,3 @@ class SequenceFamily:
             return f"constant(base={self.base_shape})"
         return f"{self.kind}(depth={self.depth:g}, base={self.base_shape})"
 
-
-def family_profile(family: SequenceFamily, j: int) -> WarpingProfile:
-    return family.profile(j)
-
-
-def limit_distance(limit: LimitMetric, base: BaseSpace, fiber: FiberSpace,
-                   p: SurfacePoint, q: SurfacePoint) -> float:
-    return limit.distance(base, fiber, p, q)

@@ -17,8 +17,6 @@ are pinned against a brute-force direction sweep in the test suite.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -79,17 +77,27 @@ class GridSizeError(RuntimeError):
     """Requested grid exceeds the configured memory guard."""
 
 
-def max_workers() -> int:
-    """Parallelism cap: WARPCONV_THREADS if set, else the CPU count."""
-    env = os.environ.get("WARPCONV_THREADS")
-    cpus = os.cpu_count() or 1
-    if env is None:
-        return cpus
-    try:
-        n = int(env)
-    except ValueError:
-        return cpus
-    return max(1, min(n, cpus))
+class OrbitSweepCache:
+    """Node-pair distances from one cached sweep per source orbit.
+
+    A grid graph whose edge weights are invariant under a group of node
+    translations has d(a, b) = d(T a, T b) for every such T, and a shortest
+    path sweep yields the same floats on translated inputs.  Subclasses
+    supply `distances_from`, an empty `_orbit_rows` dict and `_orbit(a, b)`,
+    which returns the representative of a's orbit and the image of b under
+    the translation taking a there.  Rows swept from representatives stay
+    on the graph for its lifetime, so later calls with sources in a known
+    orbit sweep nothing.
+    """
+
+    def pair_distances(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
+        """Distances between (source node, target node) pairs."""
+        rows = self._orbit_rows
+        moved = [self._orbit(int(a), int(b)) for a, b in pairs]
+        missing = list(dict.fromkeys(s for s, _ in moved if s not in rows))
+        if missing:
+            rows.update(zip(missing, self.distances_from(missing)))
+        return [float(rows[s][t]) for s, t in moved]
 
 
 def neighborhood_offsets(k: int) -> List[Tuple[int, int]]:
@@ -150,7 +158,7 @@ class GeodesicResult:
 # ---------------------------------------------------------------------------
 
 
-class GridGraph:
+class GridGraph(OrbitSweepCache):
     """Weighted graph over an (r, theta) grid of a warped surface.
 
     Nodes sit at r = r_min + i*hr (i rows; circle bases wrap, interval bases
@@ -159,6 +167,11 @@ class GridGraph:
     quadrature length of the straight parameter-space segment, with forced
     sample splits at bump-support boundaries.  Weights are computed once per
     undirected edge so the graph is bitwise symmetric.
+
+    Weights depend on the start row only, so rolling the fiber is a graph
+    automorphism and one sweep per source row answers every pair.  When the
+    built weights are also bitwise equal across rows of a circle base,
+    `row_invariant` is set and one sweep answers the whole graph.
     """
 
     def __init__(self, space: WarpedSpace, spec: GridSpec = GridSpec()):
@@ -175,7 +188,8 @@ class GridGraph:
         ratio = self.htheta / self.hr
         self.aniso_bound = stencil_anisotropy(
             spec.k, space.profile_min() * ratio, space.profile_max() * ratio)
-        self._matrix = self._build()
+        self._matrix, self.row_invariant = self._build()
+        self._orbit_rows = {}
 
     # -- construction -------------------------------------------------
 
@@ -217,14 +231,18 @@ class GridGraph:
         return idx, w
 
     def _build(self):
+        """CSR matrix of the graph, and whether every row got the same
+        weights on a circle base (row shifts are then automorphisms)."""
         offsets = neighborhood_offsets(self.spec.k)
         canonical = [(di, dj) for di, dj in offsets
                      if di > 0 or (di == 0 and dj > 0)]
         nt = self.n_theta
         cols_theta = np.arange(nt)
         rows_out, cols_out, data_out = [], [], []
+        row_invariant = self.space.base.is_circle
         for di, dj in canonical:
             idx, w = self._direction_weights(di, dj)
+            row_invariant = row_invariant and bool(np.all(w == w[0]))
             if self.space.base.is_circle:
                 idx2 = (idx + di) % self.n_rows
             else:
@@ -241,7 +259,7 @@ class GridGraph:
         data_all = np.concatenate(data_out)
         mat = coo_matrix((data_all, (rows_all, cols_all)),
                          shape=(self.n_nodes, self.n_nodes)).tocsr()
-        return mat
+        return mat, row_invariant
 
     # -- queries --------------------------------------------------------
 
@@ -278,24 +296,22 @@ class GridGraph:
         """Single-source sweeps from each node index in `sources`.
 
         Returns an array of shape (len(sources), n_nodes); with predecessors
-        a second array of the same shape.  Sweeps run in a thread pool capped
-        by WARPCONV_THREADS (results are order-stable regardless).
+        a second array of the same shape.  Every call sweeps; use
+        `pair_distances` to answer node pairs from the per-graph orbit cache.
         """
-        src = list(int(s) for s in sources)
-        workers = min(max_workers(), len(src))
-        if workers <= 1 or len(src) == 1:
-            return _csgraph_dijkstra(self._matrix, directed=True, indices=src,
-                                     return_predecessors=return_predecessors)
-        def one(s):
-            return _csgraph_dijkstra(self._matrix, directed=True, indices=[s],
-                                     return_predecessors=return_predecessors)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, src))
-        if return_predecessors:
-            d = np.vstack([p[0] for p in parts])
-            pred = np.vstack([p[1] for p in parts])
-            return d, pred
-        return np.vstack(parts)
+        return _csgraph_dijkstra(self._matrix, directed=True,
+                                 indices=[int(s) for s in sources],
+                                 return_predecessors=return_predecessors)
+
+    def _orbit(self, a: int, b: int) -> Tuple[int, int]:
+        """Roll a to column 0 (and to row 0 when row shifts are
+        automorphisms), moving b along."""
+        row_a, col_a = divmod(a, self.n_theta)
+        row_b, col_b = divmod(b, self.n_theta)
+        if self.row_invariant:
+            row_a, row_b = 0, (row_b - row_a) % self.n_rows
+        return (row_a * self.n_theta,
+                row_b * self.n_theta + (col_b - col_a) % self.n_theta)
 
     def path_between(self, src: int, dst: int) -> Tuple[float, PolylineCurve]:
         """Shortest path src -> dst as a polyline with wrap flags."""

@@ -2,8 +2,8 @@
 
 Sample points come from digit-reversal (van der Corput / Halton) sequences so
 experiment runs are reproducible byte for byte without carrying RNG state.
-Plans pair a small set of shared sources with a larger target set, which lets
-a grid backend answer every pair from one multi-source shortest-path sweep.
+Plans pair a small set of shared sources with a larger target set, so a grid
+backend answers every pair with one shortest-path sweep per source.
 """
 
 import math
@@ -78,15 +78,6 @@ class SamplePlan:
             for t in self.targets:
                 yield s, t
         yield from self.special
-
-    def left_points(self) -> Tuple[SurfacePoint, ...]:
-        """Distinct left endpoints, sources first (shared-source sweeps)."""
-        seen = {}
-        for s in self.sources:
-            seen.setdefault((s.r, s.theta), s)
-        for a, _ in self.special:
-            seen.setdefault((a.r, a.theta), a)
-        return tuple(seen.values())
 
 
 def default_plan(base: BaseSpace, fiber: FiberSpace, n_sources: int = 8,

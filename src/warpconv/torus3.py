@@ -28,7 +28,6 @@ the reference-corrected discrepancies cancel the systematic part.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -45,7 +44,7 @@ from .convergence import (
     gh_upper_bound,
 )
 from .families import dyadic_walk
-from .geodesy import GeodesicResult, GridSizeError, max_workers
+from .geodesy import GeodesicResult, GridSizeError, OrbitSweepCache
 from .sampling import halton_points
 
 MAX_NODES_3D = 2 ** 24
@@ -188,7 +187,11 @@ class BumpField(ScalarField2D):
 
 @dataclass(frozen=True)
 class SumOfBumpsField(ScalarField2D):
-    """Constant level plus several cosine bumps: (peak, cx, cy, half_width)."""
+    """Constant level plus several cosine bumps: (peak, cx, cy, half_width).
+
+    Bump supports (discs in the torus distance) must be disjoint: the range
+    and the closed-form integrals read each bump on its own.
+    """
 
     level: float
     bumps: Tuple[Tuple[float, float, float, float], ...]
@@ -199,6 +202,10 @@ class SumOfBumpsField(ScalarField2D):
         for peak, _cx, _cy, hw in self.bumps:
             if peak <= 0 or not (0.0 < hw <= math.pi):
                 raise InvalidDescriptor("bump peaks positive, widths in (0, pi]")
+        for i, (_peak, cx, cy, hw) in enumerate(self.bumps):
+            for _peak2, cx2, cy2, hw2 in self.bumps[i + 1:]:
+                if math.hypot(_minor(cx - cx2), _minor(cy - cy2)) < hw + hw2:
+                    raise InvalidDescriptor("bump supports must not overlap")
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -210,7 +217,7 @@ class SumOfBumpsField(ScalarField2D):
         return out
 
     def min_value(self):
-        # sound for non-overlapping bumps; overlaps are clipped by validation
+        # sound because construction rejects overlapping bumps
         lows = [min(self.level, peak) for peak, *_ in self.bumps]
         return min([self.level] + lows)
 
@@ -251,13 +258,10 @@ def diameter3_upper_bound(delta_l2: float, c_sup: float) -> float:
     return 4.0 * math.sqrt(2.0) * math.pi + TAU * (c_sup + delta_l2 / TAU)
 
 
-def bilip_lambda3(c: float, k_sup: float, j: int) -> float:
-    """Bi-Lipschitz constant against the unit flat 3-torus for a stage-j
-    field pinched between c - 1/j and k_sup."""
-    low = min(c - 1.0 / j, 1.0)
-    if low <= 0:
-        raise HypothesisError("stage floor c - 1/j must stay positive")
-    return max(1.0 / low, max(1.0, k_sup))
+def bilip_lambda3(fld: ScalarField2D) -> float:
+    """Bi-Lipschitz constant against the unit flat 3-torus:
+    max(1/min(a,1), max(1,b)) for the field's range [a, b]."""
+    return max(1.0 / min(fld.min_value(), 1.0), max(1.0, fld.max_value()))
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +324,15 @@ class Grid3Spec:
             raise ValueError("only the unit (26-direction) stencil is supported")
 
 
-class Grid3Graph:
+class Grid3Graph(OrbitSweepCache):
     """Weighted graph over the periodic n^3 lattice.
 
     Edge weights use midpoint metric evaluation: a step (dx, dy, dz) from a
     node costs h * sqrt(dx^2 + dy^2 + f(mid)^2 dz^2) with f read at the
     step's xy midpoint.  Weights depend on (x, y) only, so each direction is
-    built as an n x n sheet and tiled along z.
+    built as an n x n sheet and tiled along z; z rolls are automorphisms and
+    one sweep per source (x, y) answers every pair.  When every built sheet
+    is constant, `xy_invariant` is set and one sweep answers the whole graph.
     """
 
     def __init__(self, fld: ScalarField2D, spec: Grid3Spec = Grid3Spec()):
@@ -340,9 +346,12 @@ class Grid3Graph:
         self.coords = -math.pi + self.h * np.arange(n)
         self.n_nodes = n ** 3
         self.aniso_bound = stencil_anisotropy3(fld.min_value(), fld.max_value())
-        self._matrix = self._build()
+        self._matrix, self.xy_invariant = self._build()
+        self._orbit_rows = {}
 
     def _build(self):
+        """CSR matrix of the graph, and whether every weight sheet is
+        constant (xy shifts are then automorphisms too)."""
         n = self.spec.n
         h = self.h
         xs = self.coords
@@ -353,6 +362,7 @@ class Grid3Graph:
         rows_out, cols_out, data_out = [], [], []
         canonical = [o for o in stencil_offsets3()
                      if o > (0, 0, 0)]  # lexicographic half: 13 directions
+        xy_invariant = True
         for dx, dy, dz in canonical:
             if dz == 0:
                 w_sheet = np.full((n, n), h * math.hypot(dx, dy))
@@ -360,6 +370,7 @@ class Grid3Graph:
                 f = np.asarray(self.field(X + 0.5 * dx * h, Y + 0.5 * dy * h),
                                dtype=float)
                 w_sheet = h * np.sqrt(dx * dx + dy * dy + (f * dz) ** 2)
+            xy_invariant = xy_invariant and bool(np.all(w_sheet == w_sheet[0, 0]))
             sheet_to = plane[(np.arange(n) + dx) % n][:, (np.arange(n) + dy) % n]
             u = (plane[:, :, None] * np.int32(n)
                  + z_idx[None, None, :]).ravel()
@@ -373,7 +384,7 @@ class Grid3Graph:
             (np.concatenate(data_out),
              (np.concatenate(rows_out), np.concatenate(cols_out))),
             shape=(self.n_nodes, self.n_nodes)).tocsr()
-        return mat
+        return mat, xy_invariant
 
     # -- queries --------------------------------------------------------
 
@@ -404,17 +415,22 @@ class Grid3Graph:
         return node, q, math.sqrt(dx * dx + dy * dy + (fmid * dz) ** 2)
 
     def distances_from(self, sources: Sequence[int]) -> np.ndarray:
-        src = [int(s) for s in sources]
-        workers = min(max_workers(), len(src))
-        if workers <= 1 or len(src) == 1:
-            return _csgraph_dijkstra(self._matrix, directed=True, indices=src)
+        """Sweeps from each node in `sources`: shape (len(sources), n^3).
+        Every call sweeps; `pair_distances` answers node pairs from the
+        per-graph orbit cache."""
+        return _csgraph_dijkstra(self._matrix, directed=True,
+                                 indices=[int(s) for s in sources])
 
-        def one(s):
-            return _csgraph_dijkstra(self._matrix, directed=True, indices=[s])
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, src))
-        return np.vstack(parts)
+    def _orbit(self, a: int, b: int) -> Tuple[int, int]:
+        """Roll a to z = 0 (and to x = y = 0 when xy shifts are
+        automorphisms), moving b along."""
+        n = self.spec.n
+        xy_a, z_a = divmod(a, n)
+        xy_b, z_b = divmod(b, n)
+        if self.xy_invariant:
+            (x_a, y_a), (x_b, y_b) = divmod(xy_a, n), divmod(xy_b, n)
+            xy_a, xy_b = 0, ((x_b - x_a) % n) * n + (y_b - y_a) % n
+        return xy_a * n, xy_b * n + (z_b - z_a) % n
 
     def mass(self) -> float:
         """Riemannian volume: the z circle sweeps the field's area integral."""
@@ -599,7 +615,7 @@ class Stage3Row:
 
 
 def _pair_values3(graph: Grid3Graph, plan: Plan3):
-    """Snap the plan and sweep all pairs from shared (deduped) sources."""
+    """Snap the plan and read every pair from the graph's orbit cache."""
     snap_cache: Dict[Tuple[float, float, float], Tuple[int, Point3, float]] = {}
 
     def snap(pt: Point3):
@@ -608,25 +624,14 @@ def _pair_values3(graph: Grid3Graph, plan: Plan3):
             snap_cache[key] = graph.snap(pt)
         return snap_cache[key]
 
-    lefts: List[int] = []
-    left_index: Dict[int, int] = {}
-    pair_nodes = []
+    pairs, nodes = [], []
     for a, b in plan.pairs():
         ia, pa, _ = snap(a)
         ib, pb, _ = snap(b)
-        if ia not in left_index:
-            left_index[ia] = len(lefts)
-            lefts.append(ia)
-        pair_nodes.append((left_index[ia], ib, pa, pb))
-
-    table = graph.distances_from(lefts)
-    aniso = graph.aniso_bound
-    pairs, values, errors = [], [], []
-    for row, ib, pa, pb in pair_nodes:
-        d = float(table[row, ib])
         pairs.append((pa, pb))
-        values.append(d)
-        errors.append(aniso * d + 1e-9)
+        nodes.append((ia, ib))
+    values = graph.pair_distances(nodes)
+    errors = [graph.aniso_bound * d + 1e-9 for d in values]
     return pairs, values, errors
 
 
@@ -668,7 +673,7 @@ def run_torus3_experiment(family: Torus3Family, j_list: Sequence[int],
         l2 = _quadrature_l2(fld, c)
         l2_bound = fld.l2_vs_level(c) if not isinstance(fld, SumOfBumpsField) \
             else l2
-        lam = bilip_lambda3(c, family.k_sup(), j)
+        lam = bilip_lambda3(fld)
         mass = TAU * fld.integral()
         rows.append(Stage3Row(
             j=j, grid=grid, n_pairs=len(probes), eps_raw=eps_raw,

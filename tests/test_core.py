@@ -137,12 +137,25 @@ def test_integral_additive_over_adjacent_windows(a, w1, w2):
 # composite profiles
 
 
-def test_sum_of_bumps_evaluates_overlap_additively():
+def test_sum_of_bumps_rejects_overlap():
+    # overlapping cinches would dip to -0.536 while min_on reports -0.35
+    with pytest.raises(InvalidDescriptor):
+        SumOfBumpsProfile(level=1.0, bumps=((0.1, 0.0, 1.0), (0.1, 0.5, 1.0)))
+    with pytest.raises(InvalidDescriptor):
+        profile_from_descriptor({"family": "sum_of_bumps", "params": {
+            "level": 1.0, "bumps": [
+                {"peak": 0.1, "center": 0.0, "half_width": 1.0},
+                {"peak": 0.1, "center": 0.5, "half_width": 1.0}]}})
+    # supports meeting across the seam of a circle base overlap too
+    with pytest.raises(InvalidDescriptor):
+        SumOfBumpsProfile(level=1.0, bumps=((1.5, 3.0, 0.2), (1.5, -3.0, 0.2)))
+    # touching supports are disjoint; each bump then evaluates on its own
     b1 = BumpProfile(level=1.0, peak=1.5, center=0.0, half_width=0.5)
-    b2 = BumpProfile(level=1.0, peak=1.4, center=0.3, half_width=0.5)
-    s = SumOfBumpsProfile(level=1.0, bumps=((1.5, 0.0, 0.5), (1.4, 0.3, 0.5)))
-    x = 0.2
-    assert s(x) == pytest.approx((b1(x) - 1.0) + (b2(x) - 1.0) + 1.0, abs=1e-14)
+    b2 = BumpProfile(level=1.0, peak=1.4, center=1.0, half_width=0.5)
+    s = SumOfBumpsProfile(level=1.0, bumps=((1.5, 0.0, 0.5), (1.4, 1.0, 0.5)))
+    xs = np.linspace(-1.0, 2.0, 61)
+    assert np.allclose(s(xs), b1(xs) + b2(xs) - 1.0, atol=1e-14)
+    assert s.min_on(-math.pi, math.pi) == 1.0
 
 
 def test_bump_lattice_matches_explicit_sum():

@@ -75,17 +75,13 @@ def test_surface_samples_stay_in_domain(base):
         assert 0.0 <= p.theta < fiber.circumference
 
 
-def test_sample_plan_counts_and_left_points():
+def test_sample_plan_counts():
     s = (SurfacePoint(0.0, 0.0), SurfacePoint(1.0, 1.0))
     t = (SurfacePoint(0.5, 2.0), SurfacePoint(-1.0, 3.0), SurfacePoint(2.0, 0.5))
     sp = ((SurfacePoint(0.0, 0.0), SurfacePoint(0.0, 3.14)),)
     plan = SamplePlan(s, t, sp)
     assert plan.n_pairs == 2 * 3 + 1
     assert len(list(plan.pairs())) == plan.n_pairs
-    # the special pair's left endpoint coincides with sources[0]; deduped
-    lefts = plan.left_points()
-    assert len(lefts) == 2
-    assert lefts[0] == s[0]
 
 
 def test_sample_plan_rejects_empty():

@@ -122,6 +122,9 @@ class TestFields:
             SumOfBumpsField(0.0, ())
         with pytest.raises(InvalidDescriptor):
             SumOfBumpsField(1.0, ((2.0, 0, 0, 5.0),))
+        # supports overlapping across the x seam of the torus
+        with pytest.raises(InvalidDescriptor):
+            SumOfBumpsField(1.0, ((2.0, 3.0, 0.0, 0.3), (2.0, -3.0, 0.1, 0.3)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +180,13 @@ class TestLimitMetric:
             diameter3_upper_bound(-0.5, 1.0)
 
     def test_bilip_lambda(self):
-        assert bilip_lambda3(1.0, 2.0, 4) == 2.0
-        assert bilip_lambda3(1.0, 1.0, 2) == 2.0
-        assert bilip_lambda3(0.5, 1.0, 8) == pytest.approx(1.0 / 0.375)
-        with pytest.raises(HypothesisError):
-            bilip_lambda3(1.0, 2.0, 1)
+        # lambda comes from the field's own range [a, b]
+        assert bilip_lambda3(BumpField(1.0, 2.0, (0.0, 0.0), 0.5)) == 2.0
+        assert bilip_lambda3(ConstantField(1.0)) == 1.0
+        assert bilip_lambda3(ConstantField(0.5)) == 2.0
+        assert bilip_lambda3(BumpField(1.0, 0.4, (0.0, 0.0), 0.5)) == 2.5
+        # stage j = 1 of the moving bump is legal: its range is [1, 2]
+        assert bilip_lambda3(Torus3Family().field(1)) == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +474,15 @@ class TestExperiment3:
         for row in rep.rows:
             assert row.eps_corrected == 0.0
             assert row.eps_raw <= row.grid_error
+
+    def test_stage_one_runs(self):
+        # c - 1/j = 0 at j = 1; only the lower-bound audit's hypothesis
+        # check reads that floor, lambda comes from the field's range
+        rep = run_torus3_experiment(Torus3Family(), [1], Grid3Spec(32),
+                                    n_sources=2, n_targets=3)
+        assert rep.rows[0].lam == 2.0
+        assert [a.name for a in rep.audits[1]] == [
+            "distance-lower-bound", "diameter", "bilip-sandwich"]
 
     def test_probe_gap_fields(self):
         pr = Probe3(Point3(0, 0, 0), Point3(1, 0, 0), 1.05, 0.01, 1.0, 1.04)
