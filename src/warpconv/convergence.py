@@ -1,19 +1,23 @@
 """Distance-discrepancy experiments and inequality audits.
 
 The experiment pipeline estimates how far a family stage's distances sit from
-the family's limit metric:
+the family's limit metric.  Warped surfaces (`run_family_experiment`) and
+warped 3-tori (`torus3.run_torus3_experiment`) share it:
 
 * probe pairs come from a deterministic sample plan (shared sources) plus
   family-specific worst cases,
-* the stage's distances come from the grid oracle's orbit cache: edge
-  weights depend only on the start row, so one sweep per source row (one
-  per graph when every row got the same weights) answers all pairs, and
-  the rows stay on the graph, so further limits on the same stage and the
-  cached reference grids of later stages sweep only rows not yet seen,
+* `probe_plan` reads the stage's distances from the grid oracle's orbit
+  cache: edge weights are invariant under fiber rolls (z rolls on the
+  3-torus), so one sweep per source row answers all pairs, and the rows
+  stay on the graph, so further limits on the same stage and the cached
+  reference grids of later stages sweep only rows not yet seen,
 * the limit metric is evaluated in closed form at the snapped endpoints,
 * a reference run discretizes the LIMIT geometry on the same grid, so the
   grid's systematic error (anisotropy, quadrature) can be cancelled by
-  comparing the two runs pair by pair.
+  comparing the two runs pair by pair,
+* `stage_row` turns the probes and the stage's closed-form data (L2 norm,
+  bi-Lipschitz constant, volume) into one report row with its GH and
+  intrinsic-flat bounds.
 
 Every estimate is a max over finitely many pairs, hence a lower estimate of
 the true uniform discrepancy; reports carry that caveat in their field names
@@ -31,7 +35,7 @@ known case; see audit_theorem_bounds).
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,12 +86,6 @@ def flat_upper_bound(eps: float, lam: float, n: int, mass: float) -> float:
     if mass <= 0:
         raise ValueError("mass must be positive")
     return 2.0 ** (0.5 * (n + 1)) * lam ** (n + 1) * 2.0 * eps * mass
-
-
-def mass_estimate(space: WarpedSpace) -> float:
-    """Riemannian area of the warped surface (the n-volume entering the
-    intrinsic-flat bound)."""
-    return space.mass()
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +140,8 @@ def reference_space(limit: LimitMetric, base, fiber, grid: GridSpec) -> WarpedSp
 @dataclass(frozen=True)
 class PairProbe:
     """One probed pair: grid value on the stage space, exact limit value at
-    the snapped endpoints, and the reference run's value on the same nodes."""
+    the snapped endpoints, and the reference run's value on the same nodes.
+    The endpoints are surface points or 3-torus points."""
 
     p: SurfacePoint
     q: SurfacePoint
@@ -166,6 +165,9 @@ class PairProbe:
 
 @dataclass(frozen=True)
 class DiscrepancyResult:
+    """Probes of one stage against one limit; `grid` is the stage's
+    `GridSpec` or `torus3.Grid3Spec`."""
+
     family: str
     j: int
     limit: str
@@ -189,19 +191,18 @@ class DiscrepancyResult:
         return max(self.probes, key=lambda pr: pr.corrected_gap)
 
 
-def _pair_values(graph: GridGraph, plan: SamplePlan):
+def _pair_values(graph, plan: SamplePlan):
     """Snap the plan onto the graph and read every pair from the graph's
-    orbit cache (one sweep per source row not yet swept on this graph).
+    orbit cache (one sweep per source orbit not yet swept on this graph).
 
     Returns (pairs, values, errors) where pairs holds the snapped endpoints.
     """
-    snap_cache: Dict[Tuple[float, float], Tuple[int, SurfacePoint, float]] = {}
+    snap_cache = {}
 
-    def snap(pt: SurfacePoint):
-        key = (pt.r, pt.theta)
-        if key not in snap_cache:
-            snap_cache[key] = graph.snap(pt)
-        return snap_cache[key]
+    def snap(pt):
+        if pt not in snap_cache:
+            snap_cache[pt] = graph.snap(pt)
+        return snap_cache[pt]
 
     pairs, nodes = [], []
     for a, b in plan.pairs():
@@ -213,6 +214,23 @@ def _pair_values(graph: GridGraph, plan: SamplePlan):
     # endpoints are exact nodes here, so snap costs do not enter
     errors = [graph.aniso_bound * d + 1e-9 for d in values]
     return pairs, values, errors
+
+
+def probe_plan(graph, plan: SamplePlan,
+               limit_distance: Callable[[object, object], float],
+               reference=None) -> Tuple[PairProbe, ...]:
+    """Probe every pair of the plan on a grid graph (`GridGraph` or
+    `torus3.Grid3Graph`): the graph's value and error, `limit_distance`
+    at the snapped endpoints, and the reference graph's value on the same
+    nodes when a reference is given."""
+    pairs, values, errors = _pair_values(graph, plan)
+    if reference is not None:
+        _, ref_values, _ = _pair_values(reference, plan)
+    else:
+        ref_values = [None] * len(pairs)
+    return tuple(
+        PairProbe(pa, pb, val, err, limit_distance(pa, pb), ref)
+        for (pa, pb), val, err, ref in zip(pairs, values, errors, ref_values))
 
 
 def discrepancy_estimate(family: SequenceFamily, j: int,
@@ -234,19 +252,13 @@ def discrepancy_estimate(family: SequenceFamily, j: int,
         graph = GridGraph(family.space(j), grid)
     base, fiber = family.base, family.fiber
 
-    pairs, values, errors = _pair_values(graph, plan)
-    if with_reference:
-        if reference is None:
-            reference = GridGraph(reference_space(limit, base, fiber, grid), grid)
-        _, ref_values, _ = _pair_values(reference, plan)
-    else:
-        ref_values = [None] * len(pairs)
-
-    probes = tuple(
-        PairProbe(pa, pb, val, err,
-                  limit.distance(base, fiber, pa, pb), ref)
-        for (pa, pb), val, err, ref in zip(pairs, values, errors, ref_values)
-    )
+    if not with_reference:
+        reference = None
+    elif reference is None:
+        reference = GridGraph(reference_space(limit, base, fiber, grid), grid)
+    probes = probe_plan(graph, plan,
+                        lambda p, q: limit.distance(base, fiber, p, q),
+                        reference)
     return DiscrepancyResult(family.describe(), j, limit.describe(), grid, probes)
 
 
@@ -516,6 +528,9 @@ def audit_theorem_bounds(family: SequenceFamily, j: int,
 
 @dataclass(frozen=True)
 class StageRow:
+    """One stage of a surface or 3-torus experiment; `grid` is the stage's
+    `GridSpec` or `torus3.Grid3Spec`."""
+
     j: int
     grid: GridSpec
     n_pairs: int
@@ -535,7 +550,7 @@ class StageRow:
         p, q = self.worst_pair
         return {
             "j": self.j,
-            "grid": [self.grid.n_r, self.grid.n_theta, self.grid.k],
+            "grid": self.grid.as_list(),
             "n_pairs": self.n_pairs,
             "eps_raw": self.eps_raw,
             "eps_corrected": self.eps_corrected,
@@ -546,7 +561,7 @@ class StageRow:
             "mass": self.mass,
             "gh_bound": self.gh_bound,
             "flat_bound": self.flat_bound,
-            "worst_pair": [[p.r, p.theta], [q.r, q.theta]],
+            "worst_pair": [list(p), list(q)],
             "alt_eps": dict(self.alt_eps),
         }
 
@@ -568,6 +583,23 @@ class ConvergenceReport:
             "audits": {str(j): [a.to_dict() for a in rows]
                        for j, rows in self.audits.items()},
         }
+
+
+def stage_row(result: DiscrepancyResult, l2_norm: float, l2_bound: float,
+              lam: float, mass: float, dimension: int,
+              alt_eps: Optional[Dict[str, float]] = None) -> StageRow:
+    """Report row of one stage: the sampled discrepancies of `result` with
+    the GH and intrinsic-flat bounds they imply for a stage of the given
+    bi-Lipschitz constant, dimension and volume."""
+    eps = result.eps_corrected
+    worst = result.worst_probe
+    return StageRow(
+        j=result.j, grid=result.grid, n_pairs=len(result.probes),
+        eps_raw=result.eps_raw, eps_corrected=eps,
+        grid_error=result.max_grid_error, l2_norm=l2_norm, l2_bound=l2_bound,
+        lam=lam, mass=mass, gh_bound=gh_upper_bound(eps),
+        flat_bound=flat_upper_bound(eps, lam, dimension, mass),
+        worst_pair=(worst.p, worst.q), alt_eps=dict(alt_eps or {}))
 
 
 def run_family_experiment(family: SequenceFamily, j_list: Sequence[int],
@@ -616,17 +648,9 @@ def run_family_experiment(family: SequenceFamily, j_list: Sequence[int],
         l2 = lp_profile_distance(space.profile,
                                  ConstantProfile(family.limit_level), 2,
                                  family.base)
-        lam = bilipschitz_lambda(space)
-        mass = mass_estimate(space)
-        eps = res.eps_corrected
-        worst = res.worst_probe
-        rows.append(StageRow(
-            j=j, grid=g, n_pairs=len(res.probes), eps_raw=res.eps_raw,
-            eps_corrected=eps, grid_error=res.max_grid_error, l2_norm=l2,
-            l2_bound=family.l2_analytic_bound(j), lam=lam, mass=mass,
-            gh_bound=gh_upper_bound(eps),
-            flat_bound=flat_upper_bound(eps, lam, SURFACE_DIM, mass),
-            worst_pair=(worst.p, worst.q), alt_eps=alt))
+        rows.append(stage_row(res, l2, family.l2_analytic_bound(j),
+                              bilipschitz_lambda(space), space.mass(),
+                              SURFACE_DIM, alt))
         if with_audits:
             audits[j] = tuple(audit_theorem_bounds(family, j, result=res))
     return ConvergenceReport(family.describe(), primary.describe(),

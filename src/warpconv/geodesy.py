@@ -83,12 +83,24 @@ class OrbitSweepCache:
     A grid graph whose edge weights are invariant under a group of node
     translations has d(a, b) = d(T a, T b) for every such T, and a shortest
     path sweep yields the same floats on translated inputs.  Subclasses
-    supply `distances_from`, an empty `_orbit_rows` dict and `_orbit(a, b)`,
+    supply the CSR `_matrix`, an empty `_orbit_rows` dict and `_orbit(a, b)`,
     which returns the representative of a's orbit and the image of b under
     the translation taking a there.  Rows swept from representatives stay
     on the graph for its lifetime, so later calls with sources in a known
     orbit sweep nothing.
     """
+
+    def distances_from(self, sources: Sequence[int],
+                       return_predecessors: bool = False):
+        """Single-source sweeps from each node index in `sources`.
+
+        Returns an array of shape (len(sources), n_nodes); with predecessors
+        a second array of the same shape.  Every call sweeps; use
+        `pair_distances` to answer node pairs from the orbit cache.
+        """
+        return _csgraph_dijkstra(self._matrix, directed=True,
+                                 indices=[int(s) for s in sources],
+                                 return_predecessors=return_predecessors)
 
     def pair_distances(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
         """Distances between (source node, target node) pairs."""
@@ -98,6 +110,19 @@ class OrbitSweepCache:
         if missing:
             rows.update(zip(missing, self.distances_from(missing)))
         return [float(rows[s][t]) for s, t in moved]
+
+
+def symmetric_csr(edges, n_nodes: int):
+    """CSR adjacency of an undirected graph from (u, v, weight) array
+    triplets, each edge stored both ways (u -> v, then v -> u)."""
+    rows, cols, data = [], [], []
+    for u, v, w in edges:
+        rows.extend((u, v))
+        cols.extend((v, u))
+        data.extend((w, w))
+    return coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_nodes, n_nodes)).tocsr()
 
 
 def neighborhood_offsets(k: int) -> List[Tuple[int, int]]:
@@ -129,6 +154,10 @@ class GridSpec:
             raise ValueError("grid needs at least 8 subdivisions per axis")
         if self.k not in ANISOTROPY_BOUND:
             raise ValueError(f"unsupported neighborhood k={self.k}")
+
+    def as_list(self) -> List[int]:
+        """Subdivisions per axis, then the neighborhood radius."""
+        return [self.n_r, self.n_theta, self.k]
 
 
 @dataclass
@@ -238,7 +267,7 @@ class GridGraph(OrbitSweepCache):
                      if di > 0 or (di == 0 and dj > 0)]
         nt = self.n_theta
         cols_theta = np.arange(nt)
-        rows_out, cols_out, data_out = [], [], []
+        edges = []
         row_invariant = self.space.base.is_circle
         for di, dj in canonical:
             idx, w = self._direction_weights(di, dj)
@@ -250,16 +279,8 @@ class GridGraph(OrbitSweepCache):
             theta2 = (cols_theta + dj) % nt
             u = (idx[:, None] * nt + cols_theta[None, :]).ravel()
             v = (idx2[:, None] * nt + theta2[None, :]).ravel()
-            ww = np.repeat(w, nt)
-            rows_out.extend((u, v))
-            cols_out.extend((v, u))
-            data_out.extend((ww, ww))
-        rows_all = np.concatenate(rows_out)
-        cols_all = np.concatenate(cols_out)
-        data_all = np.concatenate(data_out)
-        mat = coo_matrix((data_all, (rows_all, cols_all)),
-                         shape=(self.n_nodes, self.n_nodes)).tocsr()
-        return mat, row_invariant
+            edges.append((u, v, np.repeat(w, nt)))
+        return symmetric_csr(edges, self.n_nodes), row_invariant
 
     # -- queries --------------------------------------------------------
 
@@ -290,18 +311,6 @@ class GridGraph(OrbitSweepCache):
         cost = segment_length(self.space, float(p.r), dr, dth) \
             if (dr or dth) else 0.0
         return node, q, cost
-
-    def distances_from(self, sources: Sequence[int],
-                       return_predecessors: bool = False):
-        """Single-source sweeps from each node index in `sources`.
-
-        Returns an array of shape (len(sources), n_nodes); with predecessors
-        a second array of the same shape.  Every call sweeps; use
-        `pair_distances` to answer node pairs from the per-graph orbit cache.
-        """
-        return _csgraph_dijkstra(self._matrix, directed=True,
-                                 indices=[int(s) for s in sources],
-                                 return_predecessors=return_predecessors)
 
     def _orbit(self, a: int, b: int) -> Tuple[int, int]:
         """Roll a to column 0 (and to row 0 when row shifts are

@@ -16,7 +16,7 @@ coordinates, so the CSV stays comma-safe without quoting.
 
 import json
 import math
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -32,11 +32,7 @@ def fmt_sig(value) -> str:
 
 def point_label(p) -> str:
     """Space-separated coordinate tuple for either surface or cube points."""
-    if hasattr(p, "r"):
-        coords = (p.r, p.theta)
-    else:
-        coords = (p.x, p.y, p.z)
-    return "(" + " ".join(f"{c:.6g}" for c in coords) + ")"
+    return "(" + " ".join(f"{c:.6g}" for c in p) + ")"
 
 
 def pair_label(pair) -> str:
@@ -141,14 +137,3 @@ def report_schema_errors(doc) -> List[str]:
     if unknown:
         errs.append(f"unknown report fields: {sorted(unknown)}")
     return errs
-
-
-def write_report(report, csv_path: Optional[str] = None,
-                 json_path: Optional[str] = None) -> None:
-    """Emit the requested artifacts; a single writer, at the end."""
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_report(report))
-    if json_path:
-        with open(json_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(json_report(report))

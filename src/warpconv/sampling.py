@@ -59,7 +59,8 @@ def surface_samples(base: BaseSpace, fiber: FiberSpace, count: int,
 @dataclass(frozen=True)
 class SamplePlan:
     """Pairs to probe: every source against every target, plus hand-picked
-    special pairs (worst-case configurations a family knows about)."""
+    special pairs (worst-case configurations a family knows about).  The
+    points are surface points, or `torus3.Point3` for 3-torus families."""
 
     sources: Tuple[SurfacePoint, ...]
     targets: Tuple[SurfacePoint, ...]

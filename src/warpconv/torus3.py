@@ -15,8 +15,9 @@ Pieces:
   the stencil's convex hull,
 * the closed-form limit metric, a diameter bound, a bi-Lipschitz constant,
 * a stage family (one bump walking the dyadic rationals of the diagonal
-  while it narrows) and the convergence experiment mirroring the surface
-  pipeline: reference-corrected discrepancies plus audit rows.
+  while it narrows) and the convergence experiment through the surface
+  pipeline: the plan, probe and stage-row code of `convergence` gives the
+  reference-corrected discrepancies, and this module adds the audit rows.
 
 The z-stencil choice deliberately exceeds the minimal axis+corner set: with
 only axis moves available inside the xy-plane, a diagonal xy pair costs a
@@ -28,24 +29,30 @@ the reference-corrected discrepancies cancel the systematic part.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from scipy.spatial import ConvexHull
 
 from .core import TAU, HypothesisError, InvalidDescriptor, _bump_shape
 from .convergence import (
     AuditRow,
     ConvergenceReport,
-    flat_upper_bound,
-    gh_upper_bound,
+    DiscrepancyResult,
+    PairProbe,
+    StageRow,
+    probe_plan,
+    stage_row,
 )
 from .families import dyadic_walk
-from .geodesy import GeodesicResult, GridSizeError, OrbitSweepCache
-from .sampling import halton_points
+from .geodesy import (
+    GeodesicResult,
+    GridSizeError,
+    OrbitSweepCache,
+    symmetric_csr,
+)
+from .sampling import SamplePlan, halton_points
 
 MAX_NODES_3D = 2 ** 24
 VOLUME_DIM = 3
@@ -77,8 +84,7 @@ def _signed_minor(delta: float) -> float:
     return d - math.pi
 
 
-@dataclass(frozen=True)
-class Point3:
+class Point3(NamedTuple):
     x: float
     y: float
     z: float
@@ -323,6 +329,10 @@ class Grid3Spec:
         if self.k != 1:
             raise ValueError("only the unit (26-direction) stencil is supported")
 
+    def as_list(self) -> List[int]:
+        """Subdivisions per axis, then the stencil radius."""
+        return [self.n, self.n, self.n, self.k]
+
 
 class Grid3Graph(OrbitSweepCache):
     """Weighted graph over the periodic n^3 lattice.
@@ -359,7 +369,7 @@ class Grid3Graph(OrbitSweepCache):
         # int32 node ids: the memory guard keeps n^3 well under 2^31
         plane = np.arange(n * n, dtype=np.int32).reshape(n, n)
         z_idx = np.arange(n, dtype=np.int32)
-        rows_out, cols_out, data_out = [], [], []
+        edges = []
         canonical = [o for o in stencil_offsets3()
                      if o > (0, 0, 0)]  # lexicographic half: 13 directions
         xy_invariant = True
@@ -376,15 +386,8 @@ class Grid3Graph(OrbitSweepCache):
                  + z_idx[None, None, :]).ravel()
             v = (sheet_to[:, :, None] * np.int32(n)
                  + ((z_idx + dz) % n).astype(np.int32)[None, None, :]).ravel()
-            ww = np.repeat(w_sheet.ravel(), n)
-            rows_out.extend((u, v))
-            cols_out.extend((v, u))
-            data_out.extend((ww, ww))
-        mat = coo_matrix(
-            (np.concatenate(data_out),
-             (np.concatenate(rows_out), np.concatenate(cols_out))),
-            shape=(self.n_nodes, self.n_nodes)).tocsr()
-        return mat, xy_invariant
+            edges.append((u, v, np.repeat(w_sheet.ravel(), n)))
+        return symmetric_csr(edges, self.n_nodes), xy_invariant
 
     # -- queries --------------------------------------------------------
 
@@ -413,13 +416,6 @@ class Grid3Graph(OrbitSweepCache):
             return node, q, 0.0
         fmid = float(self.field(q.x + 0.5 * dx, q.y + 0.5 * dy))
         return node, q, math.sqrt(dx * dx + dy * dy + (fmid * dz) ** 2)
-
-    def distances_from(self, sources: Sequence[int]) -> np.ndarray:
-        """Sweeps from each node in `sources`: shape (len(sources), n^3).
-        Every call sweeps; `pair_distances` answers node pairs from the
-        per-graph orbit cache."""
-        return _csgraph_dijkstra(self._matrix, directed=True,
-                                 indices=[int(s) for s in sources])
 
     def _orbit(self, a: int, b: int) -> Tuple[int, int]:
         """Roll a to z = 0 (and to x = y = 0 when xy shifts are
@@ -465,29 +461,6 @@ def cube_samples(count: int, offset: int = 0) -> Tuple[Point3, ...]:
                         -math.pi + w * TAU) for u, v, w in pts)
 
 
-@dataclass(frozen=True)
-class Plan3:
-    """Sources x targets plus hand-picked pairs, as on the surface."""
-
-    sources: Tuple[Point3, ...]
-    targets: Tuple[Point3, ...]
-    special: Tuple[Pair3, ...] = ()
-
-    def __post_init__(self):
-        if not (self.sources and self.targets) and not self.special:
-            raise InvalidDescriptor("sample plan has no pairs")
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.sources) * len(self.targets) + len(self.special)
-
-    def pairs(self) -> Iterator[Pair3]:
-        for s in self.sources:
-            for t in self.targets:
-                yield s, t
-        yield from self.special
-
-
 # ---------------------------------------------------------------------------
 # the moving-bump stage family and the experiment
 # ---------------------------------------------------------------------------
@@ -523,9 +496,6 @@ class Torus3Family:
         t, width = dyadic_walk(j)
         return BumpField(self.level, self.peak, (t, t), width)
 
-    def k_sup(self) -> float:
-        return self.level if self.kind == "constant" else self.peak
-
     def special_pairs(self, j: int) -> Tuple[Pair3, ...]:
         """z-antipodal probes on, near, and off the bump center."""
         if self.kind == "constant":
@@ -546,93 +516,15 @@ class Torus3Family:
         return tuple((a.wrapped(), b.wrapped()) for a, b in pairs)
 
     def sample_plan(self, j: int, n_sources: int = 6,
-                    n_targets: int = 10, offset: int = 0) -> Plan3:
-        return Plan3(cube_samples(n_sources, offset=offset),
-                     cube_samples(n_targets, offset=offset + n_sources),
-                     self.special_pairs(j))
+                    n_targets: int = 10, offset: int = 0) -> SamplePlan:
+        return SamplePlan(cube_samples(n_sources, offset=offset),
+                          cube_samples(n_targets, offset=offset + n_sources),
+                          self.special_pairs(j))
 
     def describe(self) -> str:
         if self.kind == "constant":
             return f"constant3(level={self.level:g})"
         return f"moving-bump3(level={self.level:g}, peak={self.peak:g})"
-
-
-@dataclass(frozen=True)
-class Probe3:
-    p: Point3
-    q: Point3
-    grid_value: float
-    grid_error: float
-    limit_value: float
-    reference_value: Optional[float] = None
-
-    @property
-    def raw_gap(self) -> float:
-        return abs(self.grid_value - self.limit_value)
-
-    @property
-    def corrected_gap(self) -> float:
-        if self.reference_value is None:
-            return self.raw_gap
-        return abs(self.grid_value - self.reference_value)
-
-
-@dataclass(frozen=True)
-class Stage3Row:
-    j: int
-    grid: Grid3Spec
-    n_pairs: int
-    eps_raw: float
-    eps_corrected: float
-    grid_error: float
-    l2_norm: float
-    l2_bound: float
-    lam: float
-    mass: float
-    gh_bound: float
-    flat_bound: float
-    worst_pair: Pair3
-    alt_eps: Dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        p, q = self.worst_pair
-        return {
-            "j": self.j,
-            "grid": [self.grid.n, self.grid.n, self.grid.n, self.grid.k],
-            "n_pairs": self.n_pairs,
-            "eps_raw": self.eps_raw,
-            "eps_corrected": self.eps_corrected,
-            "grid_error": self.grid_error,
-            "l2_norm": self.l2_norm,
-            "l2_bound": self.l2_bound,
-            "lambda": self.lam,
-            "mass": self.mass,
-            "gh_bound": self.gh_bound,
-            "flat_bound": self.flat_bound,
-            "worst_pair": [[p.x, p.y, p.z], [q.x, q.y, q.z]],
-            "alt_eps": dict(self.alt_eps),
-        }
-
-
-def _pair_values3(graph: Grid3Graph, plan: Plan3):
-    """Snap the plan and read every pair from the graph's orbit cache."""
-    snap_cache: Dict[Tuple[float, float, float], Tuple[int, Point3, float]] = {}
-
-    def snap(pt: Point3):
-        key = (pt.x, pt.y, pt.z)
-        if key not in snap_cache:
-            snap_cache[key] = graph.snap(pt)
-        return snap_cache[key]
-
-    pairs, nodes = [], []
-    for a, b in plan.pairs():
-        ia, pa, _ = snap(a)
-        ib, pb, _ = snap(b)
-        pairs.append((pa, pb))
-        nodes.append((ia, ib))
-    values = graph.pair_distances(nodes)
-    errors = [graph.aniso_bound * d + 1e-9 for d in values]
-    return pairs, values, errors
 
 
 def _quadrature_l2(fld: ScalarField2D, c: float, n: int = 256) -> float:
@@ -652,45 +544,32 @@ def run_torus3_experiment(family: Torus3Family, j_list: Sequence[int],
     same-grid constant reference run cancelling the oracle's systematic
     error, plus the lower-bound / diameter / sandwich audit rows."""
     c = family.level
+    limit = f"flat3(level={c:g})"
     reference = Grid3Graph(ConstantField(c), grid)
-    rows: List[Stage3Row] = []
+    rows: List[StageRow] = []
     audits: Dict[int, Tuple[AuditRow, ...]] = {}
     for j in j_list:
         fld = family.field(j)
         graph = Grid3Graph(fld, grid)
         plan = family.sample_plan(j, n_sources=n_sources, n_targets=n_targets,
                                   offset=seed)
-        pairs, values, errors = _pair_values3(graph, plan)
-        _, ref_values, _ = _pair_values3(reference, plan)
-        probes = tuple(
-            Probe3(pa, pb, val, err, limit3_distance(c, pa, pb), ref)
-            for (pa, pb), val, err, ref in
-            zip(pairs, values, errors, ref_values))
-
-        eps_raw = max(pr.raw_gap for pr in probes)
-        eps_corr = max(pr.corrected_gap for pr in probes)
-        worst = max(probes, key=lambda pr: pr.corrected_gap)
+        res = DiscrepancyResult(
+            family.describe(), j, limit, grid,
+            probe_plan(graph, plan, lambda p, q: limit3_distance(c, p, q),
+                       reference))
         l2 = _quadrature_l2(fld, c)
         l2_bound = fld.l2_vs_level(c) if not isinstance(fld, SumOfBumpsField) \
             else l2
         lam = bilip_lambda3(fld)
-        mass = TAU * fld.integral()
-        rows.append(Stage3Row(
-            j=j, grid=grid, n_pairs=len(probes), eps_raw=eps_raw,
-            eps_corrected=eps_corr, grid_error=max(errors), l2_norm=l2,
-            l2_bound=l2_bound, lam=lam, mass=mass,
-            gh_bound=gh_upper_bound(eps_corr),
-            flat_bound=flat_upper_bound(eps_corr, lam, VOLUME_DIM, mass),
-            worst_pair=(worst.p, worst.q)))
-
+        rows.append(stage_row(res, l2, l2_bound, lam, graph.mass(), VOLUME_DIM))
         if with_audits:
-            audits[j] = tuple(_audit_rows3(family, j, fld, probes, l2, lam))
-    return ConvergenceReport(family.describe(), f"flat3(level={c:g})",
-                             VOLUME_DIM, tuple(rows), audits)
+            audits[j] = tuple(_audit_rows3(family, j, fld, res.probes, l2, lam))
+    return ConvergenceReport(family.describe(), limit, VOLUME_DIM,
+                             tuple(rows), audits)
 
 
 def _audit_rows3(family: Torus3Family, j: int, fld: ScalarField2D,
-                 probes: Tuple[Probe3, ...], l2: float, lam: float):
+                 probes: Tuple[PairProbe, ...], l2: float, lam: float):
     c = family.level
     fmin = fld.min_value()
     rows: List[AuditRow] = []

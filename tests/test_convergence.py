@@ -42,9 +42,10 @@ from warpconv import (
 )
 from warpconv.convergence import (
     PairProbe,
+    StageRow,
     _monotone_geodesic_stats,
-    mass_estimate,
 )
+from warpconv.torus3 import Grid3Spec, Point3
 
 TAU = 2.0 * math.pi
 
@@ -75,14 +76,14 @@ def test_flat_upper_bound_values():
 
 def test_mass_estimate_values():
     base, fiber = circle_base(), FiberSpace()
-    assert mass_estimate(WarpedSpace(base, fiber, ConstantProfile(1.0))) == \
+    assert WarpedSpace(base, fiber, ConstantProfile(1.0)).mass() == \
         pytest.approx(4.0 * math.pi ** 2, rel=1e-12)
-    assert mass_estimate(WarpedSpace(base, fiber, ConstantProfile(2.0))) == \
+    assert WarpedSpace(base, fiber, ConstantProfile(2.0)).mass() == \
         pytest.approx(8.0 * math.pi ** 2, rel=1e-12)
     # one cosine cinch of half-width 1/8 removes area 2*pi * (1/8) * (1-h0):
     # the bump shape has mean 1/2 over its support of width 2/8
     cinch = SequenceFamily("cinched-torus", depth=0.5).space(8)
-    assert mass_estimate(cinch) == pytest.approx(
+    assert cinch.mass() == pytest.approx(
         4.0 * math.pi ** 2 - TAU * 0.125 * 0.5, rel=1e-9)
 
 
@@ -137,6 +138,21 @@ def test_pair_probe_gaps():
     assert probe.corrected_gap == pytest.approx(0.05)
     bare = PairProbe(p, q, 1.5, 0.1, 1.2)
     assert bare.corrected_gap == bare.raw_gap
+
+
+@pytest.mark.parametrize("grid, pair, grid_list, pair_lists", [
+    (GridSpec(64, 32, 2), (SurfacePoint(0.0, 0.0), SurfacePoint(1.0, 2.0)),
+     [64, 32, 2], [[0, 0], [1, 2]]),
+    (Grid3Spec(32), (Point3(0, 0, 0), Point3(1, 1, 1)),
+     [32, 32, 32, 1], [[0, 0, 0], [1, 1, 1]]),
+], ids=["surface", "torus3"])
+def test_stage_row_to_dict(grid, pair, grid_list, pair_lists):
+    row = StageRow(2, grid, 5, 0.1, 0.05, 0.01, 0.2, 0.21, 2.0, 250.0, 0.1,
+                   100.0, pair)
+    d = row.to_dict()
+    assert d["j"] == 2 and d["lambda"] == 2.0 and d["alt_eps"] == {}
+    assert d["grid"] == grid_list
+    assert d["worst_pair"] == pair_lists
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from warpconv import (
     HypothesisError,
     InvalidDescriptor,
     PolylineCurve,
+    SequenceFamily,
     SumOfBumpsProfile,
     SurfacePoint,
     TabulatedProfile,

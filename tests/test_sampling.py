@@ -15,6 +15,7 @@ from warpconv import (
     surface_samples,
 )
 from warpconv.core import FiberSpace
+from warpconv.torus3 import cube_samples
 
 
 def test_radical_inverse_known_values():
@@ -87,6 +88,10 @@ def test_sample_plan_counts():
 def test_sample_plan_rejects_empty():
     with pytest.raises(InvalidDescriptor):
         SamplePlan((), ())
+    # 3-torus plans share the type: cube sources without targets or
+    # special pairs give no pairs either
+    with pytest.raises(InvalidDescriptor):
+        SamplePlan(cube_samples(3), (), ())
 
 
 def test_default_plan_structure():

@@ -17,18 +17,25 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from warpconv import HypothesisError, InvalidDescriptor
+from warpconv import (
+    GridSpec,
+    HypothesisError,
+    InvalidDescriptor,
+    SamplePlan,
+    SequenceFamily,
+    SurfacePoint,
+    run_family_experiment,
+)
+from warpconv.convergence import PairProbe
 from warpconv.core import TAU
+from warpconv.reporting import point_label
 from warpconv.geodesy import GridSizeError
 from warpconv.torus3 import (
     BumpField,
     ConstantField,
     Grid3Graph,
     Grid3Spec,
-    Plan3,
     Point3,
-    Probe3,
-    Stage3Row,
     SumOfBumpsField,
     Torus3Family,
     bilip_lambda3,
@@ -391,7 +398,6 @@ class TestTorus3Family:
     def test_constant_kind(self):
         fam = Torus3Family("constant", level=1.5)
         assert isinstance(fam.field(3), ConstantField)
-        assert fam.k_sup() == 1.5
         assert fam.describe() == "constant3(level=1.5)"
 
     def test_validation(self):
@@ -420,8 +426,7 @@ class TestTorus3Family:
         plan = fam.sample_plan(4, n_sources=3, n_targets=5)
         assert plan.n_pairs == 3 * 5 + 4
         assert len(list(plan.pairs())) == plan.n_pairs
-        with pytest.raises(InvalidDescriptor):
-            Plan3((), (), ())
+        assert isinstance(plan, SamplePlan)
 
     def test_describe(self):
         s = Torus3Family("moving-bump", level=1.0, peak=2.0).describe()
@@ -485,16 +490,23 @@ class TestExperiment3:
             "distance-lower-bound", "diameter", "bilip-sandwich"]
 
     def test_probe_gap_fields(self):
-        pr = Probe3(Point3(0, 0, 0), Point3(1, 0, 0), 1.05, 0.01, 1.0, 1.04)
+        # the 3-torus experiment records its probes in the surface probe type
+        pr = PairProbe(Point3(0, 0, 0), Point3(1, 0, 0), 1.05, 0.01, 1.0, 1.04)
         assert pr.raw_gap == pytest.approx(0.05)
         assert pr.corrected_gap == pytest.approx(0.01)
-        bare = Probe3(Point3(0, 0, 0), Point3(1, 0, 0), 1.05, 0.01, 1.0)
+        bare = PairProbe(Point3(0, 0, 0), Point3(1, 0, 0), 1.05, 0.01, 1.0)
         assert bare.corrected_gap == bare.raw_gap
 
-    def test_stage_row_serialization(self):
-        row = Stage3Row(2, Grid3Spec(32), 5, 0.1, 0.05, 0.01, 0.2, 0.21,
-                        2.0, 250.0, 0.1, 100.0,
-                        (Point3(0, 0, 0), Point3(1, 1, 1)))
-        d = row.to_dict()
-        assert d["j"] == 2 and d["lambda"] == 2.0
-        assert d["worst_pair"] == [[0, 0, 0], [1, 1, 1]]
+    def test_rows_share_the_surface_row_type(self, small_run):
+        surface = run_family_experiment(
+            SequenceFamily("constant"), [2], grid=GridSpec(32, 32, 2),
+            n_sources=2, n_targets=3)
+        row3, row2 = small_run.rows[0], surface.rows[0]
+        assert type(row3) is type(row2)
+        assert set(row3.to_dict()) == set(row2.to_dict())
+
+
+def test_point_label_formats_surface_and_cube_points():
+    assert point_label(SurfacePoint(0.5, 1.25)) == "(0.5 1.25)"
+    assert point_label(Point3(-math.pi, 0.0, 1.0 / 3.0)) == \
+        "(-3.14159 0 0.333333)"
