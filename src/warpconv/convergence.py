@@ -120,7 +120,8 @@ def reference_space(limit: LimitMetric, base, fiber, grid: GridSpec) -> WarpedSp
     half-cell wide centered exactly on a grid row, so only that row's fiber
     edges get the cheap rate.  stretched-mix: dips to 1 a half-cell wide on
     every fourth row (sparse enough that diagonal edges still see the plateau,
-    dense enough that reaching a cheap circle costs at most two cells).
+    dense enough that reaching a cheap circle costs at most two cells), except
+    the seam row r = -pi, where `BumpLatticeProfile` puts no bump.
     """
     hr = base.length / grid.n_r
     if limit.kind == "product":

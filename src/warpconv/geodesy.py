@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .core import (
@@ -42,6 +42,10 @@ from .core import (
 # spaces need the aspect-aware stencil_anisotropy below, which reduces to
 # these numbers at aspect 1.
 ANISOTROPY_BOUND = {1: 0.0824, 2: 0.0275, 3: 0.0131}
+
+# Surface grid node cap: the widest stencil (k = 3) has 32 neighbours, so
+# 2**25 nodes keep every CSR index and row pointer below 2**31 (int32).
+MAX_NODES_2D = 2 ** 25
 
 
 def stencil_anisotropy(k: int, aspect_lo: float, aspect_hi: float) -> float:
@@ -112,17 +116,62 @@ class OrbitSweepCache:
         return [float(rows[s][t]) for s, t in moved]
 
 
-def symmetric_csr(edges, n_nodes: int):
-    """CSR adjacency of an undirected graph from (u, v, weight) array
-    triplets, each edge stored both ways (u -> v, then v -> u)."""
-    rows, cols, data = [], [], []
-    for u, v, w in edges:
-        rows.extend((u, v))
-        cols.extend((v, u))
-        data.extend((w, w))
-    return coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_nodes, n_nodes)).tocsr()
+def fibered_csr(n_cells: int, m: int, directions) -> csr_matrix:
+    """Canonical CSR adjacency of a base lattice times a periodic fiber.
+
+    Node cell * m + z sits over base cell `cell` at fiber position z.  Each
+    canonical stencil direction is one (src, dst, dz, weights) tuple of
+    arrays over base cells: for every z, node (src[e], z) joins node
+    (dst[e], (z + dz) % m) at weight weights[e], and the edge is stored both
+    ways.  A cell may start at most one edge per direction and end at most
+    one, and no two of a cell's edges may reach the same node (the stencil
+    is narrower than the grid), so there is nothing to sum.
+
+    The arrays are written in place with sorted columns and int32 indices,
+    the same bits a COO-to-CSR conversion of the edges gives.  Column
+    order depends only on the cell and on which steps wrap the fiber, which
+    splits z into the classes {0}, ..., {s-1}, [s, m-s), {m-s}, ..., {m-1}
+    for the widest step s: each class is sorted once per cell and its rows
+    are its first row shifted by z - z_first.
+    """
+    n_nodes = n_cells * m
+    n_slots = 2 * len(directions)
+    target = np.full((n_cells, n_slots), n_cells, dtype=np.int64)
+    weight = np.zeros((n_cells, n_slots))
+    step = np.zeros(n_slots, dtype=np.int64)
+    for s, (src, dst, dz, w) in enumerate(directions):
+        # slot 2s holds the edge a cell starts, slot 2s + 1 the one it ends
+        target[src, 2 * s] = dst
+        target[dst, 2 * s + 1] = src
+        weight[src, 2 * s] = weight[dst, 2 * s + 1] = w
+        step[2 * s], step[2 * s + 1] = dz, -dz
+    degree = np.count_nonzero(target < n_cells, axis=1)
+
+    wide = int(np.max(np.abs(step)))
+    starts = sorted({*range(wide + 1), *range(m - wide, m)})
+    bounds = list(zip(starts, starts[1:] + [m]))
+    # missing edges have keys of n_nodes or more and sort last
+    key = target[:, None, :] * m + (np.array(starts)[:, None] + step) % m
+    order = np.argsort(key, axis=-1)
+    first_cols = np.take_along_axis(key, order, axis=-1).astype(np.int32)
+    first_data = np.take_along_axis(weight[:, None, :], order, axis=-1)
+
+    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
+    np.cumsum(np.repeat(degree, m), out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    data = np.empty(int(indptr[-1]))
+    # cells of equal degree are one (cells, m, degree) block of both arrays
+    cuts = [0, *(np.flatnonzero(np.diff(degree)) + 1), n_cells]
+    for c0, c1 in zip(cuts[:-1], cuts[1:]):
+        deg = int(degree[c0])
+        lo, hi = indptr[c0 * m], indptr[c1 * m]
+        cols = indices[lo:hi].reshape(c1 - c0, m, deg)
+        vals = data[lo:hi].reshape(c1 - c0, m, deg)
+        for c, (z0, z1) in enumerate(bounds):
+            shift = np.arange(z1 - z0, dtype=np.int32)[None, :, None]
+            np.add(first_cols[c0:c1, c, None, :deg], shift, out=cols[:, z0:z1])
+            vals[:, z0:z1] = first_data[c0:c1, c, None, :deg]
+    return csr_matrix((data, indices, indptr), shape=(n_nodes, n_nodes))
 
 
 def neighborhood_offsets(k: int) -> List[Tuple[int, int]]:
@@ -197,10 +246,14 @@ class GridGraph(OrbitSweepCache):
     sample splits at bump-support boundaries.  Weights are computed once per
     undirected edge so the graph is bitwise symmetric.
 
-    Weights depend on the start row only, so rolling the fiber is a graph
-    automorphism and one sweep per source row answers every pair.  When the
-    built weights are also bitwise equal across rows of a circle base,
-    `row_invariant` is set and one sweep answers the whole graph.
+    Weights depend on the start row only: `_direction_weights` gives one
+    weight per row and direction, and `fibered_csr` writes the sorted CSR
+    from them with rows as base cells and theta as the fiber.  Grids over
+    MAX_NODES_2D nodes raise GridSizeError before anything is allocated.
+    Rolling the fiber is a graph automorphism, so one sweep per source row
+    answers every pair.  When the built weights are also bitwise equal
+    across rows of a circle base, `row_invariant` is set and one sweep
+    answers the whole graph.
     """
 
     def __init__(self, space: WarpedSpace, spec: GridSpec = GridSpec()):
@@ -211,9 +264,13 @@ class GridGraph(OrbitSweepCache):
         self.htheta = fiber.circumference / spec.n_theta
         self.n_rows = spec.n_r if base.is_circle else spec.n_r + 1
         self.n_theta = spec.n_theta
+        self.n_nodes = self.n_rows * self.n_theta
+        if self.n_nodes > MAX_NODES_2D:
+            raise GridSizeError(
+                f"surface grid of {self.n_nodes} nodes exceeds the "
+                f"{MAX_NODES_2D} node memory guard")
         self.rows = base.r_min + self.hr * np.arange(self.n_rows)
         self.thetas = self.htheta * np.arange(self.n_theta)
-        self.n_nodes = self.n_rows * self.n_theta
         ratio = self.htheta / self.hr
         self.aniso_bound = stencil_anisotropy(
             spec.k, space.profile_min() * ratio, space.profile_max() * ratio)
@@ -265,22 +322,15 @@ class GridGraph(OrbitSweepCache):
         offsets = neighborhood_offsets(self.spec.k)
         canonical = [(di, dj) for di, dj in offsets
                      if di > 0 or (di == 0 and dj > 0)]
-        nt = self.n_theta
-        cols_theta = np.arange(nt)
-        edges = []
-        row_invariant = self.space.base.is_circle
+        circle = self.space.base.is_circle
+        directions = []
+        row_invariant = circle
         for di, dj in canonical:
             idx, w = self._direction_weights(di, dj)
             row_invariant = row_invariant and bool(np.all(w == w[0]))
-            if self.space.base.is_circle:
-                idx2 = (idx + di) % self.n_rows
-            else:
-                idx2 = idx + di
-            theta2 = (cols_theta + dj) % nt
-            u = (idx[:, None] * nt + cols_theta[None, :]).ravel()
-            v = (idx2[:, None] * nt + theta2[None, :]).ravel()
-            edges.append((u, v, np.repeat(w, nt)))
-        return symmetric_csr(edges, self.n_nodes), row_invariant
+            dst = (idx + di) % self.n_rows if circle else idx + di
+            directions.append((idx, dst, dj, w))
+        return fibered_csr(self.n_rows, self.n_theta, directions), row_invariant
 
     # -- queries --------------------------------------------------------
 

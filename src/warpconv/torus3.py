@@ -50,7 +50,7 @@ from .geodesy import (
     GeodesicResult,
     GridSizeError,
     OrbitSweepCache,
-    symmetric_csr,
+    fibered_csr,
 )
 from .sampling import SamplePlan, halton_points
 
@@ -340,9 +340,11 @@ class Grid3Graph(OrbitSweepCache):
     Edge weights use midpoint metric evaluation: a step (dx, dy, dz) from a
     node costs h * sqrt(dx^2 + dy^2 + f(mid)^2 dz^2) with f read at the
     step's xy midpoint.  Weights depend on (x, y) only, so each direction is
-    built as an n x n sheet and tiled along z; z rolls are automorphisms and
-    one sweep per source (x, y) answers every pair.  When every built sheet
-    is constant, `xy_invariant` is set and one sweep answers the whole graph.
+    one n x n sheet of weights and `fibered_csr` writes the sorted CSR from
+    the sheets with the (x, y) cells as base cells and z as the fiber; z
+    rolls are automorphisms and one sweep per source (x, y) answers every
+    pair.  When every built sheet is constant, `xy_invariant` is set and one
+    sweep answers the whole graph.
     """
 
     def __init__(self, fld: ScalarField2D, spec: Grid3Spec = Grid3Spec()):
@@ -366,10 +368,8 @@ class Grid3Graph(OrbitSweepCache):
         h = self.h
         xs = self.coords
         X, Y = np.meshgrid(xs, xs, indexing="ij")
-        # int32 node ids: the memory guard keeps n^3 well under 2^31
-        plane = np.arange(n * n, dtype=np.int32).reshape(n, n)
-        z_idx = np.arange(n, dtype=np.int32)
-        edges = []
+        plane = np.arange(n * n).reshape(n, n)
+        directions = []
         canonical = [o for o in stencil_offsets3()
                      if o > (0, 0, 0)]  # lexicographic half: 13 directions
         xy_invariant = True
@@ -382,12 +382,8 @@ class Grid3Graph(OrbitSweepCache):
                 w_sheet = h * np.sqrt(dx * dx + dy * dy + (f * dz) ** 2)
             xy_invariant = xy_invariant and bool(np.all(w_sheet == w_sheet[0, 0]))
             sheet_to = plane[(np.arange(n) + dx) % n][:, (np.arange(n) + dy) % n]
-            u = (plane[:, :, None] * np.int32(n)
-                 + z_idx[None, None, :]).ravel()
-            v = (sheet_to[:, :, None] * np.int32(n)
-                 + ((z_idx + dz) % n).astype(np.int32)[None, None, :]).ravel()
-            edges.append((u, v, np.repeat(w_sheet.ravel(), n)))
-        return symmetric_csr(edges, self.n_nodes), xy_invariant
+            directions.append((plane.ravel(), sheet_to.ravel(), dz, w_sheet.ravel()))
+        return fibered_csr(n * n, n, directions), xy_invariant
 
     # -- queries --------------------------------------------------------
 
