@@ -7,10 +7,12 @@ warped 3-tori (`torus3.run_torus3_experiment`) share it:
 * probe pairs come from a deterministic sample plan (shared sources) plus
   family-specific worst cases,
 * `probe_plan` reads the stage's distances from the grid oracle's orbit
-  cache: edge weights are invariant under fiber rolls (z rolls on the
-  3-torus), so one sweep per source row answers all pairs, and the rows
-  stay on the graph, so further limits on the same stage and the cached
-  reference grids of later stages sweep only rows not yet seen,
+  cache: edge weights are invariant under fiber rolls and even in the
+  fiber step (z on the 3-torus), so one sweep per source row answers all
+  pairs, and it runs on the graph folded by the fiber mirror, about half
+  the nodes.  The rows stay on the graph at half width, so further limits
+  on the same stage and the cached reference grids of later stages sweep
+  only rows not yet seen,
 * the limit metric is evaluated in closed form at the snapped endpoints,
 * a reference run discretizes the LIMIT geometry on the same grid, so the
   grid's systematic error (anisotropy, quadrature) can be cancelled by

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -43,8 +43,10 @@ from .core import (
 # these numbers at aspect 1.
 ANISOTROPY_BOUND = {1: 0.0824, 2: 0.0275, 3: 0.0131}
 
-# Surface grid node cap: the widest stencil (k = 3) has 32 neighbours, so
-# 2**25 nodes keep every CSR index and row pointer below 2**31 (int32).
+# Surface grid node cap.  The folded CSR keeps fiber positions 0..m//2, at
+# most 5/8 of the nodes since m >= 8, and each has at most 32 neighbours
+# (k = 3), so 2**25 nodes keep every CSR index and row pointer below
+# 2**31 (int32) with room to spare.
 MAX_NODES_2D = 2 ** 25
 
 
@@ -81,97 +83,192 @@ class GridSizeError(RuntimeError):
     """Requested grid exceeds the configured memory guard."""
 
 
-class OrbitSweepCache:
-    """Node-pair distances from one cached sweep per source orbit.
+class FiberStencil(NamedTuple):
+    """Per-cell edges of a fibered graph's full (unfolded) form.
 
-    A grid graph whose edge weights are invariant under a group of node
-    translations has d(a, b) = d(T a, T b) for every such T, and a shortest
-    path sweep yields the same floats on translated inputs.  Subclasses
-    supply the CSR `_matrix`, an empty `_orbit_rows` dict and `_orbit(a, b)`,
-    which returns the representative of a's orbit and the image of b under
-    the translation taking a there.  Rows swept from representatives stay
-    on the graph for its lifetime, so later calls with sources in a known
-    orbit sweep nothing.
+    Slot s of base cell c joins node (c, z) to (target[c, s], (z + step[s])
+    % m) at weight[c, s], for every fiber position z; a cell without an edge
+    in a slot has target n_cells there.  Edges are stored both ways, so the
+    slots of a node are its in-neighbours as well.
     """
 
-    def distances_from(self, sources: Sequence[int],
-                       return_predecessors: bool = False):
+    m: int
+    target: np.ndarray
+    step: np.ndarray
+    weight: np.ndarray
+
+
+def _fold(z, m: int):
+    """Fiber position z (mod m) folded by the mirror z -> -z onto [0, m//2]."""
+    z = np.mod(z, m)
+    return np.minimum(z, m - z)
+
+
+class OrbitSweepCache:
+    """Node-pair distances on a fibered grid graph from one cached sweep per
+    source orbit.
+
+    Node cell * m + z sits over base cell `cell` at fiber position z.  Rolls
+    of the fiber map the graph onto itself, and so does the mirror
+    z -> -z (mod m), because every edge weight is even in the fiber step;
+    a graph whose built weights are invariant under base translations too
+    has more such maps.  Distances are then invariant: d(a, b) = d(T a, T b),
+    and a sweep from a node at z = 0, which the mirror fixes, is mirror
+    symmetric.  So `_matrix` holds only the quotient of the graph by the
+    mirror (fiber positions 0..m//2, see `fibered_csr`), and each sweep runs
+    from a (cell, 0) node on it.
+
+    Subclasses supply `_matrix` and `_stencil` from `fibered_csr`, an empty
+    `_orbit_rows` dict and `_orbit(a, b)`, which returns the representative
+    of a's orbit (a node at z = 0) and the image of b under the translation
+    taking a there.  Rows swept from representatives stay on the graph for
+    its lifetime at half width (z = 0..m//2 per cell), so later calls with
+    sources in a known orbit sweep nothing.
+    """
+
+    def distances_from(self, sources: Sequence[int]) -> np.ndarray:
         """Single-source sweeps from each node index in `sources`.
 
-        Returns an array of shape (len(sources), n_nodes); with predecessors
-        a second array of the same shape.  Every call sweeps; use
-        `pair_distances` to answer node pairs from the orbit cache.
+        Returns an array of shape (len(sources), n_nodes).  One csgraph call
+        sweeps the folded graph from (cell, 0) for each distinct source cell;
+        each row is unfolded and rolled to its source's fiber position.
+        Every call sweeps; use `pair_distances` to answer node pairs from
+        the orbit cache.
         """
-        return _csgraph_dijkstra(self._matrix, directed=True,
-                                 indices=[int(s) for s in sources],
-                                 return_predecessors=return_predecessors)
+        m = self._stencil.m
+        h = m // 2 + 1
+        cells, z = np.divmod(np.asarray(sources, dtype=np.int64), m)
+        reps, which = np.unique(cells, return_inverse=True)
+        half = _csgraph_dijkstra(self._matrix, directed=True, indices=reps * h)
+        half = half.reshape(len(reps), -1, h)
+        out = np.empty((len(cells), half.shape[1], m))
+        for row, j, z_s in zip(out, which, z):
+            np.take(half[j], _fold(np.arange(m) - z_s, m), axis=1, out=row)
+        return out.reshape(len(cells), -1)
 
     def pair_distances(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
         """Distances between (source node, target node) pairs."""
+        m = self._stencil.m
         rows = self._orbit_rows
         moved = [self._orbit(int(a), int(b)) for a, b in pairs]
         missing = list(dict.fromkeys(s for s, _ in moved if s not in rows))
         if missing:
-            rows.update(zip(missing, self.distances_from(missing)))
-        return [float(rows[s][t]) for s, t in moved]
+            table = self.distances_from(missing).reshape(len(missing), -1, m)
+            # representatives sit at z = 0, so their rows are mirror symmetric
+            rows.update(zip(missing, table[:, :, :m // 2 + 1].copy()))
+        out = []
+        for s, t in moved:
+            cell, z = divmod(t, m)
+            out.append(float(rows[s][cell, min(z, m - z)]))
+        return out
+
+    def shortest_chain(self, src: int, dst: int) -> Tuple[float, List[int]]:
+        """Distance src -> dst and the nodes of one shortest path.
+
+        Walks back from dst: each step moves to the first stencil neighbour
+        u of the current node x with fl(d(u) + w) == d(x).  The sweep's
+        distances satisfy d(x) = min_u fl(d(u) + w) at every x but src, so
+        such a u exists, d falls at every step, and the left-to-right float
+        sum of the chain's weights is the distance bit for bit.
+        """
+        d = self.distances_from([src])[0]
+        m, target, step, weight = self._stencil
+        if not math.isfinite(d[dst]):
+            raise RuntimeError("graph is disconnected")
+        node = int(dst)
+        chain = [node]
+        while node != src:
+            cell, z = divmod(node, m)
+            live = target[cell] < len(target)
+            prev = np.where(live, target[cell] * m + (z + step) % m, 0)
+            hit = np.flatnonzero(live & (d[prev] + weight[cell] == d[node]))
+            node = int(prev[hit[0]])
+            chain.append(node)
+        chain.reverse()
+        return float(d[dst]), chain
 
 
-def fibered_csr(n_cells: int, m: int, directions) -> csr_matrix:
-    """Canonical CSR adjacency of a base lattice times a periodic fiber.
+def fibered_csr(n_cells: int, m: int, directions) -> Tuple[csr_matrix, FiberStencil]:
+    """Folded CSR adjacency of a base lattice times a periodic fiber.
 
-    Node cell * m + z sits over base cell `cell` at fiber position z.  Each
-    canonical stencil direction is one (src, dst, dz, weights) tuple of
-    arrays over base cells: for every z, node (src[e], z) joins node
-    (dst[e], (z + dz) % m) at weight weights[e], and the edge is stored both
-    ways.  A cell may start at most one edge per direction and end at most
-    one, and no two of a cell's edges may reach the same node (the stencil
-    is narrower than the grid), so there is nothing to sum.
+    Node cell * m + z of the full graph sits over base cell `cell` at fiber
+    position z.  Each stencil direction is one (src, dst, dz, weights) tuple
+    of arrays over base cells and stands for both fiber signs: for every z
+    and s = dz, -dz, node (src[e], z) joins node (dst[e], (z + s) % m) at
+    weight weights[e], and the edge is stored both ways.  A cell may start
+    at most one edge per direction and end at most one.
 
-    The arrays are written in place with sorted columns and int32 indices,
-    the same bits a COO-to-CSR conversion of the edges gives.  Column
-    order depends only on the cell and on which steps wrap the fiber, which
-    splits z into the classes {0}, ..., {s-1}, [s, m-s), {m-s}, ..., {m-1}
-    for the widest step s: each class is sorted once per cell and its rows
-    are its first row shifted by z - z_first.
+    Every weight is thus even in the fiber step, so the mirror z -> -z
+    (mod m) maps the graph onto itself and fixes z = 0.  The returned matrix
+    is the quotient by the mirror: node cell * h + z for z in [0, h),
+    h = m // 2 + 1, each target folded to min(z, m - z) and duplicate edges
+    merged at their minimum weight.  A sweep on it from (cell, 0) gives the
+    full graph's distances bit for bit, because those are mirror symmetric
+    and, with positive weights, d(v) = min_u fl(d(u) + w(u, v)) has one
+    solution.  No array over the full fiber is built.
+
+    The arrays are written in place with sorted columns and int32 indices.
+    Column order and degree depend only on the cell and on which steps
+    leave [0, h) before the fold, which splits z into the classes {0}, ...,
+    {s-1}, [s, h-s), {h-s}, ..., {h-1} for the widest step s: each class is
+    sorted and merged once per cell and its rows are its first row shifted
+    by z - z_first.  The full graph's per-cell stencil is returned too.
     """
-    n_nodes = n_cells * m
-    n_slots = 2 * len(directions)
-    target = np.full((n_cells, n_slots), n_cells, dtype=np.int64)
-    weight = np.zeros((n_cells, n_slots))
-    step = np.zeros(n_slots, dtype=np.int64)
-    for s, (src, dst, dz, w) in enumerate(directions):
-        # slot 2s holds the edge a cell starts, slot 2s + 1 the one it ends
-        target[src, 2 * s] = dst
-        target[dst, 2 * s + 1] = src
-        weight[src, 2 * s] = weight[dst, 2 * s + 1] = w
-        step[2 * s], step[2 * s + 1] = dz, -dz
-    degree = np.count_nonzero(target < n_cells, axis=1)
+    slots = []
+    for src, dst, dz, w in directions:
+        for s in ((dz, -dz) if dz else (0,)):
+            slots += [(src, dst, s, w), (dst, src, -s, w)]
+    target = np.full((n_cells, len(slots)), n_cells, dtype=np.int64)
+    weight = np.zeros((n_cells, len(slots)))
+    step = np.array([s for _, _, s, _ in slots], dtype=np.int64)
+    for s, (src, dst, _, w) in enumerate(slots):
+        target[src, s] = dst
+        weight[src, s] = w
 
+    h = m // 2 + 1
     wide = int(np.max(np.abs(step)))
-    starts = sorted({*range(wide + 1), *range(m - wide, m)})
-    bounds = list(zip(starts, starts[1:] + [m]))
-    # missing edges have keys of n_nodes or more and sort last
-    key = target[:, None, :] * m + (np.array(starts)[:, None] + step) % m
-    order = np.argsort(key, axis=-1)
+    starts = sorted({*range(min(wide + 1, h)), *range(max(h - wide, 0), h)})
+    bounds = list(zip(starts, starts[1:] + [h]))
+    # missing edges have keys of n_cells * h or more and sort last
+    key = target[:, None, :] * h + _fold(np.array(starts)[:, None] + step, m)
+    wts = np.broadcast_to(weight[:, None, :], key.shape)
+    order = np.lexsort((wts, key), axis=-1)
+    key = np.take_along_axis(key, order, axis=-1)
+    wts = np.take_along_axis(wts, order, axis=-1)
+    # the first edge of a run of equal keys carries the run's minimum weight
+    keep = key < n_cells * h
+    keep[..., 1:] &= key[..., 1:] != key[..., :-1]
+    degree = np.count_nonzero(keep, axis=-1)
+    order = np.argsort(~keep, axis=-1, kind="stable")
     first_cols = np.take_along_axis(key, order, axis=-1).astype(np.int32)
-    first_data = np.take_along_axis(weight[:, None, :], order, axis=-1)
+    first_data = np.take_along_axis(wts, order, axis=-1)
 
-    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
-    np.cumsum(np.repeat(degree, m), out=indptr[1:])
+    indptr = np.zeros(n_cells * h + 1, dtype=np.int32)
+    widths = [z1 - z0 for z0, z1 in bounds]
+    np.cumsum(np.repeat(degree, widths, axis=1).ravel(), out=indptr[1:])
     indices = np.empty(int(indptr[-1]), dtype=np.int32)
     data = np.empty(int(indptr[-1]))
-    # cells of equal degree are one (cells, m, degree) block of both arrays
-    cuts = [0, *(np.flatnonzero(np.diff(degree)) + 1), n_cells]
+    # cells of equal degrees are one (cells, row) block of both arrays, and
+    # each class is a (cells, z, degree) view of the block
+    cuts = [0, *(np.flatnonzero(np.any(np.diff(degree, axis=0), axis=1)) + 1),
+            n_cells]
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
-        deg = int(degree[c0])
-        lo, hi = indptr[c0 * m], indptr[c1 * m]
-        cols = indices[lo:hi].reshape(c1 - c0, m, deg)
-        vals = data[lo:hi].reshape(c1 - c0, m, deg)
+        lo, hi = indptr[c0 * h], indptr[c1 * h]
+        cols = indices[lo:hi].reshape(c1 - c0, -1)
+        vals = data[lo:hi].reshape(c1 - c0, -1)
+        at = 0
         for c, (z0, z1) in enumerate(bounds):
+            deg = int(degree[c0, c])
+            span = slice(at, at + (z1 - z0) * deg)
+            at = span.stop
+            shape = (c1 - c0, z1 - z0, deg)
             shift = np.arange(z1 - z0, dtype=np.int32)[None, :, None]
-            np.add(first_cols[c0:c1, c, None, :deg], shift, out=cols[:, z0:z1])
-            vals[:, z0:z1] = first_data[c0:c1, c, None, :deg]
-    return csr_matrix((data, indices, indptr), shape=(n_nodes, n_nodes))
+            np.add(first_cols[c0:c1, c, None, :deg], shift,
+                   out=cols[:, span].reshape(shape))
+            vals[:, span].reshape(shape)[...] = first_data[c0:c1, c, None, :deg]
+    n_folded = n_cells * h
+    return (csr_matrix((data, indices, indptr), shape=(n_folded, n_folded)),
+            FiberStencil(m, target, step, weight))
 
 
 def neighborhood_offsets(k: int) -> List[Tuple[int, int]]:
@@ -244,16 +341,19 @@ class GridGraph(OrbitSweepCache):
     Chebyshev radius k using co-prime offsets only; each edge weight is the
     quadrature length of the straight parameter-space segment, with forced
     sample splits at bump-support boundaries.  Weights are computed once per
-    undirected edge so the graph is bitwise symmetric.
+    undirected edge and its mirror image (di, -dj), so the graph is bitwise
+    symmetric and its weights are even in the theta step.
 
     Weights depend on the start row only: `_direction_weights` gives one
-    weight per row and direction, and `fibered_csr` writes the sorted CSR
-    from them with rows as base cells and theta as the fiber.  Grids over
-    MAX_NODES_2D nodes raise GridSizeError before anything is allocated.
-    Rolling the fiber is a graph automorphism, so one sweep per source row
-    answers every pair.  When the built weights are also bitwise equal
-    across rows of a circle base, `row_invariant` is set and one sweep
-    answers the whole graph.
+    weight per row and direction, and `fibered_csr` writes the CSR from them
+    with rows as base cells and theta as the fiber, folded by the mirror
+    theta -> -theta: it holds columns 0..n_theta//2 of every row, about half
+    the nodes and edges.  Grids over MAX_NODES_2D nodes raise GridSizeError
+    before anything is allocated.  Rolling the fiber is a graph
+    automorphism, so one sweep per source row, run on the folded graph from
+    the row's column 0, answers every pair.  When the built weights are also
+    bitwise equal across rows of a circle base, `row_invariant` is set and
+    one sweep answers the whole graph.
     """
 
     def __init__(self, space: WarpedSpace, spec: GridSpec = GridSpec()):
@@ -274,7 +374,7 @@ class GridGraph(OrbitSweepCache):
         ratio = self.htheta / self.hr
         self.aniso_bound = stencil_anisotropy(
             spec.k, space.profile_min() * ratio, space.profile_max() * ratio)
-        self._matrix, self.row_invariant = self._build()
+        self._matrix, self._stencil, self.row_invariant = self._build()
         self._orbit_rows = {}
 
     # -- construction -------------------------------------------------
@@ -317,20 +417,22 @@ class GridGraph(OrbitSweepCache):
         return idx, w
 
     def _build(self):
-        """CSR matrix of the graph, and whether every row got the same
-        weights on a circle base (row shifts are then automorphisms)."""
-        offsets = neighborhood_offsets(self.spec.k)
-        canonical = [(di, dj) for di, dj in offsets
-                     if di > 0 or (di == 0 and dj > 0)]
+        """Folded CSR matrix and stencil of the graph, and whether every row
+        got the same weights on a circle base (row shifts are then
+        automorphisms)."""
+        # one direction per mirror pair (di, +-dj): fibered_csr adds both signs
+        halves = [(di, dj) for di, dj in neighborhood_offsets(self.spec.k)
+                  if di >= 0 and dj >= 0]
         circle = self.space.base.is_circle
         directions = []
         row_invariant = circle
-        for di, dj in canonical:
+        for di, dj in halves:
             idx, w = self._direction_weights(di, dj)
             row_invariant = row_invariant and bool(np.all(w == w[0]))
             dst = (idx + di) % self.n_rows if circle else idx + di
             directions.append((idx, dst, dj, w))
-        return fibered_csr(self.n_rows, self.n_theta, directions), row_invariant
+        matrix, stencil = fibered_csr(self.n_rows, self.n_theta, directions)
+        return matrix, stencil, row_invariant
 
     # -- queries --------------------------------------------------------
 
@@ -374,16 +476,7 @@ class GridGraph(OrbitSweepCache):
 
     def path_between(self, src: int, dst: int) -> Tuple[float, PolylineCurve]:
         """Shortest path src -> dst as a polyline with wrap flags."""
-        d, pred = self.distances_from([src], return_predecessors=True)
-        dist = float(d[0, dst])
-        chain = [dst]
-        node = dst
-        while node != src:
-            node = int(pred[0, node])
-            if node < 0:
-                raise RuntimeError("graph is disconnected")
-            chain.append(node)
-        chain.reverse()
+        dist, chain = self.shortest_chain(src, dst)
         pts = [self.node_point(n) for n in chain]
         C = self.space.fiber.circumference
         L = self.space.base.length

@@ -339,12 +339,14 @@ class Grid3Graph(OrbitSweepCache):
 
     Edge weights use midpoint metric evaluation: a step (dx, dy, dz) from a
     node costs h * sqrt(dx^2 + dy^2 + f(mid)^2 dz^2) with f read at the
-    step's xy midpoint.  Weights depend on (x, y) only, so each direction is
-    one n x n sheet of weights and `fibered_csr` writes the sorted CSR from
-    the sheets with the (x, y) cells as base cells and z as the fiber; z
-    rolls are automorphisms and one sweep per source (x, y) answers every
-    pair.  When every built sheet is constant, `xy_invariant` is set and one
-    sweep answers the whole graph.
+    step's xy midpoint.  Weights depend on (x, y) only and are even in dz,
+    so each mirror pair (dx, dy, +-dz) is one n x n sheet of weights, and
+    `fibered_csr` writes the CSR from the sheets with the (x, y) cells as
+    base cells and z as the fiber, folded by the mirror z -> -z: it holds
+    z = 0..n//2 of every cell, about half the nodes and edges.  z rolls are
+    automorphisms, so one sweep per source (x, y), run on the folded graph
+    from the cell's z = 0, answers every pair.  When every built sheet is
+    constant, `xy_invariant` is set and one sweep answers the whole graph.
     """
 
     def __init__(self, fld: ScalarField2D, spec: Grid3Spec = Grid3Spec()):
@@ -358,22 +360,23 @@ class Grid3Graph(OrbitSweepCache):
         self.coords = -math.pi + self.h * np.arange(n)
         self.n_nodes = n ** 3
         self.aniso_bound = stencil_anisotropy3(fld.min_value(), fld.max_value())
-        self._matrix, self.xy_invariant = self._build()
+        self._matrix, self._stencil, self.xy_invariant = self._build()
         self._orbit_rows = {}
 
     def _build(self):
-        """CSR matrix of the graph, and whether every weight sheet is
-        constant (xy shifts are then automorphisms too)."""
+        """Folded CSR matrix and stencil of the graph, and whether every
+        weight sheet is constant (xy shifts are then automorphisms too)."""
         n = self.spec.n
         h = self.h
         xs = self.coords
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         plane = np.arange(n * n).reshape(n, n)
         directions = []
-        canonical = [o for o in stencil_offsets3()
-                     if o > (0, 0, 0)]  # lexicographic half: 13 directions
+        # one direction per pair +-(dx, dy, +-dz): fibered_csr adds the rest
+        halves = [o for o in stencil_offsets3()
+                  if o[:2] >= (0, 0) and o[2] >= 0 and o != (0, 0, 0)]
         xy_invariant = True
-        for dx, dy, dz in canonical:
+        for dx, dy, dz in halves:
             if dz == 0:
                 w_sheet = np.full((n, n), h * math.hypot(dx, dy))
             else:
@@ -383,7 +386,8 @@ class Grid3Graph(OrbitSweepCache):
             xy_invariant = xy_invariant and bool(np.all(w_sheet == w_sheet[0, 0]))
             sheet_to = plane[(np.arange(n) + dx) % n][:, (np.arange(n) + dy) % n]
             directions.append((plane.ravel(), sheet_to.ravel(), dz, w_sheet.ravel()))
-        return fibered_csr(n * n, n, directions), xy_invariant
+        matrix, stencil = fibered_csr(n * n, n, directions)
+        return matrix, stencil, xy_invariant
 
     # -- queries --------------------------------------------------------
 
