@@ -6,13 +6,13 @@ warped 3-tori (`torus3.run_torus3_experiment`) share it:
 
 * probe pairs come from a deterministic sample plan (shared sources) plus
   family-specific worst cases,
-* `probe_plan` reads the stage's distances from the grid oracle's orbit
-  cache: edge weights are invariant under fiber rolls and even in the
-  fiber step (z on the 3-torus), so one sweep per source row answers all
-  pairs, and it runs on the graph folded by the fiber mirror, about half
-  the nodes.  The rows stay on the graph at half width, so further limits
-  on the same stage and the cached reference grids of later stages sweep
-  only rows not yet seen,
+* `probe_plan` reads the stage's distances and error bars from the grid
+  oracle's orbit cache: edge weights are invariant under fiber rolls and
+  even in the fiber step (z on the 3-torus), so one sweep per source row
+  answers all pairs, on the graph folded by the fiber mirror (about half
+  the nodes).  The folded rows stay on the graph, so further limits on the
+  same stage and the cached reference grids of later stages sweep only
+  rows not yet seen,
 * the limit metric is evaluated in closed form at the snapped endpoints,
 * a reference run discretizes the LIMIT geometry on the same grid, so the
   grid's systematic error (anisotropy, quadrature) can be cancelled by
@@ -215,7 +215,7 @@ def _pair_values(graph, plan: SamplePlan):
         nodes.append((ia, ib))
     values = graph.pair_distances(nodes)
     # endpoints are exact nodes here, so snap costs do not enter
-    errors = [graph.aniso_bound * d + 1e-9 for d in values]
+    errors = [graph.error_bound(d, 0.0) for d in values]
     return pairs, values, errors
 
 
@@ -241,8 +241,7 @@ def discrepancy_estimate(family: SequenceFamily, j: int,
                          plan: Optional[SamplePlan] = None,
                          limit: Optional[LimitMetric] = None,
                          graph: Optional[GridGraph] = None,
-                         reference: Optional[GridGraph] = None,
-                         with_reference: bool = True) -> DiscrepancyResult:
+                         reference: Optional[GridGraph] = None) -> DiscrepancyResult:
     """Sampled uniform-distance discrepancy between stage j and the limit.
 
     Pass `graph` / `reference` to reuse prebuilt grids (the reference depends
@@ -255,9 +254,7 @@ def discrepancy_estimate(family: SequenceFamily, j: int,
         graph = GridGraph(family.space(j), grid)
     base, fiber = family.base, family.fiber
 
-    if not with_reference:
-        reference = None
-    elif reference is None:
+    if reference is None:
         reference = GridGraph(reference_space(limit, base, fiber, grid), grid)
     probes = probe_plan(graph, plan,
                         lambda p, q: limit.distance(base, fiber, p, q),

@@ -17,7 +17,7 @@ are pinned against a brute-force direction sweep in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -115,52 +115,55 @@ class OrbitSweepCache:
     has more such maps.  Distances are then invariant: d(a, b) = d(T a, T b),
     and a sweep from a node at z = 0, which the mirror fixes, is mirror
     symmetric.  So `_matrix` holds only the quotient of the graph by the
-    mirror (fiber positions 0..m//2, see `fibered_csr`), and each sweep runs
-    from a (cell, 0) node on it.
+    mirror (fiber positions 0..m//2, see `fibered_csr`), each sweep runs
+    from a (cell, 0) node on it, and d(a, b) is read from the folded sweep
+    of a's orbit representative.
 
-    Subclasses supply `_matrix` and `_stencil` from `fibered_csr`, an empty
-    `_orbit_rows` dict and `_orbit(a, b)`, which returns the representative
-    of a's orbit (a node at z = 0) and the image of b under the translation
-    taking a there.  Rows swept from representatives stay on the graph for
-    its lifetime at half width (z = 0..m//2 per cell), so later calls with
-    sources in a known orbit sweep nothing.
+    Subclasses set `_matrix` and `_stencil` from `fibered_csr`, `_base_shape`
+    (the base lattice's shape, cells in C order), `base_invariant` (True
+    when every wrap-around translation of that lattice is an automorphism
+    too, so cell 0 represents every source) and an empty `_orbit_rows`
+    dict, which keeps each swept row for the graph's lifetime as an
+    (n_cells, m//2 + 1) view, so sources in a known orbit sweep nothing.
     """
 
-    def distances_from(self, sources: Sequence[int]) -> np.ndarray:
-        """Single-source sweeps from each node index in `sources`.
+    def distances_from(self, cells: Sequence[int]) -> np.ndarray:
+        """Sweeps of the folded graph from node (cell, 0) of each base cell,
+        as scipy returns them: shape (len(cells), n_cells * (m//2 + 1)).
+        Every call sweeps; `pair_distances` answers pairs from the cache."""
+        h = self._stencil.m // 2 + 1
+        return _csgraph_dijkstra(self._matrix, directed=True,
+                                 indices=np.asarray(cells, dtype=np.int64) * h)
 
-        Returns an array of shape (len(sources), n_nodes).  One csgraph call
-        sweeps the folded graph from (cell, 0) for each distinct source cell;
-        each row is unfolded and rolled to its source's fiber position.
-        Every call sweeps; use `pair_distances` to answer node pairs from
-        the orbit cache.
-        """
+    def _orbit(self, a: np.ndarray, b: np.ndarray):
+        """Representative cells of the a's orbits, and the b's cells and
+        folded fiber offsets under the maps taking each a to (rep, 0)."""
         m = self._stencil.m
-        h = m // 2 + 1
-        cells, z = np.divmod(np.asarray(sources, dtype=np.int64), m)
-        reps, which = np.unique(cells, return_inverse=True)
-        half = _csgraph_dijkstra(self._matrix, directed=True, indices=reps * h)
-        half = half.reshape(len(reps), -1, h)
-        out = np.empty((len(cells), half.shape[1], m))
-        for row, j, z_s in zip(out, which, z):
-            np.take(half[j], _fold(np.arange(m) - z_s, m), axis=1, out=row)
-        return out.reshape(len(cells), -1)
+        cell_a, cell_b = a // m, b // m
+        if self.base_invariant:
+            shape = self._base_shape
+            moved = np.subtract(np.unravel_index(cell_b, shape),
+                                np.unravel_index(cell_a, shape))
+            cell_a = np.zeros_like(cell_a)
+            cell_b = np.ravel_multi_index(moved, shape, mode="wrap")
+        return cell_a, cell_b, _fold(b - a, m)
 
     def pair_distances(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
         """Distances between (source node, target node) pairs."""
-        m = self._stencil.m
+        a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        reps, cells, z = self._orbit(a, b)
         rows = self._orbit_rows
-        moved = [self._orbit(int(a), int(b)) for a, b in pairs]
-        missing = list(dict.fromkeys(s for s, _ in moved if s not in rows))
+        missing = [c for c in dict.fromkeys(reps.tolist()) if c not in rows]
         if missing:
-            table = self.distances_from(missing).reshape(len(missing), -1, m)
-            # representatives sit at z = 0, so their rows are mirror symmetric
-            rows.update(zip(missing, table[:, :, :m // 2 + 1].copy()))
-        out = []
-        for s, t in moved:
-            cell, z = divmod(t, m)
-            out.append(float(rows[s][cell, min(z, m - z)]))
-        return out
+            table = self.distances_from(missing)
+            rows.update(zip(missing, table.reshape(len(missing), -1,
+                                                   self._stencil.m // 2 + 1)))
+        return [float(rows[r][c, k])
+                for r, c, k in zip(reps.tolist(), cells.tolist(), z.tolist())]
+
+    def error_bound(self, distance: float, snap_cost: float) -> float:
+        """Error bar of a grid distance: snap cost plus anisotropy term."""
+        return snap_cost + self.aniso_bound * distance + 1e-9
 
     def shortest_chain(self, src: int, dst: int) -> Tuple[float, List[int]]:
         """Distance src -> dst and the nodes of one shortest path.
@@ -169,23 +172,26 @@ class OrbitSweepCache:
         u of the current node x with fl(d(u) + w) == d(x).  The sweep's
         distances satisfy d(x) = min_u fl(d(u) + w) at every x but src, so
         such a u exists, d falls at every step, and the left-to-right float
-        sum of the chain's weights is the distance bit for bit.
+        sum of the chain's weights is the distance bit for bit.  d(x) is
+        read from the folded sweep of src's cell at x's fiber offset.
         """
-        d = self.distances_from([src])[0]
         m, target, step, weight = self._stencil
-        if not math.isfinite(d[dst]):
-            raise RuntimeError("graph is disconnected")
+        d = self.distances_from([src // m])[0].reshape(len(target), -1)
         node = int(dst)
+        here = dist = d[node // m, _fold(node - src, m)]
+        if not math.isfinite(dist):
+            raise RuntimeError("graph is disconnected")
         chain = [node]
         while node != src:
             cell, z = divmod(node, m)
             live = target[cell] < len(target)
-            prev = np.where(live, target[cell] * m + (z + step) % m, 0)
-            hit = np.flatnonzero(live & (d[prev] + weight[cell] == d[node]))
-            node = int(prev[hit[0]])
+            prev = np.where(live, target[cell], 0)
+            before = d[prev, _fold(z + step - src, m)]
+            s = np.flatnonzero(live & (before + weight[cell] == here))[0]
+            node, here = int(prev[s] * m + (z + step[s]) % m), before[s]
             chain.append(node)
         chain.reverse()
-        return float(d[dst]), chain
+        return float(dist), chain
 
 
 def fibered_csr(n_cells: int, m: int, directions) -> Tuple[csr_matrix, FiberStencil]:
@@ -287,6 +293,16 @@ def neighborhood_offsets(k: int) -> List[Tuple[int, int]]:
     return offs
 
 
+def _integer_fields(spec) -> None:
+    """Store every field of a frozen dataclass as an int; bools and values
+    of other types raise ValueError."""
+    for f in fields(spec):
+        v = getattr(spec, f.name)
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{f.name} must be an integer, got {v!r}")
+        object.__setattr__(spec, f.name, int(v))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Resolution and neighborhood of the grid oracle."""
@@ -296,6 +312,7 @@ class GridSpec:
     k: int = 2
 
     def __post_init__(self):
+        _integer_fields(self)
         if self.n_r < 8 or self.n_theta < 8:
             raise ValueError("grid needs at least 8 subdivisions per axis")
         if self.k not in ANISOTROPY_BOUND:
@@ -346,14 +363,14 @@ class GridGraph(OrbitSweepCache):
 
     Weights depend on the start row only: `_direction_weights` gives one
     weight per row and direction, and `fibered_csr` writes the CSR from them
-    with rows as base cells and theta as the fiber, folded by the mirror
-    theta -> -theta: it holds columns 0..n_theta//2 of every row, about half
-    the nodes and edges.  Grids over MAX_NODES_2D nodes raise GridSizeError
-    before anything is allocated.  Rolling the fiber is a graph
-    automorphism, so one sweep per source row, run on the folded graph from
-    the row's column 0, answers every pair.  When the built weights are also
-    bitwise equal across rows of a circle base, `row_invariant` is set and
-    one sweep answers the whole graph.
+    with rows as base cells (`_base_shape` is (n_rows,)) and theta as the
+    fiber, folded by the mirror theta -> -theta: it holds columns
+    0..n_theta//2 of every row, about half the nodes and edges.  Grids over
+    MAX_NODES_2D nodes raise GridSizeError before anything is allocated.
+    Rolling the fiber is a graph automorphism, so one sweep per source row,
+    run on the folded graph from the row's column 0, answers every pair.
+    When the built weights are also bitwise equal across rows of a circle
+    base, `base_invariant` is set and one sweep answers the whole graph.
     """
 
     def __init__(self, space: WarpedSpace, spec: GridSpec = GridSpec()):
@@ -374,7 +391,8 @@ class GridGraph(OrbitSweepCache):
         ratio = self.htheta / self.hr
         self.aniso_bound = stencil_anisotropy(
             spec.k, space.profile_min() * ratio, space.profile_max() * ratio)
-        self._matrix, self._stencil, self.row_invariant = self._build()
+        self._base_shape = (self.n_rows,)
+        self._matrix, self._stencil, self.base_invariant = self._build()
         self._orbit_rows = {}
 
     # -- construction -------------------------------------------------
@@ -425,14 +443,14 @@ class GridGraph(OrbitSweepCache):
                   if di >= 0 and dj >= 0]
         circle = self.space.base.is_circle
         directions = []
-        row_invariant = circle
+        base_invariant = circle
         for di, dj in halves:
             idx, w = self._direction_weights(di, dj)
-            row_invariant = row_invariant and bool(np.all(w == w[0]))
+            base_invariant = base_invariant and bool(np.all(w == w[0]))
             dst = (idx + di) % self.n_rows if circle else idx + di
             directions.append((idx, dst, dj, w))
         matrix, stencil = fibered_csr(self.n_rows, self.n_theta, directions)
-        return matrix, stencil, row_invariant
+        return matrix, stencil, base_invariant
 
     # -- queries --------------------------------------------------------
 
@@ -463,16 +481,6 @@ class GridGraph(OrbitSweepCache):
         cost = segment_length(self.space, float(p.r), dr, dth) \
             if (dr or dth) else 0.0
         return node, q, cost
-
-    def _orbit(self, a: int, b: int) -> Tuple[int, int]:
-        """Roll a to column 0 (and to row 0 when row shifts are
-        automorphisms), moving b along."""
-        row_a, col_a = divmod(a, self.n_theta)
-        row_b, col_b = divmod(b, self.n_theta)
-        if self.row_invariant:
-            row_a, row_b = 0, (row_b - row_a) % self.n_rows
-        return (row_a * self.n_theta,
-                row_b * self.n_theta + (col_b - col_a) % self.n_theta)
 
     def path_between(self, src: int, dst: int) -> Tuple[float, PolylineCurve]:
         """Shortest path src -> dst as a polyline with wrap flags."""
@@ -513,6 +521,7 @@ def grid_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
 
     Endpoints snap to the nearest grid nodes; the error estimate combines the
     two snap costs with the anisotropy bound for the chosen neighborhood.
+    Without a path the value is read from the graph's orbit cache.
     """
     g = graph if graph is not None else GridGraph(space, spec)
     src, _ps, cost_p = g.snap(p)
@@ -520,9 +529,9 @@ def grid_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
     if want_path:
         dist, path = g.path_between(src, dst)
     else:
-        dist = float(g.distances_from([src])[0, dst])
+        dist = g.pair_distances([(src, dst)])[0]
         path = None
-    err = cost_p + cost_q + g.aniso_bound * dist + 1e-9
+    err = g.error_bound(dist, cost_p + cost_q)
     method = f"grid-{g.spec.n_r}x{g.spec.n_theta}-k{g.spec.k}"
     return GeodesicResult(dist, method, err, path)
 

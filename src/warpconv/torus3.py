@@ -50,6 +50,7 @@ from .geodesy import (
     GeodesicResult,
     GridSizeError,
     OrbitSweepCache,
+    _integer_fields,
     fibered_csr,
 )
 from .sampling import SamplePlan, halton_points
@@ -324,6 +325,7 @@ class Grid3Spec:
     k: int = 1
 
     def __post_init__(self):
+        _integer_fields(self)
         if self.n < 32:
             raise ValueError("3D grid needs at least 32 subdivisions per axis")
         if self.k != 1:
@@ -342,11 +344,11 @@ class Grid3Graph(OrbitSweepCache):
     step's xy midpoint.  Weights depend on (x, y) only and are even in dz,
     so each mirror pair (dx, dy, +-dz) is one n x n sheet of weights, and
     `fibered_csr` writes the CSR from the sheets with the (x, y) cells as
-    base cells and z as the fiber, folded by the mirror z -> -z: it holds
-    z = 0..n//2 of every cell, about half the nodes and edges.  z rolls are
-    automorphisms, so one sweep per source (x, y), run on the folded graph
-    from the cell's z = 0, answers every pair.  When every built sheet is
-    constant, `xy_invariant` is set and one sweep answers the whole graph.
+    base cells (`_base_shape` (n, n)) and z as the fiber, folded by the
+    mirror z -> -z: it holds z = 0..n//2 of every cell, about half the nodes
+    and edges.  z rolls are automorphisms, so one sweep per source (x, y),
+    run on the folded graph from the cell's z = 0, answers every pair.  When
+    every sheet is constant, `base_invariant` is set: one sweep answers all.
     """
 
     def __init__(self, fld: ScalarField2D, spec: Grid3Spec = Grid3Spec()):
@@ -360,7 +362,8 @@ class Grid3Graph(OrbitSweepCache):
         self.coords = -math.pi + self.h * np.arange(n)
         self.n_nodes = n ** 3
         self.aniso_bound = stencil_anisotropy3(fld.min_value(), fld.max_value())
-        self._matrix, self._stencil, self.xy_invariant = self._build()
+        self._base_shape = (n, n)
+        self._matrix, self._stencil, self.base_invariant = self._build()
         self._orbit_rows = {}
 
     def _build(self):
@@ -375,7 +378,7 @@ class Grid3Graph(OrbitSweepCache):
         # one direction per pair +-(dx, dy, +-dz): fibered_csr adds the rest
         halves = [o for o in stencil_offsets3()
                   if o[:2] >= (0, 0) and o[2] >= 0 and o != (0, 0, 0)]
-        xy_invariant = True
+        base_invariant = True
         for dx, dy, dz in halves:
             if dz == 0:
                 w_sheet = np.full((n, n), h * math.hypot(dx, dy))
@@ -383,11 +386,11 @@ class Grid3Graph(OrbitSweepCache):
                 f = np.asarray(self.field(X + 0.5 * dx * h, Y + 0.5 * dy * h),
                                dtype=float)
                 w_sheet = h * np.sqrt(dx * dx + dy * dy + (f * dz) ** 2)
-            xy_invariant = xy_invariant and bool(np.all(w_sheet == w_sheet[0, 0]))
+            base_invariant = base_invariant and bool(np.all(w_sheet == w_sheet[0, 0]))
             sheet_to = plane[(np.arange(n) + dx) % n][:, (np.arange(n) + dy) % n]
             directions.append((plane.ravel(), sheet_to.ravel(), dz, w_sheet.ravel()))
         matrix, stencil = fibered_csr(n * n, n, directions)
-        return matrix, stencil, xy_invariant
+        return matrix, stencil, base_invariant
 
     # -- queries --------------------------------------------------------
 
@@ -417,17 +420,6 @@ class Grid3Graph(OrbitSweepCache):
         fmid = float(self.field(q.x + 0.5 * dx, q.y + 0.5 * dy))
         return node, q, math.sqrt(dx * dx + dy * dy + (fmid * dz) ** 2)
 
-    def _orbit(self, a: int, b: int) -> Tuple[int, int]:
-        """Roll a to z = 0 (and to x = y = 0 when xy shifts are
-        automorphisms), moving b along."""
-        n = self.spec.n
-        xy_a, z_a = divmod(a, n)
-        xy_b, z_b = divmod(b, n)
-        if self.xy_invariant:
-            (x_a, y_a), (x_b, y_b) = divmod(xy_a, n), divmod(xy_b, n)
-            xy_a, xy_b = 0, ((x_b - x_a) % n) * n + (y_b - y_a) % n
-        return xy_a * n, xy_b * n + (z_b - z_a) % n
-
     def mass(self) -> float:
         """Riemannian volume: the z circle sweeps the field's area integral."""
         return TAU * self.field.integral()
@@ -438,13 +430,13 @@ def grid3_distance(fld: ScalarField2D, p: Point3, q: Point3,
                    graph: Optional[Grid3Graph] = None) -> GeodesicResult:
     """Grid-oracle distance on the warped 3-torus, with the same error
     convention as the surface oracle: snap costs plus anisotropy times the
-    path length."""
+    path length.  The value is read from the graph's orbit cache."""
     g = graph if graph is not None else Grid3Graph(fld, spec)
     src, _ps, cost_p = g.snap(p)
     dst, _qs, cost_q = g.snap(q)
-    dist = float(g.distances_from([src])[0, dst])
-    err = cost_p + cost_q + g.aniso_bound * dist + 1e-9
-    return GeodesicResult(dist, f"grid3-{g.spec.n}^3", err)
+    dist = g.pair_distances([(src, dst)])[0]
+    return GeodesicResult(dist, f"grid3-{g.spec.n}^3",
+                          g.error_bound(dist, cost_p + cost_q))
 
 
 # ---------------------------------------------------------------------------

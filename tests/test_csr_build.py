@@ -7,9 +7,10 @@ orientations of every canonical direction, each direction's weights
 computed on their own, converted with `tocsr()`.  `reference_fold` folds it
 independently (keep z <= m//2, fold every column, keep the minimum of each
 duplicate), and the builder must match that bit for bit, column order
-included.  Sweeps on the folded graph must equal scipy's sweeps on the full
-reference bit for bit from any source, and every shortest chain must be a
-walk along reference edges whose float sum is its distance.
+included.  Sweeps on the folded graph, unfolded by the test's own index
+arithmetic or read through the orbit cache, must equal scipy's sweeps on
+the full reference bit for bit from any source, and every shortest chain
+must be a walk along reference edges whose float sum is its distance.
 """
 
 import functools
@@ -181,8 +182,8 @@ def test_surface_csr_matches_triplets(surface, k, shape):
     assert_mirror_symmetric(reference, graph.n_theta)
     assert_same_csr(graph._matrix, reference_fold(reference, graph.n_theta))
     assert_stencil_is_reference(graph._stencil, reference)
-    assert graph.row_invariant == row_invariant
-    assert graph.row_invariant == (surface == "constant-circle")
+    assert graph.base_invariant == row_invariant
+    assert graph.base_invariant == (surface == "constant-circle")
 
 
 @pytest.mark.parametrize("fld, n", [
@@ -196,8 +197,8 @@ def test_torus3_csr_matches_triplets(fld, n):
     assert_mirror_symmetric(reference, n)
     assert_same_csr(graph._matrix, reference_fold(reference, n))
     assert_stencil_is_reference(graph._stencil, reference)
-    assert graph.xy_invariant == xy_invariant
-    assert graph.xy_invariant == isinstance(fld, ConstantField)
+    assert graph.base_invariant == xy_invariant
+    assert graph.base_invariant == isinstance(fld, ConstantField)
 
 
 # Graphs the sweep and path tests draw from: even and odd fibers, circle and
@@ -235,12 +236,17 @@ def graph_and_reference(name):
        picks=st.lists(st.floats(0.0, 1.0, exclude_max=True),
                       min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
-def test_sweeps_equal_full_graph_sweeps(name, picks):
-    graph, reference, _m = graph_and_reference(name)
+def test_sweeps_equal_full_graph_sweeps(name, picks, full_rows):
+    graph, reference, m = graph_and_reference(name)
     sources = [int(u * graph.n_nodes) for u in picks]
-    got = graph.distances_from(sources)
-    assert got.shape == (len(sources), graph.n_nodes)
-    assert np.array_equal(got, dijkstra(reference, directed=True, indices=sources))
+    want = dijkstra(reference, directed=True, indices=sources)
+    folded = graph.distances_from([s // m for s in sources])
+    assert folded.shape == (len(sources), graph.n_nodes // m * (m // 2 + 1))
+    assert np.array_equal(full_rows(graph, sources), want)
+    # every node pair from the sources, swept afresh through the orbit cache
+    graph._orbit_rows.clear()
+    pairs = [(s, t) for s in sources for t in range(graph.n_nodes)]
+    assert np.array_equal(graph.pair_distances(pairs), want.ravel())
 
 
 def chain_pairs(graph, m):
@@ -255,13 +261,14 @@ def chain_pairs(graph, m):
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_shortest_chain_sums_to_its_distance(name):
+def test_shortest_chain_sums_to_its_distance(name, full_rows):
     graph, reference, m = graph_and_reference(name)
     crossed = 0
     for src, dst in chain_pairs(graph, m):
         dist, chain = graph.shortest_chain(src, dst)
         assert chain[0] == src and chain[-1] == dst
-        assert dist == graph.distances_from([src])[0, dst]
+        assert dist == full_rows(graph, [src])[0, dst]
+        assert dist == graph.pair_distances([(src, dst)])[0]
         total = 0.0
         for a, b in zip(chain[:-1], chain[1:]):
             row = slice(reference.indptr[a], reference.indptr[a + 1])

@@ -40,6 +40,7 @@ from warpconv import (
     stencil_anisotropy,
     taxi_upper_bound,
 )
+from warpconv.torus3 import Grid3Spec
 
 # ---------------------------------------------------------------------------
 # anisotropy constants: independent brute-force verification
@@ -137,11 +138,11 @@ def test_grid_edge_matrix_is_bitwise_symmetric(cinch_graph):
         assert a[(int(i), int(j))] == v  # exact equality, not approx
 
 
-def test_grid_distances_symmetric_and_triangle(cinch_graph):
+def test_grid_distances_symmetric_and_triangle(cinch_graph, full_rows):
     sp, graph = cinch_graph
     rng = np.random.default_rng(7)
     nodes = rng.integers(0, graph.n_nodes, size=24)
-    dmat = graph.distances_from(list(nodes))
+    dmat = full_rows(graph, nodes)
     for a in range(len(nodes)):
         for b in range(len(nodes)):
             d_ab = dmat[a, nodes[b]]
@@ -156,12 +157,12 @@ def test_grid_distances_symmetric_and_triangle(cinch_graph):
                 assert lhs <= rhs + 1e-11
 
 
-def test_flat_grid_accuracy_within_declared_anisotropy(flat_graph):
+def test_flat_grid_accuracy_within_declared_anisotropy(flat_graph, full_rows):
     sp, graph = flat_graph
     rng = np.random.default_rng(3)
     bound = ANISOTROPY_BOUND[2]
     src_nodes = rng.integers(0, graph.n_nodes, size=6)
-    dmat = graph.distances_from(list(src_nodes))
+    dmat = full_rows(graph, src_nodes)
     dst_nodes = rng.integers(0, graph.n_nodes, size=40)
     checked = 0
     for a, src in enumerate(src_nodes):
@@ -334,6 +335,30 @@ def test_grid_spec_validation():
         GridSpec(4, 256, 2)
     with pytest.raises(ValueError):
         GridSpec(256, 256, 7)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GridSpec(64.0, 64, 2),
+    lambda: GridSpec(64, 64.5, 2),
+    lambda: GridSpec(64, 64, True),
+    lambda: GridSpec(64, 64, np.bool_(True)),
+    lambda: GridSpec("64", 64, 2),
+    lambda: Grid3Spec(32.0),
+    lambda: Grid3Spec(64, k=True),
+    lambda: Grid3Spec(np.float64(64)),
+], ids=["float-n_r", "fraction", "bool-k", "numpy-bool-k", "str",
+        "float-n", "bool-k3", "numpy-float-n"])
+def test_grid_specs_reject_non_integer_sizes(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_grid_specs_store_numpy_integers_as_int():
+    spec = GridSpec(np.int64(64), np.int32(48), np.uint8(2))
+    spec3 = Grid3Spec(np.int64(33), np.int16(1))
+    for value in spec.as_list() + spec3.as_list():
+        assert type(value) is int
+    assert spec == GridSpec(64, 48, 2) and spec3 == Grid3Spec(33, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -329,24 +329,25 @@ class TestGrid3:
         r = grid3_distance(ConstantField(1.0), p, p, graph=flat_graph)
         assert r.distance == 0.0
 
-    def test_triangle_inequality_on_grid_nodes(self, flat_graph):
+    def test_triangle_inequality_on_grid_nodes(self, flat_graph, full_rows):
         g = flat_graph
         nodes = [g.node_index(i, j, k)
                  for i, j, k in [(0, 0, 0), (8, 16, 24), (20, 4, 12),
                                  (31, 31, 31), (5, 25, 9)]]
-        table = g.distances_from(nodes)
+        table = full_rows(g, nodes)
         for a in range(len(nodes)):
             for b in range(len(nodes)):
                 for c in range(len(nodes)):
                     assert (table[a, nodes[c]] <=
                             table[a, nodes[b]] + table[b, nodes[c]] + 1e-9)
 
-    def test_constant_field_agrees_with_limit_on_50_pairs(self, stretched_graph):
+    def test_constant_field_agrees_with_limit_on_50_pairs(self, stretched_graph,
+                                                          full_rows):
         sources = cube_samples(5)
         targets = cube_samples(10, offset=5)
         fld = ConstantField(1.3)
         lefts = [stretched_graph.snap(p) for p in sources]
-        table = stretched_graph.distances_from([n for n, _, _ in lefts])
+        table = full_rows(stretched_graph, [n for n, _, _ in lefts])
         checked = 0
         for row, (_, ps, _) in enumerate(lefts):
             for q in targets:
@@ -357,12 +358,12 @@ class TestGrid3:
                 checked += 1
         assert checked == 50
 
-    def test_grid_never_undershoots_limit_much(self, stretched_graph):
+    def test_grid_never_undershoots_limit_much(self, stretched_graph, full_rows):
         # graph paths approximate true geodesics from above up to quadrature
         for p, q in zip(cube_samples(6), cube_samples(6, offset=6)):
             np_, ps, _ = stretched_graph.snap(p)
             nq, qs, _ = stretched_graph.snap(q)
-            d = float(stretched_graph.distances_from([np_])[0, nq])
+            d = float(full_rows(stretched_graph, [np_])[0, nq])
             assert d >= limit3_distance(1.3, ps, qs) - 1e-6
 
     def test_mass_constant_field(self, flat_graph):
