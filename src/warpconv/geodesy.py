@@ -16,6 +16,7 @@ are pinned against a brute-force direction sweep in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -50,6 +51,7 @@ ANISOTROPY_BOUND = {1: 0.0824, 2: 0.0275, 3: 0.0131}
 MAX_NODES_2D = 2 ** 25
 
 
+@functools.lru_cache
 def stencil_anisotropy(k: int, aspect_lo: float, aspect_hi: float) -> float:
     """Worst-case relative overestimate of the k-neighborhood grid metric.
 
@@ -59,7 +61,8 @@ def stencil_anisotropy(k: int, aspect_lo: float, aspect_hi: float) -> float:
     direction sits in the widest angular wedge: ratio = 1/cos(gap/2).  The
     wedges depend on the local aspect a = f * (fiber step / base step);
     this returns the max over the whole aspect range (sampled densely on a
-    log grid, with a small safety margin for the sampling).
+    log grid, with a small safety margin for the sampling).  Memoized: a
+    run asks for the same few ranges once per graph.
     """
     if not (0 < aspect_lo <= aspect_hi) or not math.isfinite(aspect_hi):
         raise ValueError("aspect range must be positive and finite")
@@ -688,20 +691,19 @@ def _three_segment_candidate(space: WarpedSpace, p: SurfacePoint, q: SurfacePoin
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-def _leg_integrals(space: WarpedSpace, c: float, r_from: float, r_to: float,
-                   turning_at_from: bool = False) -> Tuple[float, float]:
-    """Fiber advance and arc length of a monotone-in-r geodesic leg with
-    conserved quantity c:
-
-        theta advance = int c / (f^2 sqrt(1 - c^2/f^2)) dr,
-        length        = int 1 / sqrt(1 - c^2/f^2) dr.
+def _leg_rule(space: WarpedSpace, r_from: float, r_to: float,
+              turning_at_from: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """Quadrature of a monotone-in-r geodesic leg, which does not depend on
+    the conserved quantity c: (f, wj), the warp at the nodes and each
+    node's weight times the Jacobian.  `_leg_sums` evaluates the leg for a
+    given c.
 
     Composite Gauss-Legendre with pieces cut at profile breakpoints; a
     turning point at r_from (where f = |c|) is removed by substituting
-    r = r_from +- u^2.
+    r = r_from +- u^2.  An empty leg has no nodes.
     """
     if r_to == r_from:
-        return 0.0, 0.0
+        return np.empty(0), np.empty(0)
     sgn = 1.0 if r_to > r_from else -1.0
     lo, hi = (r_from, r_to) if sgn > 0 else (r_to, r_from)
     bps = space.breakpoints_unwrapped(lo, hi)
@@ -713,7 +715,9 @@ def _leg_integrals(space: WarpedSpace, c: float, r_from: float, r_to: float,
     else:
         edges = np.unique(np.concatenate(([lo, hi], bps)))
 
-    # subdivide each piece, more finely when c is near the minimum of f
+    # every piece gets the same 6 sub-pieces whatever c is; this fixed rule
+    # underestimates the log-singular advance of shots with c near an
+    # interior minimum of f, so such shots can miss targets they do reach
     sub = 6
     xs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -734,6 +738,17 @@ def _leg_integrals(space: WarpedSpace, c: float, r_from: float, r_to: float,
         r = x
         jac = 1.0
     f = np.asarray(space.warp_at(r), dtype=float)
+    return f, w * jac
+
+
+def _leg_sums(rule: Tuple[np.ndarray, np.ndarray], c: float) -> Tuple[float, float]:
+    """Fiber advance and arc length of the leg `rule` describes, with
+    conserved quantity c:
+
+        theta advance = int c / (f^2 sqrt(1 - c^2/f^2)) dr,
+        length        = int 1 / sqrt(1 - c^2/f^2) dr.
+    """
+    f, wj = rule
     v = 1.0 - (c / f) ** 2
     if np.any(v <= 0.0):
         # the warp drops to (or below) the conserved level inside the leg:
@@ -742,22 +757,26 @@ def _leg_integrals(space: WarpedSpace, c: float, r_from: float, r_to: float,
     inv = 1.0 / np.sqrt(v)
     # both integrals run over the swept r-range with the positive measure
     # dt = dr/|r'|; the fiber advance carries the sign of c
-    theta = float(np.sum(w * jac * c / (f * f) * inv))
-    length = float(np.sum(w * jac * inv))
+    theta = float(np.sum(wj * c / (f * f) * inv))
+    length = float(np.sum(wj * inv))
     return theta, length
 
 
 def _shoot_monotone(space, r_p, r_q, target, tol, max_iter):
     """Find c so the monotone leg r_p -> r_q advances |target| in the fiber.
-    Returns (length, c, residual) or None when the leg cannot reach it."""
+    Returns (length, c, residual) or None when the leg cannot reach it.
+
+    The leg's quadrature rule does not depend on c, so it is built once per
+    shot and every bisection step only re-evaluates the sums."""
     if r_q == r_p or target == 0.0:
         return None
     lo, hi = min(r_p, r_q), max(r_p, r_q)
     c_sup = space.warp_min_on(lo, hi)
     want = abs(target)
+    rule = _leg_rule(space, r_p, r_q)
 
     def advance(c):
-        th, ln = _leg_integrals(space, c, r_p, r_q)
+        th, ln = _leg_sums(rule, c)
         return abs(th), ln
 
     c_hi = c_sup * (1.0 - 1e-10)
@@ -826,8 +845,8 @@ def _shoot_one_turn(space, r_p, r_q, target, side, tol, max_iter,
         interior_min = space.warp_min_on(t, far)
         if interior_min < c - 1e-12:
             return None  # profile dips below the turning level on the way
-        th1, l1 = _leg_integrals(space, c, t, r_p, turning_at_from=True)
-        th2, l2 = _leg_integrals(space, c, t, r_q, turning_at_from=True)
+        th1, l1 = _leg_sums(_leg_rule(space, t, r_p, turning_at_from=True), c)
+        th2, l2 = _leg_sums(_leg_rule(space, t, r_q, turning_at_from=True), c)
         adv = abs(th1) + abs(th2)
         if not math.isfinite(adv):
             return None
@@ -908,7 +927,16 @@ def clairaut_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
     advance within tolerance and a closed-form candidate won instead, the
     result is still exact for that candidate; converged=False marks the case
     where the best value's residual exceeded tolerance.
+
+    Raises ValueError unless tol is positive and finite, max_iter >= 1 and
+    max_winding >= 0.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if max_winding < 0:
+        raise ValueError("max_winding must be non-negative")
     base, fiber = space.base, space.fiber
     C = fiber.circumference
     dth0 = fiber.signed_minor(p.theta, q.theta)
@@ -984,5 +1012,7 @@ def clairaut_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
     candidates.sort(key=lambda t: (t[0], t[2]))
     best_length, best_resid, kind = candidates[0]
     converged = best_resid <= accept_for(best_length)
-    return GeodesicResult(best_length, f"clairaut-{kind}",
-                          max(best_resid, tol), None, converged)
+    # the closed-form candidates carry numpy scalars; results hold plain
+    # Python types so that to_dict() is JSON-serializable
+    return GeodesicResult(float(best_length), f"clairaut-{kind}",
+                          float(max(best_resid, tol)), None, bool(converged))

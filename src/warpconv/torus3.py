@@ -28,6 +28,7 @@ per-graph bound is computed from the stencil geometry rather than assumed;
 the reference-corrected discrepancies cancel the systematic part.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -287,6 +288,7 @@ def stencil_offsets3() -> List[Tuple[int, int, int]]:
     return offs
 
 
+@functools.lru_cache
 def stencil_anisotropy3(scale_lo: float, scale_hi: float) -> float:
     """Worst-case relative overestimate of the 26-direction grid metric when
     the z step is scale times as long as the xy steps, maxed over
@@ -295,7 +297,8 @@ def stencil_anisotropy3(scale_lo: float, scale_hi: float) -> float:
     Rescaled steps are unit vectors, so the grid metric's unit ball is the
     convex hull of the 26 step directions; the worst stretch over a facet is
     at most 1/(facet plane's distance to the origin) - 1.  A 0.5% margin
-    covers the finite scale sampling.
+    covers the finite scale sampling.  Memoized: a run asks for the same
+    range once per graph.
     """
     if not (0 < scale_lo <= scale_hi) or not math.isfinite(scale_hi):
         raise ValueError("scale range must be positive and finite")

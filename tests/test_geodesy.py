@@ -7,6 +7,7 @@ direction is solved as a small linear program, and the worst-case stretch is
 compared against both the closed forms and the frozen table.
 """
 
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from warpconv import (
     GridSpec,
     HypothesisError,
     InvalidDescriptor,
+    SequenceFamily,
     SurfacePoint,
     WarpedSpace,
     cinch_bump,
@@ -328,6 +330,32 @@ def test_clairaut_symmetric_in_endpoints(pr, pth, qr, qth):
     d1 = clairaut_distance(sp, p, q).distance
     d2 = clairaut_distance(sp, q, p).distance
     assert d1 == pytest.approx(d2, rel=1e-6, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_winding": -1}, {"max_iter": 0}, {"tol": -1.0}, {"tol": 0.0},
+     {"tol": math.nan}, {"tol": math.inf}],
+    ids=["winding", "iter", "tol-neg", "tol-zero", "tol-nan", "tol-inf"],
+)
+def test_clairaut_rejects_out_of_range_settings(kwargs):
+    # with max_winding=-1 no winding was tried and the parameter line
+    # (3.6477) came back as converged; tol=-1 gave error_estimate 0
+    sp = SequenceFamily("cinched-torus").space(8)
+    with pytest.raises(ValueError):
+        clairaut_distance(sp, SurfacePoint(-1.0, 0.0),
+                          SurfacePoint(1.0, 3.14159), **kwargs)
+
+
+def test_clairaut_result_round_trips_through_json():
+    # the three-segment candidate wins here; its numpy scalars must not
+    # leak into the result
+    sp = SequenceFamily("cinched-torus").space(8)
+    res = clairaut_distance(sp, SurfacePoint(-1.0, 0.0), SurfacePoint(1.0, 3.14159))
+    assert res.method == "clairaut-three-segment"
+    assert type(res.distance) is float and type(res.error_estimate) is float
+    assert type(res.converged) is bool
+    assert json.loads(json.dumps(res.to_dict())) == res.to_dict()
 
 
 def test_grid_spec_validation():
