@@ -294,6 +294,10 @@ class AuditRow:
         }
 
 
+# 12-point Gauss-Legendre rule for the turning integrals, built once
+_TURN_GL_NODES, _TURN_GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+
 def _monotone_geodesic_stats(space: WarpedSpace, p: SurfacePoint,
                              q: SurfacePoint):
     """Turning statistics of the monotone geodesic p -> q.
@@ -317,7 +321,6 @@ def _monotone_geodesic_stats(space: WarpedSpace, p: SurfacePoint,
     lo, hi = min(p.r, q.r), max(p.r, q.r)
     edges = np.unique(np.concatenate(
         ([lo, hi], space.breakpoints_unwrapped(lo, hi))))
-    nodes, weights = np.polynomial.legendre.leggauss(12)
     total_r = 0.0
     total_s = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
@@ -326,8 +329,8 @@ def _monotone_geodesic_stats(space: WarpedSpace, p: SurfacePoint,
         grid = np.linspace(a, b, 7)
         mid = 0.5 * (grid[:-1] + grid[1:])
         half = 0.5 * np.diff(grid)
-        x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        w = (half[:, None] * weights[None, :]).ravel()
+        x = (mid[:, None] + half[:, None] * _TURN_GL_NODES[None, :]).ravel()
+        w = (half[:, None] * _TURN_GL_WEIGHTS[None, :]).ravel()
         f = np.asarray(space.warp_at(x), dtype=float)
         v = 1.0 - (c / f) ** 2
         if np.any(v <= 0):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, fields
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -49,6 +50,15 @@ ANISOTROPY_BOUND = {1: 0.0824, 2: 0.0275, 3: 0.0131}
 # (k = 3), so 2**25 nodes keep every CSR index and row pointer below
 # 2**31 (int32) with room to spare.
 MAX_NODES_2D = 2 ** 25
+
+# Folded-CSR size from which `OrbitSweepCache.distances_from` fans its
+# sources out to forked children.  Measured with 10 sources on a 2-CPU
+# x86-64 Linux machine (two children, median of 7), forked time over inline
+# time on cinched-torus k=2 grids: 256^2 (0.52 M nnz) 1.34, 320^2 (0.82 M)
+# 1.19, 384^2 (1.18 M) 1.09, 448^2 (1.60 M) 0.70, 512^2 (2.10 M) 0.64,
+# 768^2 (4.72 M) 0.64; the 64^3 lattice (3.44 M) 0.60.  Below the cutoff a
+# sweep is too short to pay for the fork and the pipe.
+FORK_MIN_NNZ = 1_500_000
 
 
 @functools.lru_cache
@@ -107,6 +117,67 @@ def _fold(z, m: int):
     return np.minimum(z, m - z)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or cannot say."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _forked_sweeps(matrix: csr_matrix, indices: np.ndarray,
+                   workers: int) -> np.ndarray:
+    """Dijkstra from each index, in `workers` forked children.
+
+    Child w sweeps indices[w::workers] on the CSR it shares copy-on-write
+    with this process and writes the raw float64 rows down a pipe; they are
+    read straight into rows w::workers of one preallocated table, so the
+    result has the shape and values of one inline call.  Every child ends
+    in os._exit and is reaped here, whatever happens; a short read or a
+    nonzero exit status raises RuntimeError and no table is returned.
+    """
+    table = np.empty((len(indices), matrix.shape[0]))
+    pids, pipes = [], []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _sweep_child(matrix, indices[w::workers], write_end, pipes)
+            finally:
+                os.close(write_end)  # the child never gets here
+            pids.append(pid)
+        for w, read_end in enumerate(pipes):
+            with open(read_end, "rb", closefd=False) as pipe:
+                for row in table[w::workers]:
+                    if pipe.readinto(row.view(np.uint8)) != row.nbytes:
+                        raise RuntimeError(f"sweep child {pids[w]} sent a "
+                                           "short table")
+    finally:
+        for read_end in pipes:
+            os.close(read_end)
+        failed = [pid for pid in pids if os.waitpid(pid, 0)[1] != 0]
+    if failed:
+        raise RuntimeError(f"sweep children {failed} failed")
+    return table
+
+
+def _sweep_child(matrix: csr_matrix, indices: np.ndarray, write_end: int,
+                 inherited: List[int]) -> None:
+    """Body of one `_forked_sweeps` child; exits the process, never returns."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        rows = _csgraph_dijkstra(matrix, directed=True, indices=indices)
+        with open(write_end, "wb") as pipe:
+            pipe.write(np.ascontiguousarray(rows, dtype=np.float64).data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 class OrbitSweepCache:
     """Node-pair distances on a fibered grid graph from one cached sweep per
     source orbit.
@@ -128,15 +199,34 @@ class OrbitSweepCache:
     too, so cell 0 represents every source) and an empty `_orbit_rows`
     dict, which keeps each swept row for the graph's lifetime as an
     (n_cells, m//2 + 1) view, so sources in a known orbit sweep nothing.
+
+    Every sweep goes through `distances_from`.  On a graph of at least
+    FORK_MIN_NNZ stored edges, a call with several cells runs them in forked
+    children, one per usable CPU at most: processes, because scipy's
+    Dijkstra holds the GIL.  The table is bit for bit the inline one, since
+    each child solves the same float fixed point on the same CSR.
     """
 
     def distances_from(self, cells: Sequence[int]) -> np.ndarray:
         """Sweeps of the folded graph from node (cell, 0) of each base cell,
         as scipy returns them: shape (len(cells), n_cells * (m//2 + 1)).
-        Every call sweeps; `pair_distances` answers pairs from the cache."""
-        h = self._stencil.m // 2 + 1
-        return _csgraph_dijkstra(self._matrix, directed=True,
-                                 indices=np.asarray(cells, dtype=np.int64) * h)
+        Every call sweeps; `pair_distances` answers pairs from the cache.
+
+        A graph with at least FORK_MIN_NNZ stored edges sweeps in forked
+        children when the call has several cells and the process may run
+        on several CPUs: min(len(cells), usable CPUs) of them, each taking
+        every so-many-th cell (`_forked_sweeps`).  scipy's Dijkstra holds
+        the GIL, so threads would run one at a time.  A child solves the
+        same float fixed point on the same CSR as an inline call, so the
+        table is the same bit for bit.  Smaller graphs and single cells
+        sweep inline, where a fork costs more than it saves.
+        """
+        indices = np.asarray(cells, dtype=np.int64) * (self._stencil.m // 2 + 1)
+        workers = min(len(indices), _usable_cpus())
+        if workers < 2 or self._matrix.nnz < FORK_MIN_NNZ:
+            return _csgraph_dijkstra(self._matrix, directed=True,
+                                     indices=indices)
+        return _forked_sweeps(self._matrix, indices, workers)
 
     def _orbit(self, a: np.ndarray, b: np.ndarray):
         """Representative cells of the a's orbits, and the b's cells and
@@ -374,6 +464,10 @@ class GridGraph(OrbitSweepCache):
     run on the folded graph from the row's column 0, answers every pair.
     When the built weights are also bitwise equal across rows of a circle
     base, `base_invariant` is set and one sweep answers the whole graph.
+    Sweeps of several rows fan out to forked children, one per usable CPU,
+    from FORK_MIN_NNZ stored edges (a 512^2 k=2 grid has 2.1 M, the 256^2
+    default 0.52 M), with the inline values bit for bit (see
+    `OrbitSweepCache.distances_from`).
     """
 
     def __init__(self, space: WarpedSpace, spec: GridSpec = GridSpec()):
@@ -926,7 +1020,8 @@ def clairaut_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
     bases, both ways around the base.  When no shot matched its target fiber
     advance within tolerance and a closed-form candidate won instead, the
     result is still exact for that candidate; converged=False marks the case
-    where the best value's residual exceeded tolerance.
+    where the best value's residual exceeded the acceptance tolerance of the
+    fiber advance it was measured against (not of its length).
 
     Raises ValueError unless tol is positive and finite, max_iter >= 1 and
     max_winding >= 0.
@@ -959,14 +1054,15 @@ def clairaut_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
     # no curve can beat the flat product metric at the minimum warp level
     floor = math.hypot(base.distance(p.r, q.r),
                        fmin_glob * fiber.distance(p.theta, q.theta))
-    candidates: List[Tuple[float, float, str]] = []  # (length, residual, kind)
+    # (length, residual, kind, tolerance of the advance the residual is of)
+    candidates: List[Tuple[float, float, str, float]] = []
 
     # straight segment in parameter space: a genuine curve, so always a
     # valid upper bound; keeps degenerate pairs (wrapped-equal r, nearly
     # coincident points) from losing every direct candidate to rounding
     candidates.append((segment_length(space, p.r, routes[0], dth0,
                                       points_per_piece=16),
-                       0.0, "param-line"))
+                       0.0, "param-line", accept_for(dth0)))
 
     def best_len():
         return min((c[0] for c in candidates), default=math.inf)
@@ -980,20 +1076,20 @@ def clairaut_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
             continue
         if p.r == q.r:
             candidates.append((float(space.warp_at(p.r)) * abs(target),
-                               0.0, "fiber-level"))
+                               0.0, "fiber-level", accept))
         if target != 0.0:
             cost, _lvl = _three_segment_candidate(space, p, q, abs(target))
-            candidates.append((cost, 0.0, "three-segment"))
+            candidates.append((cost, 0.0, "three-segment", accept))
         for droute in routes:
             if target == 0.0:
                 if droute != 0.0:
-                    candidates.append((abs(droute), 0.0, "base-line"))
+                    candidates.append((abs(droute), 0.0, "base-line", accept))
                 continue
             if droute != 0.0:
                 out = _shoot_monotone(space, p.r, p.r + droute, target,
                                       tol, max_iter)
                 if out is not None and out[2] <= accept:
-                    candidates.append((out[0], out[2], "monotone"))
+                    candidates.append((out[0], out[2], "monotone", accept))
         for side in (-1, +1):
             if target == 0.0:
                 continue
@@ -1001,7 +1097,7 @@ def clairaut_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
                                   max_iter, prune_above=best_len(),
                                   accept=accept)
             if out is not None:
-                candidates.append((out[0], out[2], "one-turn"))
+                candidates.append((out[0], out[2], "one-turn", accept))
 
     # shooting accuracy can undershoot true lengths by a few 1e-6 at worst,
     # so the impossibility filter needs matching slack
@@ -1010,8 +1106,8 @@ def clairaut_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
     if not candidates:
         raise RuntimeError("no geodesic candidate produced")
     candidates.sort(key=lambda t: (t[0], t[2]))
-    best_length, best_resid, kind = candidates[0]
-    converged = best_resid <= accept_for(best_length)
+    best_length, best_resid, kind, best_accept = candidates[0]
+    converged = best_resid <= best_accept
     # the closed-form candidates carry numpy scalars; results hold plain
     # Python types so that to_dict() is JSON-serializable
     return GeodesicResult(float(best_length), f"clairaut-{kind}",

@@ -352,6 +352,10 @@ class Grid3Graph(OrbitSweepCache):
     and edges.  z rolls are automorphisms, so one sweep per source (x, y),
     run on the folded graph from the cell's z = 0, answers every pair.  When
     every sheet is constant, `base_invariant` is set: one sweep answers all.
+    The 64^3 lattice (3.4 M stored edges) is above geodesy.FORK_MIN_NNZ, so
+    its sweeps of several cells fan out to forked children, one per usable
+    CPU, with the inline values bit for bit (see
+    `OrbitSweepCache.distances_from`).
     """
 
     def __init__(self, fld: ScalarField2D, spec: Grid3Spec = Grid3Spec()):

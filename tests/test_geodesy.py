@@ -591,3 +591,24 @@ def test_cinch_limit_agrees_with_shrinking_grid_family():
         errs.append(res.error_estimate)
     extrapolated = 2.0 * vals[1] - vals[0]
     assert abs(extrapolated - target) <= max(errs) + 0.02
+
+
+def test_clairaut_converged_uses_the_tolerance_of_the_shot_advance(monkeypatch):
+    # A monotone shot at fiber advance 3.0 is accepted within
+    # 1e-6 * (1 + 3.0) = 4e-6.  Its length, about 1.5, would give the
+    # tighter 2.5e-6; a residual of 3e-6 between the two must still count
+    # as converged, because the residual is one of the advance.
+    from warpconv import geodesy
+
+    sp = WarpedSpace(circle_base(), FiberSpace(), ConstantProfile(0.5))
+    p, q = SurfacePoint(0.0, 0.0), SurfacePoint(0.1, 3.0)
+    # just above the flat floor hypot(0.1, 0.5 * 3.0), so the shot wins
+    length = math.hypot(0.1, 1.5) - 1e-5
+    resid = 3e-6
+    assert 1e-6 * (1.0 + length) < resid <= 1e-6 * (1.0 + 3.0)
+    monkeypatch.setattr(geodesy, "_shoot_monotone",
+                        lambda *args: (length, 0.4, resid))
+    res = clairaut_distance(sp, p, q)
+    assert res.method == "clairaut-monotone"
+    assert res.distance == length
+    assert res.converged is True

@@ -5,8 +5,13 @@ the 3-torus grid only on (x, y), so translations along the fiber (z) map
 each graph onto itself; a graph whose built weights are also equal across
 rows (xy sheets) is invariant along every axis.  The cache answers a pair
 from one sweep per source orbit, which must give bit-for-bit the value a
-direct sweep from the pair's own source gives.
+direct sweep from the pair's own source gives.  Sweeps of large graphs fan
+out to forked children, and their table must equal one inline csgraph call
+bit for bit.
 """
+
+import functools
+import os
 
 import numpy as np
 import pytest
@@ -24,6 +29,8 @@ from warpconv import (
     interval_base,
     run_family_experiment,
 )
+from warpconv import geodesy
+from warpconv.geodesy import FORK_MIN_NNZ
 from warpconv.torus3 import (
     BumpField,
     ConstantField,
@@ -197,3 +204,103 @@ def test_error_bound_without_snap_cost_is_the_anisotropy_term(graph):
     rng = np.random.default_rng(11)
     for d in [0.0, 1.0, *rng.uniform(0.0, 10.0, size=20)]:
         assert graph.error_bound(d, 0.0) == graph.aniso_bound * d + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Sweeps of large graphs fan out to forked children
+
+
+LARGE = {
+    "surface": lambda: GridGraph(SequenceFamily("cinched-torus").space(2),
+                                 GridSpec(512, 512, 2)),
+    "torus3": lambda: Grid3Graph(BumpField(1.0, 2.0, (0.5, 0.5), 1.0),
+                                 Grid3Spec(64)),
+}
+
+
+@pytest.fixture(scope="module")
+def large():
+    """Graphs above FORK_MIN_NNZ, each built once for this module."""
+    return functools.cache(lambda kind: LARGE[kind]())
+
+
+def inline_sweeps(graph, cells):
+    """One csgraph call from node (cell, 0) of each cell."""
+    h = graph._stencil.m // 2 + 1
+    return geodesy._csgraph_dijkstra(graph._matrix, directed=True,
+                                     indices=np.asarray(cells) * h)
+
+
+def count_forks(monkeypatch):
+    """Wrap os.fork; the returned list gets each child's pid."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def fake_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("cpus", [None, 3], ids=["usable-cpus", "three-cpus"])
+@pytest.mark.parametrize("kind", sorted(LARGE))
+def test_fanned_out_sweeps_equal_one_inline_call(kind, cpus, large, monkeypatch):
+    graph = large(kind)
+    assert graph._matrix.nnz >= FORK_MIN_NNZ
+    if cpus is not None:
+        fake_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    cells = [5, 0, 17, 3, 9]  # unsorted, and more cells than children
+    table = graph.distances_from(cells)
+    workers = min(len(cells), len(os.sched_getaffinity(0)))
+    assert len(forks) == (workers if workers > 1 else 0)
+    want = inline_sweeps(graph, cells)
+    assert table.dtype == want.dtype == np.float64
+    assert table.shape == want.shape == (len(cells), graph._matrix.shape[0])
+    assert np.array_equal(table, want)
+
+
+def test_small_graphs_single_cells_and_one_cpu_sweep_inline(large, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fake_cpus(monkeypatch, 2)
+    small = GridGraph(SequenceFamily("cinched-torus").space(2), GridSpec(256, 256, 2))
+    assert small._matrix.nnz < FORK_MIN_NNZ
+    assert np.array_equal(small.distances_from([0, 1, 2, 3]),
+                          inline_sweeps(small, [0, 1, 2, 3]))
+    graph = large("surface")
+    assert np.array_equal(graph.distances_from([7]), inline_sweeps(graph, [7]))
+    fake_cpus(monkeypatch, 1)
+    assert np.array_equal(graph.distances_from([1, 2, 3]),
+                          inline_sweeps(graph, [1, 2, 3]))
+
+
+@pytest.mark.parametrize("failing", ["first", "every"])
+def test_failed_child_raises_and_every_child_is_reaped(failing, large, monkeypatch):
+    graph = large("surface")
+    cells = [0, 1, 2, 3]
+    first = cells[0] * (graph._stencil.m // 2 + 1)
+    sweep = geodesy._csgraph_dijkstra
+
+    def broken(matrix, directed, indices):
+        # the first child fails; the others finish and block on a full pipe
+        if failing == "every" or indices[0] == first:
+            raise MemoryError("sweep failed")
+        return sweep(matrix, directed=directed, indices=indices)
+
+    fake_cpus(monkeypatch, 2)
+    monkeypatch.setattr(geodesy, "_csgraph_dijkstra", broken)
+    with pytest.raises(RuntimeError):
+        graph.distances_from(cells)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
