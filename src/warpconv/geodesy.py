@@ -17,8 +17,10 @@ are pinned against a brute-force direction sweep in the test suite.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import os
+import select
 from dataclasses import dataclass, fields
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -117,62 +119,111 @@ def _fold(z, m: int):
     return np.minimum(z, m - z)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork or cannot say."""
+def _usable_cpus() -> List[int]:
+    """CPUs this process may run on, in order; none where it cannot fork or
+    cannot say."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
+        return []
+    return sorted(os.sched_getaffinity(0))
 
 
 def _forked_sweeps(matrix: csr_matrix, indices: np.ndarray,
-                   workers: int) -> np.ndarray:
-    """Dijkstra from each index, in `workers` forked children.
+                   cpus: Sequence[int]) -> np.ndarray:
+    """Dijkstra from each index, in one forked child per CPU of `cpus`.
 
-    Child w sweeps indices[w::workers] on the CSR it shares copy-on-write
-    with this process and writes the raw float64 rows down a pipe; they are
-    read straight into rows w::workers of one preallocated table, so the
-    result has the shape and values of one inline call.  Every child ends
-    in os._exit and is reaped here, whatever happens; a short read or a
-    nonzero exit status raises RuntimeError and no table is returned.
+    Each child moves to its own CPU before it sweeps, and may then be moved
+    again: left to place them, the scheduler of a 2-CPU virtual machine was
+    seen to start both children on one CPU and keep them there for a whole
+    call, which then took twice as long.  A child sweeps one index at a
+    time on the CSR it shares copy-on-write with this process: it reads the
+    index from its task pipe and writes the raw float64 row down its result
+    pipe.  This process reads each row straight into its place in one
+    preallocated table and hands the next index to the child that sent it,
+    so a child whose CPU is busy with other work sweeps fewer indices
+    instead of holding up the call, and the table has the shape and values
+    of one inline call.  Every child ends in os._exit and is reaped here,
+    whatever happens; a short read or a nonzero exit status raises
+    RuntimeError and no table is returned.
     """
     table = np.empty((len(indices), matrix.shape[0]))
-    pids, pipes = [], []
+    todo = iter(range(len(indices)))
+    pids, owned = [], []  # the children, and this process's pipe ends
+    readers = {}  # result pipe -> its unbuffered reader
+    sweeping = {}  # result pipe -> (task pipe, position of the row it sweeps)
+
+    def hand_out(results: int, tasks: int) -> None:
+        pos = next(todo, None)
+        if pos is None:
+            return
+        try:
+            os.write(tasks, indices[pos].tobytes())
+        except BrokenPipeError:
+            raise RuntimeError("a sweep child stopped taking sources") from None
+        sweeping[results] = (tasks, pos)
+
     try:
-        for w in range(workers):
-            read_end, write_end = os.pipe()
-            pipes.append(read_end)
+        for cpu in cpus:
+            task_read, tasks = os.pipe()
+            results, result_write = os.pipe()
+            owned += [tasks, results]
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _sweep_child(matrix, indices[w::workers], write_end, pipes)
+                    _sweep_child(matrix, cpu, task_read, result_write, owned)
             finally:
-                os.close(write_end)  # the child never gets here
+                os.close(task_read)  # the child never gets here
+                os.close(result_write)
             pids.append(pid)
-        for w, read_end in enumerate(pipes):
-            with open(read_end, "rb", closefd=False) as pipe:
-                for row in table[w::workers]:
-                    if pipe.readinto(row.view(np.uint8)) != row.nbytes:
-                        raise RuntimeError(f"sweep child {pids[w]} sent a "
-                                           "short table")
+            readers[results] = io.FileIO(results, "rb", closefd=False)
+            hand_out(results, tasks)
+        poller = select.poll()
+        for results in sweeping:
+            poller.register(results, select.POLLIN)
+        while sweeping:
+            for results, _event in poller.poll():
+                tasks, pos = sweeping.pop(results)
+                _read_row(readers[results], table[pos])
+                hand_out(results, tasks)
+                if results not in sweeping:
+                    poller.unregister(results)
     finally:
-        for read_end in pipes:
-            os.close(read_end)
+        for fd in owned:
+            os.close(fd)
         failed = [pid for pid in pids if os.waitpid(pid, 0)[1] != 0]
     if failed:
         raise RuntimeError(f"sweep children {failed} failed")
     return table
 
 
-def _sweep_child(matrix: csr_matrix, indices: np.ndarray, write_end: int,
+def _read_row(results: io.FileIO, row: np.ndarray) -> None:
+    """Fill one table row from a child's result pipe."""
+    view = memoryview(row).cast("B")
+    while view:
+        got = results.readinto(view)
+        if not got:
+            raise RuntimeError("a sweep child stopped before sending its row")
+        view = view[got:]
+
+
+def _sweep_child(matrix: csr_matrix, cpu: int, tasks: int, results: int,
                  inherited: List[int]) -> None:
     """Body of one `_forked_sweeps` child; exits the process, never returns."""
     status = 1
     try:
         for fd in inherited:
             os.close(fd)
-        rows = _csgraph_dijkstra(matrix, directed=True, indices=indices)
-        with open(write_end, "wb") as pipe:
-            pipe.write(np.ascontiguousarray(rows, dtype=np.float64).data)
+        usable = os.sched_getaffinity(0)
+        try:
+            os.sched_setaffinity(0, {cpu})  # moves this child there now
+        except OSError:
+            pass  # the CPU went away since it was listed
+        os.sched_setaffinity(0, usable)
+        with open(tasks, "rb") as task_pipe, open(results, "wb") as result_pipe:
+            while index := task_pipe.read(8):
+                row = _csgraph_dijkstra(matrix, directed=True,
+                                        indices=np.frombuffer(index, np.int64))
+                result_pipe.write(row.data)
+                result_pipe.flush()
         status = 0
     finally:
         os._exit(status)
@@ -202,9 +253,10 @@ class OrbitSweepCache:
 
     Every sweep goes through `distances_from`.  On a graph of at least
     FORK_MIN_NNZ stored edges, a call with several cells runs them in forked
-    children, one per usable CPU at most: processes, because scipy's
-    Dijkstra holds the GIL.  The table is bit for bit the inline one, since
-    each child solves the same float fixed point on the same CSR.
+    children, one started on each usable CPU at most, which take the cells
+    one at a time: processes, because scipy's Dijkstra holds the GIL.  The
+    table is bit for bit the inline one, since each child solves the same
+    float fixed point on the same CSR.
     """
 
     def distances_from(self, cells: Sequence[int]) -> np.ndarray:
@@ -214,19 +266,21 @@ class OrbitSweepCache:
 
         A graph with at least FORK_MIN_NNZ stored edges sweeps in forked
         children when the call has several cells and the process may run
-        on several CPUs: min(len(cells), usable CPUs) of them, each taking
-        every so-many-th cell (`_forked_sweeps`).  scipy's Dijkstra holds
-        the GIL, so threads would run one at a time.  A child solves the
-        same float fixed point on the same CSR as an inline call, so the
-        table is the same bit for bit.  Smaller graphs and single cells
-        sweep inline, where a fork costs more than it saves.
+        on several CPUs: min(len(cells), usable CPUs) of them, each started
+        on its own CPU and taking the next cell whenever it has sent a row,
+        so a child on a busy CPU sweeps fewer (`_forked_sweeps`).  scipy's
+        Dijkstra holds the GIL, so threads would run one at a time.  A
+        child solves the same float fixed point on the same CSR as an
+        inline call, so the table is the same bit for bit.  Smaller graphs
+        and single cells sweep inline, where a fork costs more than it
+        saves.
         """
         indices = np.asarray(cells, dtype=np.int64) * (self._stencil.m // 2 + 1)
-        workers = min(len(indices), _usable_cpus())
-        if workers < 2 or self._matrix.nnz < FORK_MIN_NNZ:
+        cpus = _usable_cpus()[:len(indices)]
+        if len(cpus) < 2 or self._matrix.nnz < FORK_MIN_NNZ:
             return _csgraph_dijkstra(self._matrix, directed=True,
                                      indices=indices)
-        return _forked_sweeps(self._matrix, indices, workers)
+        return _forked_sweeps(self._matrix, indices, cpus)
 
     def _orbit(self, a: np.ndarray, b: np.ndarray):
         """Representative cells of the a's orbits, and the b's cells and

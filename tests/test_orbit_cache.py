@@ -6,12 +6,13 @@ each graph onto itself; a graph whose built weights are also equal across
 rows (xy sheets) is invariant along every axis.  The cache answers a pair
 from one sweep per source orbit, which must give bit-for-bit the value a
 direct sweep from the pair's own source gives.  Sweeps of large graphs fan
-out to forked children, and their table must equal one inline csgraph call
-bit for bit.
+out to forked children, one started on each CPU, which take the sources one
+at a time; their table must equal one inline csgraph call bit for bit.
 """
 
 import functools
 import os
+import time
 
 import numpy as np
 import pytest
@@ -304,3 +305,62 @@ def test_failed_child_raises_and_every_child_is_reaped(failing, large, monkeypat
         graph.distances_from(cells)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def record_children(monkeypatch, log, slow_cpu=None, delay=0.0):
+    """Make each sweep child append "cpu index" to `log` for every source it
+    sweeps, where cpu is the one it moved to first, and the child started on
+    `slow_cpu` sleep `delay` s per source.  No child really moves; each must
+    allow every usable CPU again before it sweeps."""
+    moves = []  # the child's sched_setaffinity calls, in the child only
+    sweep = geodesy._csgraph_dijkstra
+
+    def recording(matrix, directed, indices):
+        (cpu,), usable = moves
+        assert usable == os.sched_getaffinity(0)
+        if cpu == slow_cpu:
+            time.sleep(delay)
+        with open(log, "a") as f:
+            f.write(f"{cpu} {int(indices[0])}\n")
+        return sweep(matrix, directed=directed, indices=indices)
+
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: moves.append(cpus))
+    monkeypatch.setattr(geodesy, "_csgraph_dijkstra", recording)
+
+
+def swept(log):
+    """{cpu: number of sources its child swept} from a `record_children` log."""
+    counts = {}
+    for line in log.read_text().splitlines():
+        cpu = int(line.split()[0])
+        counts[cpu] = counts.get(cpu, 0) + 1
+    return counts
+
+
+def test_each_child_starts_on_its_own_cpu_and_sweeps_one_source_a_time(
+        large, monkeypatch, tmp_path):
+    graph = large("torus3")
+    cells = [4, 8, 15, 16, 23, 42]
+    want = inline_sweeps(graph, cells)
+    fake_cpus(monkeypatch, 3)
+    log = tmp_path / "sweeps"
+    record_children(monkeypatch, log)
+    table = graph.distances_from(cells)
+    h = graph._stencil.m // 2 + 1
+    rows = [line.split() for line in log.read_text().splitlines()]
+    assert {int(cpu) for cpu, _ in rows} == {0, 1, 2}
+    assert sorted(int(index) for _, index in rows) == sorted(c * h for c in cells)
+    assert np.array_equal(table, want)
+
+
+def test_a_slow_child_sweeps_fewer_sources(large, monkeypatch, tmp_path):
+    # child 0 needs 2 s a source: the other child sweeps the rest meanwhile
+    graph = large("surface")
+    cells = [0, 1, 2, 3, 4, 5]
+    want = inline_sweeps(graph, cells)
+    fake_cpus(monkeypatch, 2)
+    log = tmp_path / "sweeps"
+    record_children(monkeypatch, log, slow_cpu=0, delay=2.0)
+    table = graph.distances_from(cells)
+    assert swept(log) == {0: 1, 1: 5}
+    assert np.array_equal(table, want)
