@@ -6,17 +6,21 @@ warped 3-tori (`torus3.run_torus3_experiment`) share it:
 
 * probe pairs come from a deterministic sample plan (shared sources) plus
   family-specific worst cases,
-* `probe_plan` reads the stage's distances and error bars from the grid
-  oracle's orbit cache: edge weights are invariant under fiber rolls and
-  even in the fiber step (z on the 3-torus), so one sweep per source row
-  answers all pairs, on the graph folded by the fiber mirror (about half
-  the nodes).  The folded rows stay on the graph, so further limits on the
-  same stage and the cached reference grids of later stages sweep only
-  rows not yet seen,
-* the limit metric is evaluated in closed form at the snapped endpoints,
+* `plan_values` reads a grid graph's distances and error bars on the plan
+  from the grid oracle's orbit cache: edge weights are invariant under
+  fiber rolls and even in the fiber step (z on the 3-torus), so one sweep
+  per source row answers all pairs, on the graph folded by the fiber
+  mirror (about half the nodes).  Each stage graph is read once, and
+  released before any reference graph is built or swept, so at most one
+  stage graph exists at a time and never beside a sweeping reference,
 * a reference run discretizes the LIMIT geometry on the same grid, so the
   grid's systematic error (anisotropy, quadrature) can be cancelled by
-  comparing the two runs pair by pair,
+  comparing the two runs pair by pair.  Reference graphs depend only on
+  the limit and the grid, so they are cached across stages and keep their
+  folded rows: a later stage sweeps only reference rows not yet seen,
+* `limit_probes` joins the stage's values with the limit metric,
+  evaluated in closed form at the snapped endpoints, and with one
+  reference's values; every limit of a stage reuses the same stage values,
 * `stage_row` turns the probes and the stage's closed-form data (L2 norm,
   bi-Lipschitz constant, volume) into one report row with its GH and
   intrinsic-flat bounds.
@@ -37,7 +41,7 @@ known case; see audit_theorem_bounds).
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -194,12 +198,21 @@ class DiscrepancyResult:
         return max(self.probes, key=lambda pr: pr.corrected_gap)
 
 
-def _pair_values(graph, plan: SamplePlan):
-    """Snap the plan onto the graph and read every pair from the graph's
-    orbit cache (one sweep per source orbit not yet swept on this graph).
+class PlanValues(NamedTuple):
+    """A grid graph's values on a sample plan: the snapped endpoints of
+    every pair (surface or 3-torus points), the graph distance between
+    them and its error bar."""
 
-    Returns (pairs, values, errors) where pairs holds the snapped endpoints.
-    """
+    pairs: List[Tuple[SurfacePoint, SurfacePoint]]
+    values: List[float]
+    errors: List[float]
+
+
+def plan_values(graph, plan: SamplePlan) -> PlanValues:
+    """Snap the plan onto a grid graph (`GridGraph` or `torus3.Grid3Graph`),
+    each distinct point once, and read every pair from the graph's orbit
+    cache in one `pair_distances` call (one sweep per source orbit not yet
+    swept on this graph)."""
     snap_cache = {}
 
     def snap(pt):
@@ -216,7 +229,24 @@ def _pair_values(graph, plan: SamplePlan):
     values = graph.pair_distances(nodes)
     # endpoints are exact nodes here, so snap costs do not enter
     errors = [graph.error_bound(d, 0.0) for d in values]
-    return pairs, values, errors
+    return PlanValues(pairs, values, errors)
+
+
+def limit_probes(stage: PlanValues,
+                 limit_distance: Callable[[object, object], float],
+                 reference_values: Optional[Sequence[float]] = None
+                 ) -> Tuple[PairProbe, ...]:
+    """Probes of one limit from a stage's plan values: the stage's value
+    and error, `limit_distance` at the snapped endpoints, and the
+    reference graph's value on the same nodes when `reference_values`
+    (that graph's `plan_values(...).values` on the same plan) is given.
+    The surface and 3-torus experiments build every probe here."""
+    if reference_values is None:
+        reference_values = [None] * len(stage.pairs)
+    return tuple(
+        PairProbe(pa, pb, val, err, limit_distance(pa, pb), ref)
+        for (pa, pb), val, err, ref in zip(stage.pairs, stage.values,
+                                           stage.errors, reference_values))
 
 
 def probe_plan(graph, plan: SamplePlan,
@@ -226,14 +256,19 @@ def probe_plan(graph, plan: SamplePlan,
     `torus3.Grid3Graph`): the graph's value and error, `limit_distance`
     at the snapped endpoints, and the reference graph's value on the same
     nodes when a reference is given."""
-    pairs, values, errors = _pair_values(graph, plan)
-    if reference is not None:
-        _, ref_values, _ = _pair_values(reference, plan)
-    else:
-        ref_values = [None] * len(pairs)
-    return tuple(
-        PairProbe(pa, pb, val, err, limit_distance(pa, pb), ref)
-        for (pa, pb), val, err, ref in zip(pairs, values, errors, ref_values))
+    stage = plan_values(graph, plan)
+    ref_values = None if reference is None else plan_values(reference, plan).values
+    return limit_probes(stage, limit_distance, ref_values)
+
+
+def _surface_result(family: SequenceFamily, j: int, grid: GridSpec,
+                    plan: SamplePlan, limit: LimitMetric, stage: PlanValues,
+                    reference: GridGraph) -> DiscrepancyResult:
+    """Stage j's plan values against one limit and its reference graph."""
+    base, fiber = family.base, family.fiber
+    probes = limit_probes(stage, lambda p, q: limit.distance(base, fiber, p, q),
+                          plan_values(reference, plan).values)
+    return DiscrepancyResult(family.describe(), j, limit.describe(), grid, probes)
 
 
 def discrepancy_estimate(family: SequenceFamily, j: int,
@@ -245,21 +280,20 @@ def discrepancy_estimate(family: SequenceFamily, j: int,
     """Sampled uniform-distance discrepancy between stage j and the limit.
 
     Pass `graph` / `reference` to reuse prebuilt grids (the reference depends
-    only on the limit and the grid, not on j).
+    only on the limit and the grid, not on j).  A stage graph built here is
+    read once and released before the reference is built or swept, as in
+    `run_family_experiment`, whose row for the same stage, plan and limit
+    carries these probes.
     """
     grid = grid or default_grid(family, j)
     limit = limit if limit is not None else family.candidate_limits()[0]
     plan = plan or family.sample_plan(j)
-    if graph is None:
-        graph = GridGraph(family.space(j), grid)
-    base, fiber = family.base, family.fiber
-
+    stage = plan_values(graph if graph is not None
+                        else GridGraph(family.space(j), grid), plan)
     if reference is None:
-        reference = GridGraph(reference_space(limit, base, fiber, grid), grid)
-    probes = probe_plan(graph, plan,
-                        lambda p, q: limit.distance(base, fiber, p, q),
-                        reference)
-    return DiscrepancyResult(family.describe(), j, limit.describe(), grid, probes)
+        reference = GridGraph(
+            reference_space(limit, family.base, family.fiber, grid), grid)
+    return _surface_result(family, j, grid, plan, limit, stage, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +647,14 @@ def run_family_experiment(family: SequenceFamily, j_list: Sequence[int],
                           seed: int = 0) -> ConvergenceReport:
     """Per-stage discrepancy rows for a family, against its proven limit
     (moving-cinch: against both subsequential candidates, the first as the
-    headline number).  Reference grids are cached per (limit, grid)."""
+    headline number).
+
+    Each stage graph is built, read once on the stage's plan
+    (`plan_values`) and released before any reference graph is built or
+    swept; every limit reuses those values.  Reference graphs are cached
+    per (limit, grid) across stages and keep their swept rows.  So one
+    stage graph exists at a time, and never beside a sweeping reference.
+    """
     candidates = family.candidate_limits()
     primary = candidates[0]
     extra_limits: List[LimitMetric] = list(candidates[1:])
@@ -623,30 +664,28 @@ def run_family_experiment(family: SequenceFamily, j_list: Sequence[int],
             extra_limits.append(wrong)
 
     ref_cache: Dict[Tuple[str, Tuple[int, int, int]], GridGraph] = {}
+
+    def ref_for(limit: LimitMetric, g: GridSpec) -> GridGraph:
+        key = (limit.describe(), (g.n_r, g.n_theta, g.k))
+        if key not in ref_cache:
+            ref_cache[key] = GridGraph(
+                reference_space(limit, family.base, family.fiber, g), g)
+        return ref_cache[key]
+
     rows: List[StageRow] = []
     audits: Dict[int, Tuple[AuditRow, ...]] = {}
     for j in j_list:
         g = grid or default_grid(family, j)
         space = family.space(j)
-        graph = GridGraph(space, g)
         plan = family.sample_plan(j, n_sources=n_sources, n_targets=n_targets,
                                   offset=seed)
-
-        def ref_for(limit: LimitMetric) -> GridGraph:
-            key = (limit.describe(), (g.n_r, g.n_theta, g.k))
-            if key not in ref_cache:
-                ref_cache[key] = GridGraph(
-                    reference_space(limit, family.base, family.fiber, g), g)
-            return ref_cache[key]
-
-        res = discrepancy_estimate(family, j, grid=g, plan=plan, limit=primary,
-                                   graph=graph, reference=ref_for(primary))
-        alt = {}
-        for lim in extra_limits:
-            alt_res = discrepancy_estimate(family, j, grid=g, plan=plan,
-                                           limit=lim, graph=graph,
-                                           reference=ref_for(lim))
-            alt[lim.describe()] = alt_res.eps_corrected
+        # the stage graph lives only for this read: no reference sees it
+        stage = plan_values(GridGraph(space, g), plan)
+        res = _surface_result(family, j, g, plan, primary, stage,
+                              ref_for(primary, g))
+        alt = {lim.describe(): _surface_result(family, j, g, plan, lim, stage,
+                                               ref_for(lim, g)).eps_corrected
+               for lim in extra_limits}
 
         l2 = lp_profile_distance(space.profile,
                                  ConstantProfile(family.limit_level), 2,

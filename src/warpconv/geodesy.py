@@ -497,6 +497,38 @@ class GeodesicResult:
 # ---------------------------------------------------------------------------
 
 
+def _crossing_lengths(space: WarpedSpace, r0: np.ndarray, dr: float,
+                      dtheta: float, bps: np.ndarray) -> np.ndarray:
+    """`segment_length(space, r, dr, dtheta, points_per_piece=4)` for every
+    start r in `r0` at once, bit for bit.
+
+    `bps` is sorted and holds every breakpoint the segments cross.  Each
+    segment takes those strictly between its ends, as
+    `breakpoints_unwrapped` gives them, and goes through the same steps:
+    t = (bp - r0) / dr, the 1e-15 filters, four midpoints per piece, and
+    sum * width / 4 added piece by piece from 0.0.  Rows with fewer pieces
+    are padded with empty pieces at t = 1, which add 0.0.
+    """
+    end = r0 + dr
+    lo, hi = (r0, end) if dr > 0 else (end, r0)
+    first = np.searchsorted(bps, lo, side="right")
+    count = np.searchsorted(bps, hi, side="left") - first
+    slot = np.arange(int(count.max()))
+    ts = (bps[np.minimum(first[:, None] + slot, bps.size - 1)] - r0[:, None]) / dr
+    keep = (slot < count[:, None]) & (ts > 1e-15) & (ts < 1 - 1e-15)
+    edges = np.concatenate((np.zeros((r0.size, 1)),
+                            np.sort(np.where(keep, ts, 1.0), axis=1),
+                            np.ones((r0.size, 1))), axis=1)
+    a, width = edges[:, :-1], np.diff(edges, axis=1)
+    t_mid = a[..., None] + (2 * np.arange(4) + 1) * width[..., None] / 8
+    f = space.warp_at(r0[:, None, None] + t_mid * dr)
+    pieces = np.sum(np.sqrt(dr * dr + (f * dtheta) ** 2), axis=-1) * width / 4
+    total = np.zeros(r0.size)
+    for piece in pieces.T:
+        total += piece
+    return total
+
+
 class GridGraph(OrbitSweepCache):
     """Weighted graph over an (r, theta) grid of a warped surface.
 
@@ -580,9 +612,9 @@ class GridGraph(OrbitSweepCache):
             i0 = np.searchsorted(bps, span_lo)
             i1 = np.searchsorted(bps, span_lo + abs(dr))
             affected = np.nonzero(i1 > i0)[0]
-            for a in affected:
-                w[a] = segment_length(self.space, float(r0[a]), dr, dtheta,
-                                      points_per_piece=4)
+            if affected.size:
+                w[affected] = _crossing_lengths(self.space, r0[affected], dr,
+                                                dtheta, bps)
         return idx, w
 
     def _build(self):

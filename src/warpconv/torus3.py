@@ -43,7 +43,8 @@ from .convergence import (
     DiscrepancyResult,
     PairProbe,
     StageRow,
-    probe_plan,
+    limit_probes,
+    plan_values,
     stage_row,
 )
 from .families import dyadic_walk
@@ -541,26 +542,36 @@ def run_torus3_experiment(family: Torus3Family, j_list: Sequence[int],
                           seed: int = 0) -> ConvergenceReport:
     """Stage-by-stage discrepancy against the constant-field limit, with a
     same-grid constant reference run cancelling the oracle's systematic
-    error, plus the lower-bound / diameter / sandwich audit rows."""
+    error, plus the lower-bound / diameter / sandwich audit rows.
+
+    As in `convergence.run_family_experiment`, each stage graph is read
+    once on its plan and released before the next graph is built and
+    before the reference (built at the first stage, then kept with its one
+    row: a constant field is invariant along every axis) is swept.
+    """
     c = family.level
     limit = f"flat3(level={c:g})"
-    reference = Grid3Graph(ConstantField(c), grid)
+    reference = None
     rows: List[StageRow] = []
     audits: Dict[int, Tuple[AuditRow, ...]] = {}
     for j in j_list:
         fld = family.field(j)
-        graph = Grid3Graph(fld, grid)
         plan = family.sample_plan(j, n_sources=n_sources, n_targets=n_targets,
                                   offset=seed)
+        graph = Grid3Graph(fld, grid)
+        stage, mass = plan_values(graph, plan), graph.mass()
+        del graph
+        if reference is None:
+            reference = Grid3Graph(ConstantField(c), grid)
         res = DiscrepancyResult(
             family.describe(), j, limit, grid,
-            probe_plan(graph, plan, lambda p, q: limit3_distance(c, p, q),
-                       reference))
+            limit_probes(stage, lambda p, q: limit3_distance(c, p, q),
+                         plan_values(reference, plan).values))
         l2 = _quadrature_l2(fld, c)
         l2_bound = fld.l2_vs_level(c) if not isinstance(fld, SumOfBumpsField) \
             else l2
         lam = bilip_lambda3(fld)
-        rows.append(stage_row(res, l2, l2_bound, lam, graph.mass(), VOLUME_DIM))
+        rows.append(stage_row(res, l2, l2_bound, lam, mass, VOLUME_DIM))
         if with_audits:
             audits[j] = tuple(_audit_rows3(family, j, fld, res.probes, l2, lam))
     return ConvergenceReport(family.describe(), limit, VOLUME_DIM,
