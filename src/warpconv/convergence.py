@@ -652,8 +652,9 @@ def run_family_experiment(family: SequenceFamily, j_list: Sequence[int],
     Each stage graph is built, read once on the stage's plan
     (`plan_values`) and released before any reference graph is built or
     swept; every limit reuses those values.  Reference graphs are cached
-    per (limit, grid) across stages and keep their swept rows.  So one
-    stage graph exists at a time, and never beside a sweeping reference.
+    per (limit, grid) and keep their swept rows until the last stage on
+    their grid is done.  So one stage graph exists at a time, never beside
+    a sweeping reference, and no reference outlives its grid.
     """
     candidates = family.candidate_limits()
     primary = candidates[0]
@@ -674,8 +675,8 @@ def run_family_experiment(family: SequenceFamily, j_list: Sequence[int],
 
     rows: List[StageRow] = []
     audits: Dict[int, Tuple[AuditRow, ...]] = {}
-    for j in j_list:
-        g = grid or default_grid(family, j)
+    grids = [grid or default_grid(family, j) for j in j_list]
+    for i, (j, g) in enumerate(zip(j_list, grids)):
         space = family.space(j)
         plan = family.sample_plan(j, n_sources=n_sources, n_targets=n_targets,
                                   offset=seed)
@@ -695,5 +696,8 @@ def run_family_experiment(family: SequenceFamily, j_list: Sequence[int],
                               SURFACE_DIM, alt))
         if with_audits:
             audits[j] = tuple(audit_theorem_bounds(family, j, result=res))
+        later = {(h.n_r, h.n_theta, h.k) for h in grids[i + 1:]}
+        for key in [key for key in ref_cache if key[1] not in later]:
+            del ref_cache[key]
     return ConvergenceReport(family.describe(), primary.describe(),
                              SURFACE_DIM, tuple(rows), audits)

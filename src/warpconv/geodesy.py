@@ -3,7 +3,8 @@
 Three independent routes to the same quantity:
 
 * a weighted-graph oracle on a regular (r, theta) grid (Dijkstra over a
-  k-neighborhood with quadrature edge weights),
+  k-neighborhood with quadrature edge weights, run by the C kernel of
+  `_sweep.c` on the per-row stencil, one thread per usable CPU),
 * Clairaut geodesic shooting using the conserved quantity c = f(r)^2 theta',
 * closed-form candidates and bounds (level-set, taxi, ridge bypass, flat
   product).
@@ -17,17 +18,15 @@ are pinned against a brute-force direction sweep in the test suite.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import os
-import select
+import threading
 from dataclasses import dataclass, fields
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
+from ._sweep import sweep as _kernel_sweep
 from .core import (
     BaseSpace,
     FiberSpace,
@@ -47,20 +46,11 @@ from .core import (
 # these numbers at aspect 1.
 ANISOTROPY_BOUND = {1: 0.0824, 2: 0.0275, 3: 0.0131}
 
-# Surface grid node cap.  The folded CSR keeps fiber positions 0..m//2, at
-# most 5/8 of the nodes since m >= 8, and each has at most 32 neighbours
-# (k = 3), so 2**25 nodes keep every CSR index and row pointer below
-# 2**31 (int32) with room to spare.
+# Surface grid node cap.  A sweep runs on the graph folded by the fiber
+# mirror, fiber positions 0..m//2, at most 5/8 of the nodes since m >= 8:
+# 2**25 nodes keep the sweep kernel's int32 node numbers far below 2**31,
+# and each swept row (8 bytes per folded node) at 160 MiB.
 MAX_NODES_2D = 2 ** 25
-
-# Folded-CSR size from which `OrbitSweepCache.distances_from` fans its
-# sources out to forked children.  Measured with 10 sources on a 2-CPU
-# x86-64 Linux machine (two children, median of 7), forked time over inline
-# time on cinched-torus k=2 grids: 256^2 (0.52 M nnz) 1.34, 320^2 (0.82 M)
-# 1.19, 384^2 (1.18 M) 1.09, 448^2 (1.60 M) 0.70, 512^2 (2.10 M) 0.64,
-# 768^2 (4.72 M) 0.64; the 64^3 lattice (3.44 M) 0.60.  Below the cutoff a
-# sweep is too short to pay for the fork and the pipe.
-FORK_MIN_NNZ = 1_500_000
 
 
 @functools.lru_cache
@@ -120,113 +110,38 @@ def _fold(z, m: int):
 
 
 def _usable_cpus() -> List[int]:
-    """CPUs this process may run on, in order; none where it cannot fork or
-    cannot say."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return []
-    return sorted(os.sched_getaffinity(0))
+    """CPUs this process may run on, in order; all of them where the
+    platform cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
 
 
-def _forked_sweeps(matrix: csr_matrix, indices: np.ndarray,
-                   cpus: Sequence[int]) -> np.ndarray:
-    """Dijkstra from each index, in one forked child per CPU of `cpus`.
-
-    Each child moves to its own CPU before it sweeps, and may then be moved
-    again: left to place them, the scheduler of a 2-CPU virtual machine was
-    seen to start both children on one CPU and keep them there for a whole
-    call, which then took twice as long.  A child sweeps one index at a
-    time on the CSR it shares copy-on-write with this process: it reads the
-    index from its task pipe and writes the raw float64 row down its result
-    pipe.  This process reads each row straight into its place in one
-    preallocated table and hands the next index to the child that sent it,
-    so a child whose CPU is busy with other work sweeps fewer indices
-    instead of holding up the call, and the table has the shape and values
-    of one inline call.  Every child ends in os._exit and is reaped here,
-    whatever happens; a short read or a nonzero exit status raises
-    RuntimeError and no table is returned.
-    """
-    table = np.empty((len(indices), matrix.shape[0]))
-    todo = iter(range(len(indices)))
-    pids, owned = [], []  # the children, and this process's pipe ends
-    readers = {}  # result pipe -> its unbuffered reader
-    sweeping = {}  # result pipe -> (task pipe, position of the row it sweeps)
-
-    def hand_out(results: int, tasks: int) -> None:
-        pos = next(todo, None)
-        if pos is None:
-            return
-        try:
-            os.write(tasks, indices[pos].tobytes())
-        except BrokenPipeError:
-            raise RuntimeError("a sweep child stopped taking sources") from None
-        sweeping[results] = (tasks, pos)
-
+def _start_on(cpu: int) -> None:
+    """Move the calling thread to `cpu`, then let it run on every CPU it
+    could before: left to place them, the scheduler of a 2-CPU virtual
+    machine was seen to start two forked sweep processes on one CPU and
+    keep them there for a whole call, which then took twice as long, and
+    it places new threads by the same rule.  A no-op where the platform
+    has no thread affinity."""
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    usable = os.sched_getaffinity(0)
     try:
-        for cpu in cpus:
-            task_read, tasks = os.pipe()
-            results, result_write = os.pipe()
-            owned += [tasks, results]
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _sweep_child(matrix, cpu, task_read, result_write, owned)
-            finally:
-                os.close(task_read)  # the child never gets here
-                os.close(result_write)
-            pids.append(pid)
-            readers[results] = io.FileIO(results, "rb", closefd=False)
-            hand_out(results, tasks)
-        poller = select.poll()
-        for results in sweeping:
-            poller.register(results, select.POLLIN)
-        while sweeping:
-            for results, _event in poller.poll():
-                tasks, pos = sweeping.pop(results)
-                _read_row(readers[results], table[pos])
-                hand_out(results, tasks)
-                if results not in sweeping:
-                    poller.unregister(results)
-    finally:
-        for fd in owned:
-            os.close(fd)
-        failed = [pid for pid in pids if os.waitpid(pid, 0)[1] != 0]
-    if failed:
-        raise RuntimeError(f"sweep children {failed} failed")
-    return table
+        os.sched_setaffinity(0, {cpu})  # moves this thread there now
+    except OSError:
+        pass  # the CPU went away since it was listed
+    os.sched_setaffinity(0, usable)
 
 
-def _read_row(results: io.FileIO, row: np.ndarray) -> None:
-    """Fill one table row from a child's result pipe."""
-    view = memoryview(row).cast("B")
-    while view:
-        got = results.readinto(view)
-        if not got:
-            raise RuntimeError("a sweep child stopped before sending its row")
-        view = view[got:]
-
-
-def _sweep_child(matrix: csr_matrix, cpu: int, tasks: int, results: int,
-                 inherited: List[int]) -> None:
-    """Body of one `_forked_sweeps` child; exits the process, never returns."""
-    status = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        usable = os.sched_getaffinity(0)
-        try:
-            os.sched_setaffinity(0, {cpu})  # moves this child there now
-        except OSError:
-            pass  # the CPU went away since it was listed
-        os.sched_setaffinity(0, usable)
-        with open(tasks, "rb") as task_pipe, open(results, "wb") as result_pipe:
-            while index := task_pipe.read(8):
-                row = _csgraph_dijkstra(matrix, directed=True,
-                                        indices=np.frombuffer(index, np.int64))
-                result_pipe.write(row.data)
-                result_pipe.flush()
-        status = 0
-    finally:
-        os._exit(status)
+def _sweep_cell(stencil: FiberStencil, cell: int, row: np.ndarray,
+                heap: np.ndarray, pos: np.ndarray) -> None:
+    """Fill `row` with the folded sweep from node (cell, 0): the C kernel
+    of `_sweep.c`, run without the GIL; `heap` and `pos` are its int32
+    work arrays, as long as `row`."""
+    m, target, step, weight = stencil
+    _kernel_sweep(len(target), m, len(step), target, step, weight, cell,
+                  row, heap, pos)
 
 
 class OrbitSweepCache:
@@ -239,48 +154,76 @@ class OrbitSweepCache:
     a graph whose built weights are invariant under base translations too
     has more such maps.  Distances are then invariant: d(a, b) = d(T a, T b),
     and a sweep from a node at z = 0, which the mirror fixes, is mirror
-    symmetric.  So `_matrix` holds only the quotient of the graph by the
-    mirror (fiber positions 0..m//2, see `fibered_csr`), each sweep runs
-    from a (cell, 0) node on it, and d(a, b) is read from the folded sweep
-    of a's orbit representative.
+    symmetric.  So each sweep runs on the quotient of the graph by the
+    mirror (fiber positions 0..m//2, see `fibered_stencil`) from a (cell, 0)
+    node, and d(a, b) is read from the folded sweep of a's orbit
+    representative.
 
-    Subclasses set `_matrix` and `_stencil` from `fibered_csr`, `_base_shape`
-    (the base lattice's shape, cells in C order), `base_invariant` (True
-    when every wrap-around translation of that lattice is an automorphism
-    too, so cell 0 represents every source) and an empty `_orbit_rows`
-    dict, which keeps each swept row for the graph's lifetime as an
+    Subclasses set `_stencil` from `fibered_stencil`, `_base_shape` (the
+    base lattice's shape, cells in C order), `base_invariant` (True when
+    every wrap-around translation of that lattice is an automorphism too,
+    so cell 0 represents every source) and an empty `_orbit_rows` dict,
+    which keeps each swept row for the graph's lifetime as an
     (n_cells, m//2 + 1) view, so sources in a known orbit sweep nothing.
 
-    Every sweep goes through `distances_from`.  On a graph of at least
-    FORK_MIN_NNZ stored edges, a call with several cells runs them in forked
-    children, one started on each usable CPU at most, which take the cells
-    one at a time: processes, because scipy's Dijkstra holds the GIL.  The
-    table is bit for bit the inline one, since each child solves the same
-    float fixed point on the same CSR.
+    Every sweep goes through `distances_from`, which runs the C kernel of
+    `_sweep.c` on the stencil itself, one thread per usable CPU at most for
+    a call with several cells.  No edge list or sparse matrix is built.
     """
 
     def distances_from(self, cells: Sequence[int]) -> np.ndarray:
-        """Sweeps of the folded graph from node (cell, 0) of each base cell,
-        as scipy returns them: shape (len(cells), n_cells * (m//2 + 1)).
-        Every call sweeps; `pair_distances` answers pairs from the cache.
+        """Sweeps of the folded graph from node (cell, 0) of each base cell:
+        shape (len(cells), n_cells * (m//2 + 1)), row i holding the
+        distance to node (c, z) at column c * (m//2 + 1) + z.  Every call
+        sweeps; `pair_distances` answers pairs from the cache.
 
-        A graph with at least FORK_MIN_NNZ stored edges sweeps in forked
-        children when the call has several cells and the process may run
-        on several CPUs: min(len(cells), usable CPUs) of them, each started
-        on its own CPU and taking the next cell whenever it has sent a row,
-        so a child on a busy CPU sweeps fewer (`_forked_sweeps`).  scipy's
-        Dijkstra holds the GIL, so threads would run one at a time.  A
-        child solves the same float fixed point on the same CSR as an
-        inline call, so the table is the same bit for bit.  Smaller graphs
-        and single cells sweep inline, where a fork costs more than it
-        saves.
+        Each sweep is one call of the C kernel (`_sweep_cell`), which works
+        on the stencil directly and writes straight into its row of the
+        table.  A call with several cells, where the process may run on
+        several CPUs, fans out to min(len(cells), usable CPUs) threads:
+        each starts on its own CPU and takes the next cell whenever it has
+        finished one, so a thread on a busy CPU sweeps fewer.  The kernel
+        releases the GIL, so the threads sweep at once, and every row is
+        computed alone, so the table does not depend on the thread count.
+        The first error of any thread is raised here once all have stopped,
+        and no table is returned.
         """
-        indices = np.asarray(cells, dtype=np.int64) * (self._stencil.m // 2 + 1)
-        cpus = _usable_cpus()[:len(indices)]
-        if len(cpus) < 2 or self._matrix.nnz < FORK_MIN_NNZ:
-            return _csgraph_dijkstra(self._matrix, directed=True,
-                                     indices=indices)
-        return _forked_sweeps(self._matrix, indices, cpus)
+        n_cells = len(self._stencil.target)
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1)
+        if np.any((cells < 0) | (cells >= n_cells)):
+            raise IndexError(f"base cells must lie in [0, {n_cells})")
+        table = np.empty((len(cells), n_cells * (self._stencil.m // 2 + 1)))
+        todo = iter(range(len(cells)))
+        lock = threading.Lock()
+        failures = []
+
+        def work(cpu: Optional[int]) -> None:
+            try:
+                if cpu is not None:
+                    _start_on(cpu)
+                heap = np.empty(table.shape[1], dtype=np.int32)
+                pos = np.empty_like(heap)
+                while not failures:
+                    with lock:
+                        i = next(todo, None)
+                    if i is None:
+                        return
+                    _sweep_cell(self._stencil, int(cells[i]), table[i], heap, pos)
+            except BaseException as exc:  # raised again on the calling thread
+                failures.append(exc)
+
+        cpus = _usable_cpus()[:len(cells)]
+        if len(cpus) < 2:
+            work(None)
+        else:
+            threads = [threading.Thread(target=work, args=(cpu,)) for cpu in cpus]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        if failures:
+            raise failures[0]
+        return table
 
     def _orbit(self, a: np.ndarray, b: np.ndarray):
         """Representative cells of the a's orbits, and the b's cells and
@@ -341,34 +284,34 @@ class OrbitSweepCache:
         return float(dist), chain
 
 
-def fibered_csr(n_cells: int, m: int, directions) -> Tuple[csr_matrix, FiberStencil]:
-    """Folded CSR adjacency of a base lattice times a periodic fiber.
+def fibered_stencil(n_cells: int, m: int, directions) -> FiberStencil:
+    """Per-cell stencil of a base lattice times a periodic fiber.
 
     Node cell * m + z of the full graph sits over base cell `cell` at fiber
     position z.  Each stencil direction is one (src, dst, dz, weights) tuple
     of arrays over base cells and stands for both fiber signs: for every z
     and s = dz, -dz, node (src[e], z) joins node (dst[e], (z + s) % m) at
-    weight weights[e], and the edge is stored both ways.  A cell may start
-    at most one edge per direction and end at most one.
+    weight weights[e], and the edge is stored both ways, one slot per
+    orientation and sign.  A cell may start at most one edge per direction
+    and end at most one.
 
     Every weight is thus even in the fiber step, so the mirror z -> -z
-    (mod m) maps the graph onto itself and fixes z = 0.  The returned matrix
-    is the quotient by the mirror: node cell * h + z for z in [0, h),
-    h = m // 2 + 1, each target folded to min(z, m - z) and duplicate edges
-    merged at their minimum weight.  A sweep on it from (cell, 0) gives the
-    full graph's distances bit for bit, because those are mirror symmetric
-    and, with positive weights, d(v) = min_u fl(d(u) + w(u, v)) has one
-    solution.  No array over the full fiber is built.
-
-    The arrays are written in place with sorted columns and int32 indices.
-    Column order and degree depend only on the cell and on which steps
-    leave [0, h) before the fold, which splits z into the classes {0}, ...,
-    {s-1}, [s, h-s), {h-s}, ..., {h-1} for the widest step s: each class is
-    sorted and merged once per cell and its rows are its first row shifted
-    by z - z_first.  The full graph's per-cell stencil is returned too.
+    (mod m) maps the graph onto itself and fixes z = 0.  Sweeps run on the
+    quotient by the mirror: node cell * h + z for z in [0, h),
+    h = m // 2 + 1, each target folded to min(z, m - z).  A sweep on it
+    from (cell, 0) gives the full graph's distances bit for bit, because
+    those are mirror symmetric and, with positive weights,
+    d(v) = min_u fl(d(u) + w(u, v)) has one solution.  No array over the
+    fiber is built.  Raises ValueError on steps the kernel cannot fold
+    (|dz| >= m) and GridSizeError when the folded nodes overflow int32.
     """
+    if (n_cells * (m // 2 + 1)) >= 2 ** 31:
+        raise GridSizeError(f"{n_cells} cells x {m // 2 + 1} folded fiber "
+                            "positions overflow the sweep kernel's int32 nodes")
     slots = []
     for src, dst, dz, w in directions:
+        if abs(dz) >= m:
+            raise ValueError(f"fiber step {dz} does not fit a fiber of {m}")
         for s in ((dz, -dz) if dz else (0,)):
             slots += [(src, dst, s, w), (dst, src, -s, w)]
     target = np.full((n_cells, len(slots)), n_cells, dtype=np.int64)
@@ -377,51 +320,7 @@ def fibered_csr(n_cells: int, m: int, directions) -> Tuple[csr_matrix, FiberSten
     for s, (src, dst, _, w) in enumerate(slots):
         target[src, s] = dst
         weight[src, s] = w
-
-    h = m // 2 + 1
-    wide = int(np.max(np.abs(step)))
-    starts = sorted({*range(min(wide + 1, h)), *range(max(h - wide, 0), h)})
-    bounds = list(zip(starts, starts[1:] + [h]))
-    # missing edges have keys of n_cells * h or more and sort last
-    key = target[:, None, :] * h + _fold(np.array(starts)[:, None] + step, m)
-    wts = np.broadcast_to(weight[:, None, :], key.shape)
-    order = np.lexsort((wts, key), axis=-1)
-    key = np.take_along_axis(key, order, axis=-1)
-    wts = np.take_along_axis(wts, order, axis=-1)
-    # the first edge of a run of equal keys carries the run's minimum weight
-    keep = key < n_cells * h
-    keep[..., 1:] &= key[..., 1:] != key[..., :-1]
-    degree = np.count_nonzero(keep, axis=-1)
-    order = np.argsort(~keep, axis=-1, kind="stable")
-    first_cols = np.take_along_axis(key, order, axis=-1).astype(np.int32)
-    first_data = np.take_along_axis(wts, order, axis=-1)
-
-    indptr = np.zeros(n_cells * h + 1, dtype=np.int32)
-    widths = [z1 - z0 for z0, z1 in bounds]
-    np.cumsum(np.repeat(degree, widths, axis=1).ravel(), out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    data = np.empty(int(indptr[-1]))
-    # cells of equal degrees are one (cells, row) block of both arrays, and
-    # each class is a (cells, z, degree) view of the block
-    cuts = [0, *(np.flatnonzero(np.any(np.diff(degree, axis=0), axis=1)) + 1),
-            n_cells]
-    for c0, c1 in zip(cuts[:-1], cuts[1:]):
-        lo, hi = indptr[c0 * h], indptr[c1 * h]
-        cols = indices[lo:hi].reshape(c1 - c0, -1)
-        vals = data[lo:hi].reshape(c1 - c0, -1)
-        at = 0
-        for c, (z0, z1) in enumerate(bounds):
-            deg = int(degree[c0, c])
-            span = slice(at, at + (z1 - z0) * deg)
-            at = span.stop
-            shape = (c1 - c0, z1 - z0, deg)
-            shift = np.arange(z1 - z0, dtype=np.int32)[None, :, None]
-            np.add(first_cols[c0:c1, c, None, :deg], shift,
-                   out=cols[:, span].reshape(shape))
-            vals[:, span].reshape(shape)[...] = first_data[c0:c1, c, None, :deg]
-    n_folded = n_cells * h
-    return (csr_matrix((data, indices, indptr), shape=(n_folded, n_folded)),
-            FiberStencil(m, target, step, weight))
+    return FiberStencil(m, target, step, weight)
 
 
 def neighborhood_offsets(k: int) -> List[Tuple[int, int]]:
@@ -541,19 +440,17 @@ class GridGraph(OrbitSweepCache):
     symmetric and its weights are even in the theta step.
 
     Weights depend on the start row only: `_direction_weights` gives one
-    weight per row and direction, and `fibered_csr` writes the CSR from them
-    with rows as base cells (`_base_shape` is (n_rows,)) and theta as the
-    fiber, folded by the mirror theta -> -theta: it holds columns
-    0..n_theta//2 of every row, about half the nodes and edges.  Grids over
-    MAX_NODES_2D nodes raise GridSizeError before anything is allocated.
-    Rolling the fiber is a graph automorphism, so one sweep per source row,
-    run on the folded graph from the row's column 0, answers every pair.
-    When the built weights are also bitwise equal across rows of a circle
-    base, `base_invariant` is set and one sweep answers the whole graph.
-    Sweeps of several rows fan out to forked children, one per usable CPU,
-    from FORK_MIN_NNZ stored edges (a 512^2 k=2 grid has 2.1 M, the 256^2
-    default 0.52 M), with the inline values bit for bit (see
-    `OrbitSweepCache.distances_from`).
+    weight per row and direction, and `fibered_stencil` keeps them per
+    slot with rows as base cells (`_base_shape` is (n_rows,)) and theta as
+    the fiber; sweeps run on the graph folded by the mirror
+    theta -> -theta, columns 0..n_theta//2 of every row, about half the
+    nodes.  Grids over MAX_NODES_2D nodes raise GridSizeError before
+    anything is allocated.  Rolling the fiber is a graph automorphism, so
+    one sweep per source row, run on the folded graph from the row's
+    column 0, answers every pair.  When the built weights are also bitwise
+    equal across rows of a circle base, `base_invariant` is set and one
+    sweep answers the whole graph.  Sweeps of several rows run on one
+    thread per usable CPU (see `OrbitSweepCache.distances_from`).
     """
 
     def __init__(self, space: WarpedSpace, spec: GridSpec = GridSpec()):
@@ -575,7 +472,7 @@ class GridGraph(OrbitSweepCache):
         self.aniso_bound = stencil_anisotropy(
             spec.k, space.profile_min() * ratio, space.profile_max() * ratio)
         self._base_shape = (self.n_rows,)
-        self._matrix, self._stencil, self.base_invariant = self._build()
+        self._stencil, self.base_invariant = self._build()
         self._orbit_rows = {}
 
     # -- construction -------------------------------------------------
@@ -618,10 +515,9 @@ class GridGraph(OrbitSweepCache):
         return idx, w
 
     def _build(self):
-        """Folded CSR matrix and stencil of the graph, and whether every row
-        got the same weights on a circle base (row shifts are then
-        automorphisms)."""
-        # one direction per mirror pair (di, +-dj): fibered_csr adds both signs
+        """Stencil of the graph, and whether every row got the same weights
+        on a circle base (row shifts are then automorphisms)."""
+        # one direction per mirror pair (di, +-dj): fibered_stencil adds both signs
         halves = [(di, dj) for di, dj in neighborhood_offsets(self.spec.k)
                   if di >= 0 and dj >= 0]
         circle = self.space.base.is_circle
@@ -632,8 +528,8 @@ class GridGraph(OrbitSweepCache):
             base_invariant = base_invariant and bool(np.all(w == w[0]))
             dst = (idx + di) % self.n_rows if circle else idx + di
             directions.append((idx, dst, dj, w))
-        matrix, stencil = fibered_csr(self.n_rows, self.n_theta, directions)
-        return matrix, stencil, base_invariant
+        return (fibered_stencil(self.n_rows, self.n_theta, directions),
+                base_invariant)
 
     # -- queries --------------------------------------------------------
 

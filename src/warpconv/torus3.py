@@ -53,7 +53,7 @@ from .geodesy import (
     GridSizeError,
     OrbitSweepCache,
     _integer_fields,
-    fibered_csr,
+    fibered_stencil,
 )
 from .sampling import SamplePlan, halton_points
 
@@ -347,16 +347,14 @@ class Grid3Graph(OrbitSweepCache):
     node costs h * sqrt(dx^2 + dy^2 + f(mid)^2 dz^2) with f read at the
     step's xy midpoint.  Weights depend on (x, y) only and are even in dz,
     so each mirror pair (dx, dy, +-dz) is one n x n sheet of weights, and
-    `fibered_csr` writes the CSR from the sheets with the (x, y) cells as
-    base cells (`_base_shape` (n, n)) and z as the fiber, folded by the
-    mirror z -> -z: it holds z = 0..n//2 of every cell, about half the nodes
-    and edges.  z rolls are automorphisms, so one sweep per source (x, y),
-    run on the folded graph from the cell's z = 0, answers every pair.  When
-    every sheet is constant, `base_invariant` is set: one sweep answers all.
-    The 64^3 lattice (3.4 M stored edges) is above geodesy.FORK_MIN_NNZ, so
-    its sweeps of several cells fan out to forked children, one per usable
-    CPU, with the inline values bit for bit (see
-    `OrbitSweepCache.distances_from`).
+    `fibered_stencil` keeps them per slot with the (x, y) cells as base
+    cells (`_base_shape` (n, n)) and z as the fiber; sweeps run on the
+    graph folded by the mirror z -> -z, z = 0..n//2 of every cell, about
+    half the nodes.  z rolls are automorphisms, so one sweep per source
+    (x, y), run on the folded graph from the cell's z = 0, answers every
+    pair.  When every sheet is constant, `base_invariant` is set: one sweep
+    answers all.  Sweeps of several cells run on one thread per usable CPU
+    (see `OrbitSweepCache.distances_from`).
     """
 
     def __init__(self, fld: ScalarField2D, spec: Grid3Spec = Grid3Spec()):
@@ -371,19 +369,19 @@ class Grid3Graph(OrbitSweepCache):
         self.n_nodes = n ** 3
         self.aniso_bound = stencil_anisotropy3(fld.min_value(), fld.max_value())
         self._base_shape = (n, n)
-        self._matrix, self._stencil, self.base_invariant = self._build()
+        self._stencil, self.base_invariant = self._build()
         self._orbit_rows = {}
 
     def _build(self):
-        """Folded CSR matrix and stencil of the graph, and whether every
-        weight sheet is constant (xy shifts are then automorphisms too)."""
+        """Stencil of the graph, and whether every weight sheet is constant
+        (xy shifts are then automorphisms too)."""
         n = self.spec.n
         h = self.h
         xs = self.coords
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         plane = np.arange(n * n).reshape(n, n)
         directions = []
-        # one direction per pair +-(dx, dy, +-dz): fibered_csr adds the rest
+        # one direction per pair +-(dx, dy, +-dz): fibered_stencil adds the rest
         halves = [o for o in stencil_offsets3()
                   if o[:2] >= (0, 0) and o[2] >= 0 and o != (0, 0, 0)]
         base_invariant = True
@@ -397,8 +395,7 @@ class Grid3Graph(OrbitSweepCache):
             base_invariant = base_invariant and bool(np.all(w_sheet == w_sheet[0, 0]))
             sheet_to = plane[(np.arange(n) + dx) % n][:, (np.arange(n) + dy) % n]
             directions.append((plane.ravel(), sheet_to.ravel(), dz, w_sheet.ravel()))
-        matrix, stencil = fibered_csr(n * n, n, directions)
-        return matrix, stencil, base_invariant
+        return fibered_stencil(n * n, n, directions), base_invariant
 
     # -- queries --------------------------------------------------------
 

@@ -1,27 +1,31 @@
-"""The grid graphs' CSR, written straight from the stencil and folded.
+"""The grid graphs' stencil, checked against a triplet-built oracle.
 
-`geodesy.fibered_csr` writes indptr, indices and data in place, for the
-quotient of the graph by the fiber mirror z -> -z (mod m).  The reference
-below is the triplet construction of the full graph: COO triplets for both
-orientations of every canonical direction, each direction's weights
-computed on their own, converted with `tocsr()`.  `reference_fold` folds it
-independently (keep z <= m//2, fold every column, keep the minimum of each
-duplicate), and the builder must match that bit for bit, column order
-included.  Sweeps on the folded graph, unfolded by the test's own index
-arithmetic or read through the orbit cache, must equal scipy's sweeps on
-the full reference bit for bit from any source, and every shortest chain
-must be a walk along reference edges whose float sum is its distance.
+`geodesy.fibered_stencil` keeps each base cell's edges as slots (target
+cell, fiber step, weight); the sweep kernel walks them on the quotient of
+the graph by the fiber mirror z -> -z (mod m).  The oracle (tests/oracle.py)
+is the triplet construction of the full graph and its own fold.  The
+stencil must list exactly the oracle's edges, the oracle must be mirror
+symmetric, and the kernel's sweeps must equal scipy's sweeps on the folded
+oracle bit for bit from every cell.  Sweeps on the folded graph, unfolded by
+the test's own index arithmetic or read through the orbit cache, must equal
+scipy's sweeps on the full oracle bit for bit from any source, and every
+shortest chain must be a walk along oracle edges whose float sum is its
+distance.
 """
 
 import functools
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from oracle import (
+    first_of_runs,
+    graph_reference,
+    oracle_sweeps,
+    reference_fold,
+)
 from warpconv import (
     ConstantProfile,
     FiberSpace,
@@ -32,95 +36,14 @@ from warpconv import (
     WarpedSpace,
     circle_base,
     interval_base,
-    neighborhood_offsets,
 )
-from warpconv.geodesy import MAX_NODES_2D
+from warpconv.geodesy import MAX_NODES_2D, fibered_stencil
 from warpconv.torus3 import (
     BumpField,
     ConstantField,
     Grid3Graph,
     Grid3Spec,
-    stencil_offsets3,
 )
-
-
-def triplet_csr(edges, n_nodes):
-    rows, cols, data = [], [], []
-    for u, v, w in edges:
-        rows.extend((u, v))
-        cols.extend((v, u))
-        data.extend((w, w))
-    return coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_nodes, n_nodes)).tocsr()
-
-
-def surface_reference(graph):
-    """Triplet CSR of a surface grid and its row invariance."""
-    circle = graph.space.base.is_circle
-    nt = graph.n_theta
-    cols_theta = np.arange(nt)
-    edges = []
-    row_invariant = circle
-    for di, dj in neighborhood_offsets(graph.spec.k):
-        if not (di > 0 or (di == 0 and dj > 0)):
-            continue
-        idx, w = graph._direction_weights(di, dj)
-        row_invariant = row_invariant and bool(np.all(w == w[0]))
-        idx2 = (idx + di) % graph.n_rows if circle else idx + di
-        u = (idx[:, None] * nt + cols_theta[None, :]).ravel()
-        v = (idx2[:, None] * nt + ((cols_theta + dj) % nt)[None, :]).ravel()
-        edges.append((u, v, np.repeat(w, nt)))
-    return triplet_csr(edges, graph.n_nodes), row_invariant
-
-
-def torus3_reference(fld, n):
-    """Triplet CSR of the periodic n^3 grid and its xy invariance."""
-    h = 2.0 * math.pi / n
-    xs = -math.pi + h * np.arange(n)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    plane = np.arange(n * n, dtype=np.int32).reshape(n, n)
-    z_idx = np.arange(n, dtype=np.int32)
-    edges = []
-    xy_invariant = True
-    for dx, dy, dz in (o for o in stencil_offsets3() if o > (0, 0, 0)):
-        if dz == 0:
-            w_sheet = np.full((n, n), h * math.hypot(dx, dy))
-        else:
-            f = np.asarray(fld(X + 0.5 * dx * h, Y + 0.5 * dy * h), dtype=float)
-            w_sheet = h * np.sqrt(dx * dx + dy * dy + (f * dz) ** 2)
-        xy_invariant = xy_invariant and bool(np.all(w_sheet == w_sheet[0, 0]))
-        sheet_to = plane[(np.arange(n) + dx) % n][:, (np.arange(n) + dy) % n]
-        u = (plane[:, :, None] * np.int32(n) + z_idx[None, None, :]).ravel()
-        v = (sheet_to[:, :, None] * np.int32(n)
-             + ((z_idx + dz) % n).astype(np.int32)[None, None, :]).ravel()
-        edges.append((u, v, np.repeat(w_sheet.ravel(), n)))
-    return triplet_csr(edges, n ** 3), xy_invariant
-
-
-def first_of_runs(row, col, w):
-    """Sort (row, col, w) triplets and keep the smallest w of each (row, col)."""
-    order = np.lexsort((w, col, row))
-    row, col, w = row[order], col[order], w[order]
-    first = np.ones(row.size, dtype=bool)
-    first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
-    return row[first], col[first], w[first]
-
-
-def reference_fold(full, m):
-    """Quotient of a full fibered CSR by the mirror z -> -z (mod m)."""
-    h = m // 2 + 1
-    coo = full.tocoo()
-    cell_r, z_r = np.divmod(coo.row.astype(np.int64), m)
-    cell_c, z_c = np.divmod(coo.col.astype(np.int64), m)
-    keep = z_r < h
-    row, col, w = first_of_runs(cell_r[keep] * h + z_r[keep],
-                                cell_c[keep] * h
-                                + np.minimum(z_c[keep], m - z_c[keep]),
-                                coo.data[keep])
-    n = full.shape[0] // m * h
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
-    return csr_matrix((w, col, indptr), shape=(n, n))
 
 
 def assert_mirror_symmetric(full, m):
@@ -133,20 +56,16 @@ def assert_mirror_symmetric(full, m):
         assert np.array_equal(getattr(image, name), getattr(full, name)), name
 
 
-def assert_same_csr(built, reference):
-    assert built.shape == reference.shape
-    assert built.indptr.dtype == np.int32
-    assert built.indices.dtype == np.int32
-    assert built.data.dtype == np.float64
-    assert built.has_canonical_format
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(built, name), getattr(reference, name)), name
-
-
 def assert_stencil_is_reference(stencil, full):
-    """The builder's per-cell stencil lists exactly the reference's edges."""
+    """`fibered_stencil`'s per-cell stencil lists exactly the reference's
+    edges, in the dtypes and layout the sweep kernel reads."""
     m, target, step, weight = stencil
     n_cells, n_slots = target.shape
+    assert target.dtype == step.dtype == np.int64
+    assert weight.dtype == np.float64 and weight.shape == target.shape
+    assert target.flags.c_contiguous and weight.flags.c_contiguous
+    assert np.all((0 <= target) & (target <= n_cells))
+    assert np.all(np.abs(step) < m)
     cell = np.repeat(np.arange(n_cells), m * n_slots)
     z = np.tile(np.repeat(np.arange(m), n_slots), n_cells)
     slot = np.tile(np.arange(n_slots), n_cells * m)
@@ -160,6 +79,20 @@ def assert_stencil_is_reference(stencil, full):
                         coo.data)
     for got, want in zip((row, col, w), ref):
         assert np.array_equal(got, want)
+
+
+def assert_stencil_matches_oracle(graph, m):
+    """Stencil, invariance flag and kernel sweeps against the triplet
+    oracle, from every cell or, on the 3-torus, from about 25 spread over
+    the lattice and the last one."""
+    reference, invariant = graph_reference(graph)
+    assert_mirror_symmetric(reference, m)
+    assert_stencil_is_reference(graph._stencil, reference)
+    assert graph.base_invariant == invariant
+    n_cells = graph.n_nodes // m
+    cells = np.unique(np.r_[0:n_cells:max(1, n_cells // 25), n_cells - 1])
+    want = oracle_sweeps(reference_fold(reference, m), m, cells)
+    assert np.array_equal(graph.distances_from(cells), want)
 
 
 SURFACES = {
@@ -178,11 +111,7 @@ SURFACES = {
 @pytest.mark.parametrize("surface", sorted(SURFACES))
 def test_surface_csr_matches_triplets(surface, k, shape):
     graph = GridGraph(SURFACES[surface](), GridSpec(shape[0], shape[1], k))
-    reference, row_invariant = surface_reference(graph)
-    assert_mirror_symmetric(reference, graph.n_theta)
-    assert_same_csr(graph._matrix, reference_fold(reference, graph.n_theta))
-    assert_stencil_is_reference(graph._stencil, reference)
-    assert graph.base_invariant == row_invariant
+    assert_stencil_matches_oracle(graph, graph.n_theta)
     assert graph.base_invariant == (surface == "constant-circle")
 
 
@@ -193,11 +122,7 @@ def test_surface_csr_matches_triplets(surface, k, shape):
 ])
 def test_torus3_csr_matches_triplets(fld, n):
     graph = Grid3Graph(fld, Grid3Spec(n))
-    reference, xy_invariant = torus3_reference(fld, n)
-    assert_mirror_symmetric(reference, n)
-    assert_same_csr(graph._matrix, reference_fold(reference, n))
-    assert_stencil_is_reference(graph._stencil, reference)
-    assert graph.base_invariant == xy_invariant
+    assert_stencil_matches_oracle(graph, n)
     assert graph.base_invariant == isinstance(fld, ConstantField)
 
 
@@ -226,10 +151,7 @@ GRAPHS = {
 def graph_and_reference(name):
     """A graph, its full triplet reference and its fiber length."""
     graph = GRAPHS[name]()
-    if isinstance(graph, Grid3Graph):
-        n = graph.spec.n
-        return graph, torus3_reference(graph.field, n)[0], n
-    return graph, surface_reference(graph)[0], graph.n_theta
+    return graph, graph_reference(graph)[0], graph._stencil.m
 
 
 @given(name=st.sampled_from(sorted(GRAPHS)),
@@ -293,8 +215,14 @@ def test_path_between_follows_the_shortest_chain():
 
 
 def test_memory_guard_keeps_int32_indices():
-    widest = max(len(neighborhood_offsets(k)) for k in (1, 2, 3))
-    assert MAX_NODES_2D * widest < 2 ** 31
+    # the kernel numbers folded nodes, at most 5/8 of the nodes (m >= 8)
+    assert MAX_NODES_2D * 5 // 8 < 2 ** 31
+    # a stencil whose folded nodes overflow int32 is refused before any
+    # array is allocated
+    with pytest.raises(GridSizeError):
+        fibered_stencil(2 ** 29, 8, [])
+    with pytest.raises(ValueError):
+        fibered_stencil(4, 8, [(np.arange(4), np.arange(4), 8, np.ones(4))])
 
 
 def test_surface_grid_over_the_guard_raises_before_building(monkeypatch):
@@ -310,6 +238,6 @@ def test_surface_grid_over_the_guard_raises_before_building(monkeypatch):
 
 
 def test_pinned_grid_passes_the_guard(monkeypatch):
-    monkeypatch.setattr(GridGraph, "_build", lambda self: (None, None, False))
+    monkeypatch.setattr(GridGraph, "_build", lambda self: (None, False))
     graph = GridGraph(SequenceFamily("ret-cinches").space(1), GridSpec(1024, 1024, 3))
     assert graph.n_nodes == 1024 * 1024

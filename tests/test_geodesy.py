@@ -132,12 +132,16 @@ def cinch_graph():
 
 
 def test_grid_edge_matrix_is_bitwise_symmetric(cinch_graph):
+    # every stencil edge (cell, target, step, weight) has its reverse
+    # (target, cell, -step, weight) with the same weight bits
     _, graph = cinch_graph
-    m = graph._matrix.tocoo()
-    mt = graph._matrix.T.tocoo()
-    a = {(int(i), int(j)): float(v) for i, j, v in zip(m.row, m.col, m.data)}
-    for i, j, v in zip(mt.row, mt.col, mt.data):
-        assert a[(int(i), int(j))] == v  # exact equality, not approx
+    _m, target, step, weight = graph._stencil
+    cell, slot = np.nonzero(target < len(target))
+    bits = weight[cell, slot].view(np.int64)
+    edges = np.stack([cell, target[cell, slot], step[slot], bits])
+    reverse = np.stack([target[cell, slot], cell, -step[slot], bits])
+    assert np.array_equal(edges[:, np.lexsort(edges[::-1])],
+                          reverse[:, np.lexsort(reverse[::-1])])
 
 
 def test_grid_distances_symmetric_and_triangle(cinch_graph, full_rows):

@@ -5,18 +5,23 @@ the 3-torus grid only on (x, y), so translations along the fiber (z) map
 each graph onto itself; a graph whose built weights are also equal across
 rows (xy sheets) is invariant along every axis.  The cache answers a pair
 from one sweep per source orbit, which must give bit-for-bit the value a
-direct sweep from the pair's own source gives.  Sweeps of large graphs fan
-out to forked children, one started on each CPU, which take the sources one
-at a time; their table must equal one inline csgraph call bit for bit.
+direct sweep from the pair's own source gives.  Sweeps of several cells fan
+out to threads, one started on each CPU, which take the cells one at a
+time; their table must equal a one-thread call and scipy's sweeps on the
+folded triplet oracle bit for bit.
 """
 
 import functools
 import os
+import sys
+import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from oracle import graph_reference, oracle_sweeps, reference_fold
 from warpconv import (
     ConstantProfile,
     FiberSpace,
@@ -31,7 +36,6 @@ from warpconv import (
     run_family_experiment,
 )
 from warpconv import geodesy
-from warpconv.geodesy import FORK_MIN_NNZ
 from warpconv.torus3 import (
     BumpField,
     ConstantField,
@@ -208,159 +212,204 @@ def test_error_bound_without_snap_cost_is_the_anisotropy_term(graph):
 
 
 # ---------------------------------------------------------------------------
-# Sweeps of large graphs fan out to forked children
+# Sweeps of several cells fan out to threads
 
 
-LARGE = {
+FANNED = {
     "surface": lambda: GridGraph(SequenceFamily("cinched-torus").space(2),
-                                 GridSpec(512, 512, 2)),
+                                 GridSpec(256, 256, 2)),
     "torus3": lambda: Grid3Graph(BumpField(1.0, 2.0, (0.5, 0.5), 1.0),
-                                 Grid3Spec(64)),
+                                 Grid3Spec(32)),
 }
 
 
 @pytest.fixture(scope="module")
-def large():
-    """Graphs above FORK_MIN_NNZ, each built once for this module."""
-    return functools.cache(lambda kind: LARGE[kind]())
+def fanned():
+    """(graph, its folded triplet oracle), each built once for this module."""
 
+    @functools.cache
+    def build(kind):
+        graph = FANNED[kind]()
+        return graph, reference_fold(graph_reference(graph)[0], graph._stencil.m)
 
-def inline_sweeps(graph, cells):
-    """One csgraph call from node (cell, 0) of each cell."""
-    h = graph._stencil.m // 2 + 1
-    return geodesy._csgraph_dijkstra(graph._matrix, directed=True,
-                                     indices=np.asarray(cells) * h)
-
-
-def count_forks(monkeypatch):
-    """Wrap os.fork; the returned list gets each child's pid."""
-    forks = []
-    fork = os.fork
-
-    def counting():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forks
+    return build
 
 
 def fake_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def count_threads(monkeypatch):
+    """Count the threads `distances_from` starts; returns the list of them."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(geodesy.threading, "Thread", Counted)
+    return started
+
+
+def record_cells(monkeypatch, delay_on=None, delay=0.0):
+    """Log (thread, cell) for every cell `_sweep_cell` sweeps, where thread
+    is the CPU the sweeping thread moved to first, and make the thread on
+    `delay_on` sleep `delay` s per cell.  No thread really moves; each must
+    allow every usable CPU again before it sweeps."""
+    moves = {}  # thread ident -> its sched_setaffinity calls
+    log = []
+    sweep = geodesy._sweep_cell
+
+    def moving(pid, cpus):
+        assert pid == 0
+        moves.setdefault(threading.get_ident(), []).append(set(cpus))
+
+    def recording(stencil, cell, row, heap, pos):
+        (cpu,), usable = moves[threading.get_ident()]
+        assert usable == os.sched_getaffinity(0)
+        if cpu == delay_on:
+            time.sleep(delay)
+        log.append((cpu, cell))
+        sweep(stencil, cell, row, heap, pos)
+
+    monkeypatch.setattr(os, "sched_setaffinity", moving)
+    monkeypatch.setattr(geodesy, "_sweep_cell", recording)
+    return log
+
+
 @pytest.mark.parametrize("cpus", [None, 3], ids=["usable-cpus", "three-cpus"])
-@pytest.mark.parametrize("kind", sorted(LARGE))
-def test_fanned_out_sweeps_equal_one_inline_call(kind, cpus, large, monkeypatch):
-    graph = large(kind)
-    assert graph._matrix.nnz >= FORK_MIN_NNZ
+@pytest.mark.parametrize("kind", sorted(FANNED))
+def test_fanned_out_sweeps_equal_one_inline_call(kind, cpus, fanned, monkeypatch):
+    graph, folded = fanned(kind)
+    cells = [5, 0, 17, 3, 9]  # unsorted, and more cells than threads
     if cpus is not None:
         fake_cpus(monkeypatch, cpus)
-    forks = count_forks(monkeypatch)
-    cells = [5, 0, 17, 3, 9]  # unsorted, and more cells than children
+    threads = count_threads(monkeypatch)
     table = graph.distances_from(cells)
     workers = min(len(cells), len(os.sched_getaffinity(0)))
-    assert len(forks) == (workers if workers > 1 else 0)
-    want = inline_sweeps(graph, cells)
+    assert len(threads) == (workers if workers > 1 else 0)
+    assert not any(t.is_alive() for t in threads)
+    fake_cpus(monkeypatch, 1)
+    one_thread = graph.distances_from(cells)
+    want = oracle_sweeps(folded, graph._stencil.m, cells)
     assert table.dtype == want.dtype == np.float64
-    assert table.shape == want.shape == (len(cells), graph._matrix.shape[0])
+    assert table.shape == one_thread.shape == want.shape
+    assert np.array_equal(table, one_thread)
     assert np.array_equal(table, want)
 
 
-def test_small_graphs_single_cells_and_one_cpu_sweep_inline(large, monkeypatch):
-    def no_fork():
-        raise AssertionError("forked")
+def test_single_cells_and_one_cpu_sweep_on_the_calling_thread(fanned,
+                                                              monkeypatch):
+    graph, folded = fanned("surface")
+    m = graph._stencil.m
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    def no_thread(*args, **kwargs):
+        raise AssertionError("started a thread")
+
+    def no_move(pid, cpus):
+        raise AssertionError("moved the calling thread")
+
+    monkeypatch.setattr(geodesy.threading, "Thread", no_thread)
+    monkeypatch.setattr(os, "sched_setaffinity", no_move)
     fake_cpus(monkeypatch, 2)
-    small = GridGraph(SequenceFamily("cinched-torus").space(2), GridSpec(256, 256, 2))
-    assert small._matrix.nnz < FORK_MIN_NNZ
-    assert np.array_equal(small.distances_from([0, 1, 2, 3]),
-                          inline_sweeps(small, [0, 1, 2, 3]))
-    graph = large("surface")
-    assert np.array_equal(graph.distances_from([7]), inline_sweeps(graph, [7]))
+    assert np.array_equal(graph.distances_from([7]), oracle_sweeps(folded, m, [7]))
     fake_cpus(monkeypatch, 1)
     assert np.array_equal(graph.distances_from([1, 2, 3]),
-                          inline_sweeps(graph, [1, 2, 3]))
+                          oracle_sweeps(folded, m, [1, 2, 3]))
+    assert graph.distances_from([]).shape == (0, folded.shape[0])
+
+
+def test_cpus_are_counted_where_the_platform_has_no_affinity(fanned,
+                                                            monkeypatch):
+    graph, folded = fanned("torus3")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delattr(os, "sched_setaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert geodesy._usable_cpus() == [0, 1, 2]
+    threads = count_threads(monkeypatch)
+    cells = [1, 2, 3, 4]
+    table = graph.distances_from(cells)
+    assert len(threads) == 3
+    assert np.array_equal(table, oracle_sweeps(folded, graph._stencil.m, cells))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert geodesy._usable_cpus() == [0]
+
+
+def test_cells_outside_the_base_are_refused(fanned):
+    graph, _ = fanned("surface")
+    for cells in ([-1], [0, graph.n_rows]):
+        with pytest.raises(IndexError):
+            graph.distances_from(cells)
 
 
 @pytest.mark.parametrize("failing", ["first", "every"])
-def test_failed_child_raises_and_every_child_is_reaped(failing, large, monkeypatch):
-    graph = large("surface")
-    cells = [0, 1, 2, 3]
-    first = cells[0] * (graph._stencil.m // 2 + 1)
-    sweep = geodesy._csgraph_dijkstra
+def test_failed_worker_raises_and_caches_no_row(failing, fanned, monkeypatch):
+    graph, _ = fanned("surface")
+    graph._orbit_rows.clear()
+    m = graph._stencil.m
+    pairs = [(cell * m, 5) for cell in (40, 41, 42, 43)]
+    sweep = geodesy._sweep_cell
 
-    def broken(matrix, directed, indices):
-        # the first child fails; the others finish and block on a full pipe
-        if failing == "every" or indices[0] == first:
+    def broken(stencil, cell, row, heap, pos):
+        if failing == "every" or cell == 40:
             raise MemoryError("sweep failed")
-        return sweep(matrix, directed=directed, indices=indices)
+        sweep(stencil, cell, row, heap, pos)
 
     fake_cpus(monkeypatch, 2)
-    monkeypatch.setattr(geodesy, "_csgraph_dijkstra", broken)
-    with pytest.raises(RuntimeError):
-        graph.distances_from(cells)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    threads = count_threads(monkeypatch)
+    monkeypatch.setattr(geodesy, "_sweep_cell", broken)
+    with pytest.raises(MemoryError, match="sweep failed"):
+        graph.pair_distances(pairs)
+    assert len(threads) == 2
+    assert not any(t.is_alive() for t in threads)
+    assert graph._orbit_rows == {}
+    monkeypatch.setattr(geodesy, "_sweep_cell", sweep)
+    assert len(graph.pair_distances(pairs)) == 4
+    assert graph._orbit_rows.keys() == {40, 41, 42, 43}
 
 
-def record_children(monkeypatch, log, slow_cpu=None, delay=0.0):
-    """Make each sweep child append "cpu index" to `log` for every source it
-    sweeps, where cpu is the one it moved to first, and the child started on
-    `slow_cpu` sleep `delay` s per source.  No child really moves; each must
-    allow every usable CPU again before it sweeps."""
-    moves = []  # the child's sched_setaffinity calls, in the child only
-    sweep = geodesy._csgraph_dijkstra
-
-    def recording(matrix, directed, indices):
-        (cpu,), usable = moves
-        assert usable == os.sched_getaffinity(0)
-        if cpu == slow_cpu:
-            time.sleep(delay)
-        with open(log, "a") as f:
-            f.write(f"{cpu} {int(indices[0])}\n")
-        return sweep(matrix, directed=directed, indices=indices)
-
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: moves.append(cpus))
-    monkeypatch.setattr(geodesy, "_csgraph_dijkstra", recording)
-
-
-def swept(log):
-    """{cpu: number of sources its child swept} from a `record_children` log."""
-    counts = {}
-    for line in log.read_text().splitlines():
-        cpu = int(line.split()[0])
-        counts[cpu] = counts.get(cpu, 0) + 1
-    return counts
-
-
-def test_each_child_starts_on_its_own_cpu_and_sweeps_one_source_a_time(
-        large, monkeypatch, tmp_path):
-    graph = large("torus3")
+def test_each_worker_starts_on_its_own_cpu_and_sweeps_one_cell_at_a_time(
+        fanned, monkeypatch):
+    graph, folded = fanned("torus3")
     cells = [4, 8, 15, 16, 23, 42]
-    want = inline_sweeps(graph, cells)
     fake_cpus(monkeypatch, 3)
-    log = tmp_path / "sweeps"
-    record_children(monkeypatch, log)
+    log = record_cells(monkeypatch)
     table = graph.distances_from(cells)
-    h = graph._stencil.m // 2 + 1
-    rows = [line.split() for line in log.read_text().splitlines()]
-    assert {int(cpu) for cpu, _ in rows} == {0, 1, 2}
-    assert sorted(int(index) for _, index in rows) == sorted(c * h for c in cells)
-    assert np.array_equal(table, want)
+    assert {cpu for cpu, _ in log} == {0, 1, 2}
+    assert sorted(cell for _, cell in log) == cells
+    assert np.array_equal(table, oracle_sweeps(folded, graph._stencil.m, cells))
 
 
-def test_a_slow_child_sweeps_fewer_sources(large, monkeypatch, tmp_path):
-    # child 0 needs 2 s a source: the other child sweeps the rest meanwhile
-    graph = large("surface")
+def test_a_slow_worker_sweeps_fewer_cells(fanned, monkeypatch):
+    # the thread on CPU 0 needs 1 s a cell: the other sweeps the rest meanwhile
+    graph, folded = fanned("surface")
     cells = [0, 1, 2, 3, 4, 5]
-    want = inline_sweeps(graph, cells)
     fake_cpus(monkeypatch, 2)
-    log = tmp_path / "sweeps"
-    record_children(monkeypatch, log, slow_cpu=0, delay=2.0)
+    log = record_cells(monkeypatch, delay_on=0, delay=1.0)
     table = graph.distances_from(cells)
-    assert swept(log) == {0: 1, 1: 5}
+    assert Counter(cpu for cpu, _ in log) == {0: 1, 1: 5}
+    assert np.array_equal(table, oracle_sweeps(folded, graph._stencil.m, cells))
+
+
+def test_many_workers_sweep_every_cell_once(fanned, monkeypatch):
+    # more threads than CPUs, switching as often as the interpreter allows:
+    # a lost update of the shared cell iterator would sweep a cell twice or
+    # leave a row unwritten
+    graph, _ = fanned("torus3")
+    cells = list(range(0, 1024, 16))
+    fake_cpus(monkeypatch, 1)
+    want = graph.distances_from(cells)
+    fake_cpus(monkeypatch, 8)
+    log = record_cells(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.monotonic()
+        table = graph.distances_from(cells)
+        assert time.monotonic() - start < 60
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(cell for _, cell in log) == cells
+    assert len({cpu for cpu, _ in log}) > 1
     assert np.array_equal(table, want)

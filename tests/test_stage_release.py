@@ -19,7 +19,7 @@ from warpconv import (
     run_family_experiment,
 )
 from warpconv import convergence
-from warpconv.convergence import probe_plan, stage_row
+from warpconv.convergence import default_grid, probe_plan, stage_row
 from warpconv.torus3 import (
     ConstantField,
     Grid3Graph,
@@ -38,6 +38,7 @@ class GraphWatch:
     def __init__(self, monkeypatch, cls, is_reference):
         self.graphs = []  # (kind, weak reference)
         self.snaps = []  # snap calls per graph, by build order
+        self.alive_at_build = []  # (kind, spec) of the live graphs, per build
         self.sweeps = {"stage": 0, "reference": 0}
         init, sweep, snap = cls.__init__, cls.distances_from, cls.snap
         watch = self
@@ -46,6 +47,7 @@ class GraphWatch:
             init(graph, *args, **kwargs)
             kind = "reference" if is_reference(graph) else "stage"
             assert watch.live_stages() == 0, f"{kind} built beside a stage graph"
+            watch.alive_at_build.append(watch.live())
             graph._watch_serial = len(watch.graphs)
             watch.graphs.append((kind, weakref.ref(graph)))
             watch.snaps.append(0)
@@ -64,6 +66,10 @@ class GraphWatch:
         monkeypatch.setattr(cls, "__init__", built)
         monkeypatch.setattr(cls, "distances_from", swept)
         monkeypatch.setattr(cls, "snap", snapped)
+
+    def live(self):
+        return [(kind, ref().spec) for kind, ref in self.graphs
+                if ref() is not None]
 
     def live_stages(self):
         return sum(1 for kind, ref in self.graphs
@@ -117,6 +123,19 @@ def test_surface_stages_are_released_before_references(surface_watch, kind,
     assert stage_snaps == [
         distinct_points(fam.sample_plan(j, n_sources=3, n_targets=5, offset=2))
         for j in j_list]
+
+
+def test_a_reference_is_released_after_the_last_stage_on_its_grid(
+        surface_watch):
+    # the default schedule moves from 256^2 (j = 8) to 288^2 (j = 9)
+    fam = SequenceFamily("cinched-torus")
+    first, second = default_grid(fam, 8), default_grid(fam, 9)
+    assert first != second
+    run_family_experiment(fam, [8, 9], n_sources=2, n_targets=3)
+    assert surface_watch.kinds() == ["stage", "reference", "stage", "reference"]
+    # the 256^2 reference is gone before the 288^2 stage graph is built
+    assert surface_watch.alive_at_build == [[], [], [], []]
+    assert surface_watch.live() == []
 
 
 def test_discrepancy_estimate_releases_its_stage_graph(surface_watch):

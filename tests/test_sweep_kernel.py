@@ -1,0 +1,125 @@
+"""Building and loading the sweep kernel.
+
+`warpconv._sweep` compiles `_sweep.c` once per hash of its source and flags
+into a cache directory and loads the library from there afterwards; a
+missing or failing compiler is an error that shows what went wrong.
+"""
+
+import subprocess
+
+import numpy as np
+import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
+
+from warpconv import _sweep
+from warpconv.geodesy import FiberStencil, _sweep_cell, fibered_stencil
+
+
+def count_compiles(monkeypatch):
+    calls = []
+    run = subprocess.run
+
+    def counting(cmd, *args, **kwargs):
+        calls.append(cmd)
+        return run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(_sweep.subprocess, "run", counting)
+    return calls
+
+
+def test_a_fresh_cache_builds_once_and_later_loads_do_not_compile(
+        tmp_path, monkeypatch):
+    calls = count_compiles(monkeypatch)
+    cache = tmp_path / "cache"
+    first = _sweep.load_kernel(_sweep.SOURCE, cache)
+    assert len(calls) == 1 and calls[0][0] == _sweep.COMPILER
+    # one library, named by the source hash; no temporary file left over
+    (lib,) = cache.iterdir()
+    assert lib.name.startswith("_sweep-") and lib.suffix == ".so"
+    second = _sweep.load_kernel(_sweep.SOURCE, cache)
+    assert len(calls) == 1
+    assert list(cache.iterdir()) == [lib]
+    # both loads sweep like the kernel warpconv imported
+    stencil = path_stencil(6)
+    want = sweep_with(_sweep.sweep, stencil, 2)
+    assert np.array_equal(sweep_with(first, stencil, 2), want)
+    assert np.array_equal(sweep_with(second, stencil, 2), want)
+
+
+def test_an_edited_source_builds_a_new_library(tmp_path, monkeypatch):
+    calls = count_compiles(monkeypatch)
+    source = tmp_path / "_sweep.c"
+    source.write_bytes(_sweep.SOURCE.read_bytes())
+    cache = tmp_path / "cache"
+    one = _sweep.build_library(source, cache)
+    source.write_bytes(_sweep.SOURCE.read_bytes() + b"\n/* edited */\n")
+    two = _sweep.build_library(source, cache)
+    assert one != two and len(calls) == 2
+    assert sorted(cache.iterdir()) == sorted([one, two])
+
+
+def test_a_missing_compiler_raises_a_clear_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path / "no-such-dir"))
+    cache = tmp_path / "cache"
+    with pytest.raises(_sweep.KernelBuildError, match="no C compiler 'cc'"):
+        _sweep.load_kernel(_sweep.SOURCE, cache)
+    assert list(cache.iterdir()) == []
+
+
+def test_a_failing_compile_shows_the_compiler_output(tmp_path):
+    source = tmp_path / "_sweep.c"
+    source.write_text("this is not C;\n")
+    cache = tmp_path / "cache"
+    with pytest.raises(_sweep.KernelBuildError) as info:
+        _sweep.build_library(source, cache)
+    message = str(info.value)
+    assert "exited with status" in message and "_sweep.c" in message
+    assert "error" in message.lower()
+    assert list(cache.iterdir()) == []
+
+
+def path_stencil(m):
+    """A cycle of 5 base cells with edges of uneven weights, times a fiber
+    of m positions, plus a fiber step inside each cell."""
+    cells = np.arange(5)
+    return fibered_stencil(5, m, [
+        (cells, (cells + 1) % 5, 0, np.array([1.0, 0.3, 2.5, 0.7, 1.1])),
+        (cells, (cells + 2) % 5, 1, np.array([0.4, 3.0, 0.9, 1.7, 0.2])),
+        (cells, cells, 1, np.array([0.25, 0.5, 0.125, 2.0, 1.0])),
+    ])
+
+
+def sweep_with(kernel, stencil: FiberStencil, cell):
+    m, target, step, weight = stencil
+    n = len(target) * (m // 2 + 1)
+    row = np.empty(n)
+    heap, pos = np.empty(n, np.int32), np.empty(n, np.int32)
+    kernel(len(target), m, len(step), target, step, weight, cell, row, heap, pos)
+    return row
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_kernel_sweeps_the_folded_stencil_like_scipy(m):
+    stencil = path_stencil(m)
+    _, target, step, weight = stencil
+    h = m // 2 + 1
+    rows, cols, data = [], [], []
+    for c in range(len(target)):
+        for z in range(h):
+            for s in range(len(step)):
+                zz = (z + step[s]) % m
+                rows.append(c * h + z)
+                cols.append(target[c, s] * h + min(zz, m - zz))
+                data.append(weight[c, s])
+    # duplicate (row, col) entries are summed by csr_matrix: keep the minimum
+    best = {}
+    for r, c, w in zip(rows, cols, data):
+        best[r, c] = min(w, best.get((r, c), np.inf))
+    (r, c), w = zip(*best), list(best.values())
+    folded = csr_matrix((w, (r, c)), shape=(len(target) * h,) * 2)
+    for cell in range(len(target)):
+        row = np.empty(folded.shape[0])
+        heap, pos = np.empty(len(row), np.int32), np.empty(len(row), np.int32)
+        _sweep_cell(stencil, cell, row, heap, pos)
+        assert np.array_equal(row, dijkstra(folded, indices=cell * h))
