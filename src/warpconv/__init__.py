@@ -11,9 +11,7 @@ from .core import (
     HypothesisError,
     InvalidDescriptor,
     PolylineCurve,
-    SumOfBumpsProfile,
     SurfacePoint,
-    TabulatedProfile,
     WarpedSpace,
     WarpingProfile,
     bilipschitz_lambda,
@@ -23,7 +21,6 @@ from .core import (
     diameter_upper_bound,
     interval_base,
     lp_profile_distance,
-    profile_from_descriptor,
     ridge_bump,
     sandwich_bounds,
     segment_length,
@@ -53,7 +50,6 @@ from .geodesy import (
     cinch_limit_distance,
     clairaut_distance,
     flat_product_distance,
-    grid_distance,
     level_set_distance,
     neighborhood_offsets,
     ridge_bypass_bound,
@@ -63,10 +59,8 @@ from .geodesy import (
 )
 from .ret import (
     RETSpace,
-    ball_boundary,
     mix_threshold,
     ret_distance,
-    ret_distance_brute,
     ret_point_distance,
 )
 from .sampling import (
@@ -82,12 +76,10 @@ from .torus3 import (
     Grid3Graph,
     Grid3Spec,
     Point3,
-    SumOfBumpsField,
     Torus3Family,
     bilip_lambda3,
     cube_samples,
     diameter3_upper_bound,
-    grid3_distance,
     limit3_distance,
     run_torus3_experiment,
     stencil_anisotropy3,

@@ -222,13 +222,12 @@ def plan_values(graph, plan: SamplePlan) -> PlanValues:
 
     pairs, nodes = [], []
     for a, b in plan.pairs():
-        ia, pa, _ = snap(a)
-        ib, pb, _ = snap(b)
+        ia, pa = snap(a)
+        ib, pb = snap(b)
         pairs.append((pa, pb))
         nodes.append((ia, ib))
     values = graph.pair_distances(nodes)
-    # endpoints are exact nodes here, so snap costs do not enter
-    errors = [graph.error_bound(d, 0.0) for d in values]
+    errors = [graph.error_bound(d) for d in values]
     return PlanValues(pairs, values, errors)
 
 
@@ -249,18 +248,6 @@ def limit_probes(stage: PlanValues,
                                            stage.errors, reference_values))
 
 
-def probe_plan(graph, plan: SamplePlan,
-               limit_distance: Callable[[object, object], float],
-               reference=None) -> Tuple[PairProbe, ...]:
-    """Probe every pair of the plan on a grid graph (`GridGraph` or
-    `torus3.Grid3Graph`): the graph's value and error, `limit_distance`
-    at the snapped endpoints, and the reference graph's value on the same
-    nodes when a reference is given."""
-    stage = plan_values(graph, plan)
-    ref_values = None if reference is None else plan_values(reference, plan).values
-    return limit_probes(stage, limit_distance, ref_values)
-
-
 def _surface_result(family: SequenceFamily, j: int, grid: GridSpec,
                     plan: SamplePlan, limit: LimitMetric, stage: PlanValues,
                     reference: GridGraph) -> DiscrepancyResult:
@@ -274,25 +261,20 @@ def _surface_result(family: SequenceFamily, j: int, grid: GridSpec,
 def discrepancy_estimate(family: SequenceFamily, j: int,
                          grid: Optional[GridSpec] = None,
                          plan: Optional[SamplePlan] = None,
-                         limit: Optional[LimitMetric] = None,
-                         graph: Optional[GridGraph] = None,
-                         reference: Optional[GridGraph] = None) -> DiscrepancyResult:
+                         limit: Optional[LimitMetric] = None) -> DiscrepancyResult:
     """Sampled uniform-distance discrepancy between stage j and the limit.
 
-    Pass `graph` / `reference` to reuse prebuilt grids (the reference depends
-    only on the limit and the grid, not on j).  A stage graph built here is
-    read once and released before the reference is built or swept, as in
-    `run_family_experiment`, whose row for the same stage, plan and limit
-    carries these probes.
+    Builds the stage graph and the limit's reference graph on `grid`
+    (default `default_grid`).  The stage graph is read once and released
+    before the reference is built or swept, as in `run_family_experiment`,
+    whose row for the same stage, plan and limit carries these probes.
     """
     grid = grid or default_grid(family, j)
     limit = limit if limit is not None else family.candidate_limits()[0]
     plan = plan or family.sample_plan(j)
-    stage = plan_values(graph if graph is not None
-                        else GridGraph(family.space(j), grid), plan)
-    if reference is None:
-        reference = GridGraph(
-            reference_space(limit, family.base, family.fiber, grid), grid)
+    stage = plan_values(GridGraph(family.space(j), grid), plan)
+    reference = GridGraph(
+        reference_space(limit, family.base, family.fiber, grid), grid)
     return _surface_result(family, j, grid, plan, limit, stage, reference)
 
 

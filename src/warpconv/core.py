@@ -10,8 +10,8 @@ diameter / bi-Lipschitz bounds used throughout the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class HypothesisError(ValueError):
 
 
 class InvalidDescriptor(ValueError):
-    """A JSON profile/scenario descriptor failed validation."""
+    """Profile, family or field parameters outside their valid range."""
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +196,6 @@ class WarpingProfile:
         """L^p norm of (profile - level) over the base domain."""
         return lp_profile_distance(self, ConstantProfile(level), p, base)
 
-    def to_descriptor(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantProfile(WarpingProfile):
@@ -223,9 +220,6 @@ class ConstantProfile(WarpingProfile):
 
     def integral_on(self, lo, hi):
         return self.level * (hi - lo)
-
-    def to_descriptor(self):
-        return {"family": "constant", "params": {"level": self.level}}
 
 
 @dataclass(frozen=True)
@@ -260,20 +254,6 @@ class BumpProfile(WarpingProfile):
         bump = (self.peak - self.level) * self.half_width * _bump_shape_integral(t0, t1)
         return self.level * (hi - lo) + bump
 
-    def to_descriptor(self):
-        if self.level == 1.0 and self.peak < 1.0:
-            return {"family": "cinch_bump",
-                    "params": {"h0": self.peak, "center": self.center,
-                               "half_width": self.half_width}}
-        if self.level == 1.0 and self.peak > 1.0:
-            return {"family": "ridge_bump",
-                    "params": {"h0": self.peak, "center": self.center,
-                               "half_width": self.half_width}}
-        return {"family": "sum_of_bumps",
-                "params": {"level": self.level,
-                           "bumps": [{"peak": self.peak, "center": self.center,
-                                      "half_width": self.half_width}]}}
-
 
 def cinch_bump(h0: float, center: float = 0.0, half_width: float = 1.0) -> BumpProfile:
     """Level-1 profile dipping to h0 at the center; h0 in (0, 1]."""
@@ -287,60 +267,6 @@ def ridge_bump(h0: float, center: float = 0.0, half_width: float = 1.0) -> BumpP
     if not (1.0 < h0 <= 2.0):
         raise InvalidDescriptor("ridge height h0 must lie in (1, 2]")
     return BumpProfile(1.0, h0, center, half_width)
-
-
-@dataclass(frozen=True)
-class SumOfBumpsProfile(WarpingProfile):
-    """Constant level plus a finite list of cosine bumps.
-
-    Bumps are (peak, center, half_width) triples.  Supports must be disjoint,
-    also across the seam of a 2*pi circle base: the extremum and integral
-    formulas read each bump on its own, so construction rejects overlaps.
-    """
-
-    level: float
-    bumps: Tuple[Tuple[float, float, float], ...]
-
-    def __post_init__(self):
-        if not (self.level > 0):
-            raise InvalidDescriptor("level must be positive")
-        for peak, _c, hw in self.bumps:
-            if not (peak > 0 and hw > 0):
-                raise InvalidDescriptor("bumps need positive peak and half_width")
-        for i, (_peak, center, hw) in enumerate(self.bumps):
-            for _peak2, center2, hw2 in self.bumps[i + 1:]:
-                gap = abs(center - center2) % TAU
-                if min(gap, TAU - gap) < hw + hw2:
-                    raise InvalidDescriptor("bump supports must not overlap")
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.full_like(r, self.level)
-        for peak, center, hw in self.bumps:
-            out += (peak - self.level) * _bump_shape((r - center) / hw)
-        return out
-
-    def breakpoints_in(self, lo, hi):
-        pts = []
-        for _peak, center, hw in self.bumps:
-            for p in (center - hw, center, center + hw):
-                if lo < p < hi:
-                    pts.append(p)
-        return np.array(sorted(pts))
-
-    def integral_on(self, lo, hi):
-        total = self.level * (hi - lo)
-        for peak, center, hw in self.bumps:
-            t0 = (lo - center) / hw
-            t1 = (hi - center) / hw
-            total += (peak - self.level) * hw * _bump_shape_integral(t0, t1)
-        return total
-
-    def to_descriptor(self):
-        return {"family": "sum_of_bumps",
-                "params": {"level": self.level,
-                           "bumps": [{"peak": p, "center": c, "half_width": w}
-                                     for p, c, w in self.bumps]}}
 
 
 @dataclass(frozen=True)
@@ -456,126 +382,6 @@ class BumpLatticeProfile(WarpingProfile):
             simpson = _bump_shape(ts) ** p
             shape = float(np.sum((simpson[:-1] + simpson[1:]) * 0.5 * np.diff(ts)))
         return (count * amp ** p * self.half_width * shape) ** (1.0 / p)
-
-    def to_descriptor(self):
-        return {"family": "bump_lattice",
-                "params": {"level": self.level, "peak": self.peak,
-                           "cells": self.cells, "half_width": self.half_width}}
-
-
-@dataclass(frozen=True)
-class TabulatedProfile(WarpingProfile):
-    """Piecewise-linear profile through (r, f) sample knots."""
-
-    r_knots: Tuple[float, ...]
-    f_knots: Tuple[float, ...]
-
-    def __post_init__(self):
-        r = np.asarray(self.r_knots, dtype=float)
-        f = np.asarray(self.f_knots, dtype=float)
-        if r.ndim != 1 or r.size < 2 or r.size != f.size:
-            raise InvalidDescriptor("tabulated profile needs matching r/f arrays, length >= 2")
-        if np.any(np.diff(r) <= 0):
-            raise InvalidDescriptor("tabulated r knots must be strictly increasing")
-        if np.any(f <= 0):
-            raise InvalidDescriptor("tabulated profile values must be positive")
-        object.__setattr__(self, "level", float(f[0]))
-
-    def __call__(self, r):
-        return np.interp(np.asarray(r, dtype=float), self.r_knots, self.f_knots)
-
-    def breakpoints_in(self, lo, hi):
-        r = np.asarray(self.r_knots)
-        return r[(r > lo) & (r < hi)]
-
-    def integral_on(self, lo, hi):
-        r = np.asarray(self.r_knots, dtype=float)
-        pts = np.unique(np.concatenate(([lo, hi], r[(r > lo) & (r < hi)])))
-        vals = self(pts)
-        trapezoid = getattr(np, "trapezoid", np.trapz)
-        return float(trapezoid(vals, pts))
-
-    def to_descriptor(self):
-        return {"family": "tabulated",
-                "params": {"r": list(self.r_knots), "f": list(self.f_knots)}}
-
-
-_PROFILE_FAMILIES = {
-    "constant", "cinch_bump", "ridge_bump", "sum_of_bumps", "bump_lattice",
-    "tabulated",
-}
-
-
-def profile_from_descriptor(desc: dict) -> WarpingProfile:
-    """Build a profile from a JSON descriptor {"family": ..., "params": {...}}.
-
-    Unknown families, unknown parameter fields, and invalid values raise
-    InvalidDescriptor.
-    """
-    if not isinstance(desc, dict):
-        raise InvalidDescriptor("profile descriptor must be an object")
-    extra = set(desc) - {"family", "params"}
-    if extra:
-        raise InvalidDescriptor(f"unknown descriptor fields: {sorted(extra)}")
-    family = desc.get("family")
-    params = desc.get("params", {})
-    if family not in _PROFILE_FAMILIES:
-        raise InvalidDescriptor(f"unknown profile family {family!r}")
-    if not isinstance(params, dict):
-        raise InvalidDescriptor("params must be an object")
-
-    def need(keys):
-        extra = set(params) - set(keys)
-        if extra:
-            raise InvalidDescriptor(f"unknown params for {family}: {sorted(extra)}")
-        missing = [k for k in keys if k not in params and k not in _PARAM_DEFAULTS]
-        if missing:
-            raise InvalidDescriptor(f"missing params for {family}: {missing}")
-
-    _PARAM_DEFAULTS = {"center", "half_width"}
-    try:
-        if family == "constant":
-            # "c" is the conventional symbol for the constant level
-            extra_keys = set(params) - {"level", "c"}
-            if extra_keys:
-                raise InvalidDescriptor(
-                    f"unknown params for constant: {sorted(extra_keys)}")
-            if ("level" in params) == ("c" in params):
-                raise InvalidDescriptor(
-                    "constant takes exactly one of 'level' or 'c'")
-            value = params["level"] if "level" in params else params["c"]
-            return ConstantProfile(float(value))
-        if family == "cinch_bump":
-            need(["h0", "center", "half_width"])
-            return cinch_bump(float(params["h0"]), float(params.get("center", 0.0)),
-                              float(params.get("half_width", 1.0)))
-        if family == "ridge_bump":
-            need(["h0", "center", "half_width"])
-            return ridge_bump(float(params["h0"]), float(params.get("center", 0.0)),
-                              float(params.get("half_width", 1.0)))
-        if family == "sum_of_bumps":
-            need(["level", "bumps"])
-            bumps = []
-            for b in params["bumps"]:
-                bextra = set(b) - {"peak", "center", "half_width"}
-                if bextra:
-                    raise InvalidDescriptor(f"unknown bump fields: {sorted(bextra)}")
-                bumps.append((float(b["peak"]), float(b["center"]),
-                              float(b["half_width"])))
-            return SumOfBumpsProfile(float(params["level"]), tuple(bumps))
-        if family == "bump_lattice":
-            need(["level", "peak", "cells", "half_width"])
-            return BumpLatticeProfile(float(params["level"]), float(params["peak"]),
-                                      int(params["cells"]), float(params["half_width"]))
-        if family == "tabulated":
-            need(["r", "f"])
-            return TabulatedProfile(tuple(map(float, params["r"])),
-                                    tuple(map(float, params["f"])))
-    except InvalidDescriptor:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise InvalidDescriptor(str(exc)) from exc
-    raise InvalidDescriptor(f"unhandled family {family!r}")
 
 
 # ---------------------------------------------------------------------------

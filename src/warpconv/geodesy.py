@@ -9,10 +9,12 @@ Three independent routes to the same quantity:
 * closed-form candidates and bounds (level-set, taxi, ridge bypass, flat
   product).
 
-The grid oracle reports an error estimate built from endpoint snapping plus a
-direction-anisotropy constant; the constants below are worst-case ratios of
-the best k-neighborhood polyline to the straight segment in a flat metric and
-are pinned against a brute-force direction sweep in the test suite.
+The grid oracle's error estimate is the direction-anisotropy term alone:
+probe endpoints snap to grid nodes and the limit metric is evaluated at the
+snapped nodes, so no snap term enters.  The constants below are worst-case
+ratios of the best k-neighborhood polyline to the straight segment in a flat
+metric and are pinned against a brute-force direction sweep in the test
+suite.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .core import (
     FiberSpace,
     HypothesisError,
     InvalidDescriptor,
-    PolylineCurve,
     SurfacePoint,
     WarpedSpace,
     segment_length,
@@ -251,37 +252,9 @@ class OrbitSweepCache:
         return [float(rows[r][c, k])
                 for r, c, k in zip(reps.tolist(), cells.tolist(), z.tolist())]
 
-    def error_bound(self, distance: float, snap_cost: float) -> float:
-        """Error bar of a grid distance: snap cost plus anisotropy term."""
-        return snap_cost + self.aniso_bound * distance + 1e-9
-
-    def shortest_chain(self, src: int, dst: int) -> Tuple[float, List[int]]:
-        """Distance src -> dst and the nodes of one shortest path.
-
-        Walks back from dst: each step moves to the first stencil neighbour
-        u of the current node x with fl(d(u) + w) == d(x).  The sweep's
-        distances satisfy d(x) = min_u fl(d(u) + w) at every x but src, so
-        such a u exists, d falls at every step, and the left-to-right float
-        sum of the chain's weights is the distance bit for bit.  d(x) is
-        read from the folded sweep of src's cell at x's fiber offset.
-        """
-        m, target, step, weight = self._stencil
-        d = self.distances_from([src // m])[0].reshape(len(target), -1)
-        node = int(dst)
-        here = dist = d[node // m, _fold(node - src, m)]
-        if not math.isfinite(dist):
-            raise RuntimeError("graph is disconnected")
-        chain = [node]
-        while node != src:
-            cell, z = divmod(node, m)
-            live = target[cell] < len(target)
-            prev = np.where(live, target[cell], 0)
-            before = d[prev, _fold(z + step - src, m)]
-            s = np.flatnonzero(live & (before + weight[cell] == here))[0]
-            node, here = int(prev[s] * m + (z + step[s]) % m), before[s]
-            chain.append(node)
-        chain.reverse()
-        return float(dist), chain
+    def error_bound(self, distance: float) -> float:
+        """Error bar of a grid distance between nodes: the anisotropy term."""
+        return self.aniso_bound * distance + 1e-9
 
 
 def fibered_stencil(n_cells: int, m: int, directions) -> FiberStencil:
@@ -376,19 +349,13 @@ class GeodesicResult:
     distance: float
     method: str
     error_estimate: float
-    path: Optional[PolylineCurve] = None
-    converged: bool = True
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "distance": self.distance,
             "method": self.method,
             "error_estimate": self.error_estimate,
-            "converged": self.converged,
         }
-        if self.path is not None:
-            out["path"] = [[pt.r, pt.theta] for pt in self.path.points]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +507,9 @@ class GridGraph(OrbitSweepCache):
         row, col = divmod(int(idx), self.n_theta)
         return SurfacePoint(float(self.rows[row]), float(self.thetas[col]))
 
-    def snap(self, p: SurfacePoint) -> Tuple[int, SurfacePoint, float]:
-        """Nearest node to p: (node index, node point, metric snap cost)."""
+    def snap(self, p: SurfacePoint) -> Tuple[int, SurfacePoint]:
+        """Nearest node to p: (node index, node point).  Distances and the
+        limit metric are evaluated at the node point, not at p."""
         base = self.space.base
         r = float(base.wrap(p.r)) if base.is_circle else float(p.r)
         if not base.contains(r):
@@ -554,65 +522,7 @@ class GridGraph(OrbitSweepCache):
         th = p.theta % self.space.fiber.circumference
         l = int(round(th / self.htheta)) % self.n_theta
         node = self.node_index(i, l)
-        q = self.node_point(node)
-        dr = base.signed_minor(p.r, q.r) if base.is_circle else (q.r - p.r)
-        dth = self.space.fiber.signed_minor(p.theta, q.theta)
-        cost = segment_length(self.space, float(p.r), dr, dth) \
-            if (dr or dth) else 0.0
-        return node, q, cost
-
-    def path_between(self, src: int, dst: int) -> Tuple[float, PolylineCurve]:
-        """Shortest path src -> dst as a polyline with wrap flags."""
-        dist, chain = self.shortest_chain(src, dst)
-        pts = [self.node_point(n) for n in chain]
-        C = self.space.fiber.circumference
-        L = self.space.base.length
-        theta_wraps, r_wraps = [], []
-        half_rows = self.n_rows // 2
-        for a, b in zip(chain[:-1], chain[1:]):
-            ra, ca = divmod(a, self.n_theta)
-            rb, cb = divmod(b, self.n_theta)
-            dj = cb - ca
-            if dj > self.n_theta // 2:
-                dj -= self.n_theta
-            elif dj < -(self.n_theta // 2):
-                dj += self.n_theta
-            naive = self.thetas[cb] - self.thetas[ca]
-            theta_wraps.append(int(round((dj * self.htheta - naive) / C)))
-            if self.space.base.is_circle:
-                di = rb - ra
-                if di > half_rows:
-                    di -= self.n_rows
-                elif di < -half_rows:
-                    di += self.n_rows
-                naive_r = self.rows[rb] - self.rows[ra]
-                r_wraps.append(int(round((di * self.hr - naive_r) / L)))
-            else:
-                r_wraps.append(0)
-        return dist, PolylineCurve(pts, theta_wraps, r_wraps)
-
-
-def grid_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
-                  spec: GridSpec = GridSpec(),
-                  graph: Optional[GridGraph] = None,
-                  want_path: bool = True) -> GeodesicResult:
-    """Grid-oracle distance between two surface points.
-
-    Endpoints snap to the nearest grid nodes; the error estimate combines the
-    two snap costs with the anisotropy bound for the chosen neighborhood.
-    Without a path the value is read from the graph's orbit cache.
-    """
-    g = graph if graph is not None else GridGraph(space, spec)
-    src, _ps, cost_p = g.snap(p)
-    dst, _qs, cost_q = g.snap(q)
-    if want_path:
-        dist, path = g.path_between(src, dst)
-    else:
-        dist = g.pair_distances([(src, dst)])[0]
-        path = None
-    err = g.error_bound(dist, cost_p + cost_q)
-    method = f"grid-{g.spec.n_r}x{g.spec.n_theta}-k{g.spec.k}"
-    return GeodesicResult(dist, method, err, path)
+        return node, self.node_point(node)
 
 
 # ---------------------------------------------------------------------------
@@ -999,11 +909,10 @@ def clairaut_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
     geodesics with one turning point (branch switching where f(r) = |c|),
     and descend/traverse/climb candidates through profile minima; minimizes
     over fiber winding numbers -max_winding..max_winding and, on circle
-    bases, both ways around the base.  When no shot matched its target fiber
-    advance within tolerance and a closed-form candidate won instead, the
-    result is still exact for that candidate; converged=False marks the case
-    where the best value's residual exceeded the acceptance tolerance of the
-    fiber advance it was measured against (not of its length).
+    bases, both ways around the base.  A shot becomes a candidate only when
+    its residual is within the acceptance tolerance of the fiber advance it
+    was shot at (not of its length); when none does, a closed-form candidate
+    wins and the result is exact for that candidate.
 
     Raises ValueError unless tol is positive and finite, max_iter >= 1 and
     max_winding >= 0.
@@ -1036,15 +945,15 @@ def clairaut_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
     # no curve can beat the flat product metric at the minimum warp level
     floor = math.hypot(base.distance(p.r, q.r),
                        fmin_glob * fiber.distance(p.theta, q.theta))
-    # (length, residual, kind, tolerance of the advance the residual is of)
-    candidates: List[Tuple[float, float, str, float]] = []
+    # (length, residual, kind)
+    candidates: List[Tuple[float, float, str]] = []
 
     # straight segment in parameter space: a genuine curve, so always a
     # valid upper bound; keeps degenerate pairs (wrapped-equal r, nearly
     # coincident points) from losing every direct candidate to rounding
     candidates.append((segment_length(space, p.r, routes[0], dth0,
                                       points_per_piece=16),
-                       0.0, "param-line", accept_for(dth0)))
+                       0.0, "param-line"))
 
     def best_len():
         return min((c[0] for c in candidates), default=math.inf)
@@ -1058,20 +967,20 @@ def clairaut_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
             continue
         if p.r == q.r:
             candidates.append((float(space.warp_at(p.r)) * abs(target),
-                               0.0, "fiber-level", accept))
+                               0.0, "fiber-level"))
         if target != 0.0:
             cost, _lvl = _three_segment_candidate(space, p, q, abs(target))
-            candidates.append((cost, 0.0, "three-segment", accept))
+            candidates.append((cost, 0.0, "three-segment"))
         for droute in routes:
             if target == 0.0:
                 if droute != 0.0:
-                    candidates.append((abs(droute), 0.0, "base-line", accept))
+                    candidates.append((abs(droute), 0.0, "base-line"))
                 continue
             if droute != 0.0:
                 out = _shoot_monotone(space, p.r, p.r + droute, target,
                                       tol, max_iter)
                 if out is not None and out[2] <= accept:
-                    candidates.append((out[0], out[2], "monotone", accept))
+                    candidates.append((out[0], out[2], "monotone"))
         for side in (-1, +1):
             if target == 0.0:
                 continue
@@ -1079,7 +988,7 @@ def clairaut_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
                                   max_iter, prune_above=best_len(),
                                   accept=accept)
             if out is not None:
-                candidates.append((out[0], out[2], "one-turn", accept))
+                candidates.append((out[0], out[2], "one-turn"))
 
     # shooting accuracy can undershoot true lengths by a few 1e-6 at worst,
     # so the impossibility filter needs matching slack
@@ -1088,9 +997,8 @@ def clairaut_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
     if not candidates:
         raise RuntimeError("no geodesic candidate produced")
     candidates.sort(key=lambda t: (t[0], t[2]))
-    best_length, best_resid, kind, best_accept = candidates[0]
-    converged = best_resid <= best_accept
+    best_length, best_resid, kind = candidates[0]
     # the closed-form candidates carry numpy scalars; results hold plain
     # Python types so that to_dict() is JSON-serializable
     return GeodesicResult(float(best_length), f"clairaut-{kind}",
-                          float(max(best_resid, tol)), None, bool(converged))
+                          float(max(best_resid, tol)))

@@ -23,7 +23,7 @@ the ellipse ds^2 + 4 dsigma^2 = r^2.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -32,10 +32,8 @@ from .core import BaseSpace, FiberSpace, InvalidDescriptor, SurfacePoint
 __all__ = [
     "mix_threshold",
     "ret_distance",
-    "ret_distance_brute",
     "ret_point_distance",
     "RETSpace",
-    "ball_boundary",
 ]
 
 
@@ -81,43 +79,6 @@ def ret_distance(ds, dsigma, stretch: float):
     return out if out.ndim else float(out)
 
 
-def ret_distance_brute(ds, dsigma, stretch: float,
-                       n_grid: int = 1000, newton_iters: int = 12):
-    """Independent evaluation by direct minimization over the fiber split.
-
-    Searches a uniform grid of candidate splits T in [0, dsigma], then
-    polishes the best grid point with a few Newton steps on the smooth
-    objective.  Vectorized over ds/dsigma.
-    """
-    _check_stretch(stretch)
-    ds = np.atleast_1d(np.asarray(ds, dtype=float))
-    dsigma = np.atleast_1d(np.asarray(dsigma, dtype=float))
-    ds, dsigma = np.broadcast_arrays(ds, dsigma)
-    R = stretch
-
-    ts = np.linspace(0.0, 1.0, n_grid)  # scaled by dsigma per query
-    T = dsigma[..., None] * ts
-    vals = np.sqrt(ds[..., None] ** 2 + (R * T) ** 2) + (dsigma[..., None] - T)
-    best_idx = np.argmin(vals, axis=-1)
-    Tb = np.take_along_axis(T, best_idx[..., None], axis=-1)[..., 0]
-
-    # Newton polish on phi(T) = sqrt(ds^2 + R^2 T^2) + dsigma - T,
-    # clamped into the feasible interval
-    for _ in range(newton_iters):
-        rad = np.sqrt(ds * ds + (R * Tb) ** 2)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            d1 = (R * R) * Tb / rad - 1.0
-            d2 = (R * R) * (1.0 - (R * R) * Tb * Tb / (rad * rad)) / rad
-            step = np.where(d2 > 0, d1 / np.where(d2 > 0, d2, 1.0), 0.0)
-        Tb = np.clip(Tb - np.where(np.isfinite(step), step, 0.0),
-                     0.0, dsigma)
-    out = np.sqrt(ds * ds + (R * Tb) ** 2) + (dsigma - Tb)
-    # endpoints of the interval are candidates too
-    out = np.minimum(out, np.hypot(ds, R * dsigma))
-    out = np.minimum(out, ds + dsigma)
-    return out if out.shape != (1,) else float(out[0])
-
-
 def ret_point_distance(p: SurfacePoint, q: SurfacePoint, stretch: float,
                        base: Optional[BaseSpace] = None,
                        fiber: Optional[FiberSpace] = None) -> float:
@@ -150,32 +111,3 @@ class RETSpace:
     def diameter_upper_bound(self) -> float:
         ds = self.base.length / 2.0 if self.base.is_circle else self.base.length
         return float(ret_distance(ds, self.fiber.diameter, self.stretch))
-
-
-def ball_boundary(stretch: float, radius: float,
-                  n_angles: int = 256) -> np.ndarray:
-    """Boundary of the metric ball of the given radius around the origin.
-
-    Returns an (n_angles, 2) array of (ds, dsigma) points in the closed
-    first quadrant, located by bisection along each direction ray (the
-    distance is monotone along rays).
-    """
-    _check_stretch(stretch)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    angles = np.linspace(0.0, math.pi / 2.0, n_angles)
-    pts = np.empty((n_angles, 2))
-    for i, phi in enumerate(angles):
-        ux, uy = math.cos(phi), math.sin(phi)
-        lo, hi = 0.0, radius * max(1.0, stretch)  # d(unit ray) >= 1/stretch
-        while float(ret_distance(hi * ux, hi * uy, stretch)) < radius:
-            hi *= 2.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if float(ret_distance(mid * ux, mid * uy, stretch)) < radius:
-                lo = mid
-            else:
-                hi = mid
-        t = 0.5 * (lo + hi)
-        pts[i] = (t * ux, t * uy)
-    return pts

@@ -8,8 +8,8 @@ z axis stretched by c.
 
 Pieces:
 
-* scalar fields (constant, one radial cosine bump, a sum of bumps) with
-  closed-form integrals and L2 distances to a constant,
+* scalar fields (constant, one radial cosine bump) with closed-form
+  integrals and L2 distances to a constant,
 * a periodic 3D grid graph over the full 26-direction unit stencil with
   midpoint edge weights and an aspect-aware anisotropy bound derived from
   the stencil's convex hull,
@@ -31,7 +31,7 @@ the reference-corrected discrepancies cancel the systematic part.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -49,7 +49,6 @@ from .convergence import (
 )
 from .families import dyadic_walk
 from .geodesy import (
-    GeodesicResult,
     GridSizeError,
     OrbitSweepCache,
     _integer_fields,
@@ -77,14 +76,6 @@ def _minor(delta):
     in the sign of `delta`."""
     d = np.mod(np.abs(delta), TAU)
     return np.minimum(d, TAU - d)
-
-
-def _signed_minor(delta: float) -> float:
-    """Signed minor-arc representative in (-pi, pi]."""
-    d = math.fmod(delta + math.pi, TAU)
-    if d < 0:
-        d += TAU
-    return d - math.pi
 
 
 class Point3(NamedTuple):
@@ -192,53 +183,6 @@ class BumpField(ScalarField2D):
               + 2.0 * base * amp * self.half_width ** 2 * _BUMP_DISC_MEAN
               + amp * amp * self.half_width ** 2 * _BUMP_DISC_SQUARE)
         return math.sqrt(max(sq, 0.0))
-
-
-@dataclass(frozen=True)
-class SumOfBumpsField(ScalarField2D):
-    """Constant level plus several cosine bumps: (peak, cx, cy, half_width).
-
-    Bump supports (discs in the torus distance) must be disjoint: the range
-    and the closed-form integrals read each bump on its own.
-    """
-
-    level: float
-    bumps: Tuple[Tuple[float, float, float, float], ...]
-
-    def __post_init__(self):
-        if self.level <= 0:
-            raise InvalidDescriptor("field level must be positive")
-        for peak, _cx, _cy, hw in self.bumps:
-            if peak <= 0 or not (0.0 < hw <= math.pi):
-                raise InvalidDescriptor("bump peaks positive, widths in (0, pi]")
-        for i, (_peak, cx, cy, hw) in enumerate(self.bumps):
-            for _peak2, cx2, cy2, hw2 in self.bumps[i + 1:]:
-                if math.hypot(_minor(cx - cx2), _minor(cy - cy2)) < hw + hw2:
-                    raise InvalidDescriptor("bump supports must not overlap")
-
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.full(np.broadcast(x, y).shape, self.level, dtype=float)
-        for peak, cx, cy, hw in self.bumps:
-            t = np.hypot(_minor(x - cx), _minor(y - cy)) / hw
-            out = out + (peak - self.level) * _bump_shape(t)
-        return out
-
-    def min_value(self):
-        # sound because construction rejects overlapping bumps
-        lows = [min(self.level, peak) for peak, *_ in self.bumps]
-        return min([self.level] + lows)
-
-    def max_value(self):
-        highs = [max(self.level, peak) for peak, *_ in self.bumps]
-        return max([self.level] + highs)
-
-    def integral(self):
-        total = TAU * TAU * self.level
-        for peak, _cx, _cy, hw in self.bumps:
-            total += (peak - self.level) * hw * hw * _BUMP_DISC_MEAN
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -410,38 +354,18 @@ class Grid3Graph(OrbitSweepCache):
         return Point3(float(self.coords[ix]), float(self.coords[iy]),
                       float(self.coords[iz]))
 
-    def snap(self, p: Point3) -> Tuple[int, Point3, float]:
-        """Nearest node: (index, node point, metric cost of the snap hop)."""
+    def snap(self, p: Point3) -> Tuple[int, Point3]:
+        """Nearest node: (index, node point).  Distances and the limit
+        metric are evaluated at the node point, not at p."""
         n = self.spec.n
         ids = [int(round((wrap_cube(v) + math.pi) / self.h)) % n
                for v in (p.x, p.y, p.z)]
         node = self.node_index(*ids)
-        q = self.node_point(node)
-        dx = _signed_minor(p.x - q.x)
-        dy = _signed_minor(p.y - q.y)
-        dz = _signed_minor(p.z - q.z)
-        if not (dx or dy or dz):
-            return node, q, 0.0
-        fmid = float(self.field(q.x + 0.5 * dx, q.y + 0.5 * dy))
-        return node, q, math.sqrt(dx * dx + dy * dy + (fmid * dz) ** 2)
+        return node, self.node_point(node)
 
     def mass(self) -> float:
         """Riemannian volume: the z circle sweeps the field's area integral."""
         return TAU * self.field.integral()
-
-
-def grid3_distance(fld: ScalarField2D, p: Point3, q: Point3,
-                   spec: Grid3Spec = Grid3Spec(),
-                   graph: Optional[Grid3Graph] = None) -> GeodesicResult:
-    """Grid-oracle distance on the warped 3-torus, with the same error
-    convention as the surface oracle: snap costs plus anisotropy times the
-    path length.  The value is read from the graph's orbit cache."""
-    g = graph if graph is not None else Grid3Graph(fld, spec)
-    src, _ps, cost_p = g.snap(p)
-    dst, _qs, cost_q = g.snap(q)
-    dist = g.pair_distances([(src, dst)])[0]
-    return GeodesicResult(dist, f"grid3-{g.spec.n}^3",
-                          g.error_bound(dist, cost_p + cost_q))
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +489,8 @@ def run_torus3_experiment(family: Torus3Family, j_list: Sequence[int],
             limit_probes(stage, lambda p, q: limit3_distance(c, p, q),
                          plan_values(reference, plan).values))
         l2 = _quadrature_l2(fld, c)
-        l2_bound = fld.l2_vs_level(c) if not isinstance(fld, SumOfBumpsField) \
-            else l2
         lam = bilip_lambda3(fld)
-        rows.append(stage_row(res, l2, l2_bound, lam, mass, VOLUME_DIM))
+        rows.append(stage_row(res, l2, fld.l2_vs_level(c), lam, mass, VOLUME_DIM))
         if with_audits:
             audits[j] = tuple(_audit_rows3(family, j, fld, res.probes, l2, lam))
     return ConvergenceReport(family.describe(), limit, VOLUME_DIM,

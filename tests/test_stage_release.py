@@ -2,7 +2,7 @@
 
 Each stage graph is read once on its plan and released before any
 reference graph is built or swept, so a run's peak memory is one graph's
-CSR and rows, not two.  The checks watch every graph through weak
+stencil and rows, not two.  The checks watch every graph through weak
 references, so they hold no graph themselves: a graph is alive only while
 the library keeps it.
 """
@@ -19,7 +19,12 @@ from warpconv import (
     run_family_experiment,
 )
 from warpconv import convergence
-from warpconv.convergence import default_grid, probe_plan, stage_row
+from warpconv.convergence import (
+    default_grid,
+    limit_probes,
+    plan_values,
+    stage_row,
+)
 from warpconv.torus3 import (
     ConstantField,
     Grid3Graph,
@@ -171,14 +176,14 @@ def test_discrepancy_estimate_is_the_first_row_of_the_experiment():
     wrong = discrepancy_estimate(fam, 2, grid=grid, plan=plan,
                                  limit=fam.naive_limit())
     assert row.alt_eps == {wrong.limit: wrong.eps_corrected}
-    # probe_plan on prebuilt graphs gives the same probes
+    # plan values of prebuilt graphs give the same probes
     limit = fam.limit()
     reference = GridGraph(convergence.reference_space(
         limit, fam.base, fam.fiber, grid), grid)
-    assert probe_plan(
-        GridGraph(fam.space(2), grid), plan,
+    assert limit_probes(
+        plan_values(GridGraph(fam.space(2), grid), plan),
         lambda p, q: limit.distance(fam.base, fam.fiber, p, q),
-        reference) == res.probes
+        plan_values(reference, plan).values) == res.probes
 
 
 def test_torus3_rows_match_probe_plan_on_prebuilt_graphs():
@@ -187,9 +192,10 @@ def test_torus3_rows_match_probe_plan_on_prebuilt_graphs():
     report = run_torus3_experiment(fam, [2], grid, n_sources=3, n_targets=4,
                                    with_audits=False, seed=1)
     plan = fam.sample_plan(2, n_sources=3, n_targets=4, offset=1)
-    probes = probe_plan(Grid3Graph(fam.field(2), grid), plan,
-                        lambda p, q: limit3_distance(fam.level, p, q),
-                        Grid3Graph(ConstantField(fam.level), grid))
+    reference = Grid3Graph(ConstantField(fam.level), grid)
+    probes = limit_probes(plan_values(Grid3Graph(fam.field(2), grid), plan),
+                          lambda p, q: limit3_distance(fam.level, p, q),
+                          plan_values(reference, plan).values)
     row = report.rows[0]
     assert row.eps_corrected == max(pr.corrected_gap for pr in probes)
     assert row.eps_raw == max(pr.raw_gap for pr in probes)

@@ -36,12 +36,10 @@ from warpconv.torus3 import (
     Grid3Graph,
     Grid3Spec,
     Point3,
-    SumOfBumpsField,
     Torus3Family,
     bilip_lambda3,
     cube_samples,
     diameter3_upper_bound,
-    grid3_distance,
     limit3_distance,
     run_torus3_experiment,
     stencil_anisotropy3,
@@ -117,21 +115,6 @@ class TestFields:
             BumpField(1.0, 2.0, (0, 0), 0.0)
         with pytest.raises(InvalidDescriptor):
             BumpField(1.0, 2.0, (0, 0), 4.0)
-
-    def test_sum_of_bumps_integral(self):
-        f = SumOfBumpsField(1.0, ((2.0, 0.0, 0.0, 0.4), (1.5, 2.0, -1.0, 0.3)))
-        assert f.integral() == pytest.approx(quad_integral(f), rel=1e-7)
-        assert f.min_value() == 1.0
-        assert f.max_value() == 2.0
-
-    def test_sum_of_bumps_validation(self):
-        with pytest.raises(InvalidDescriptor):
-            SumOfBumpsField(0.0, ())
-        with pytest.raises(InvalidDescriptor):
-            SumOfBumpsField(1.0, ((2.0, 0, 0, 5.0),))
-        # supports overlapping across the x seam of the torus
-        with pytest.raises(InvalidDescriptor):
-            SumOfBumpsField(1.0, ((2.0, 3.0, 0.0, 0.3), (2.0, -3.0, 0.1, 0.3)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +261,12 @@ def flat_graph():
     return Grid3Graph(ConstantField(1.0), Grid3Spec(32))
 
 
+def pair_distance(graph, p, q):
+    """Grid distance between the nodes p and q snap to."""
+    (a, _), (b, _) = graph.snap(p), graph.snap(q)
+    return graph.pair_distances([(a, b)])[0]
+
+
 @pytest.fixture(scope="module")
 def stretched_graph():
     return Grid3Graph(ConstantField(1.3), Grid3Spec(32))
@@ -302,32 +291,29 @@ class TestGrid3:
         assert p.z == pytest.approx(g.coords[7])
 
     def test_snap_exact_node_has_zero_cost(self, flat_graph):
-        idx, pt, cost = flat_graph.snap(Point3(*[float(flat_graph.coords[4])] * 3))
-        assert cost == 0.0
+        # a node snaps to itself: the snap hop has length zero
+        p = Point3(*[float(flat_graph.coords[4])] * 3)
+        idx, pt = flat_graph.snap(p)
+        assert pt == p
         assert idx == flat_graph.node_index(4, 4, 4)
 
     def test_snap_wraps_the_seam(self, flat_graph):
-        idx, pt, cost = flat_graph.snap(Point3(math.pi - 1e-6, 0.0, 0.0))
+        idx, pt = flat_graph.snap(Point3(math.pi - 1e-6, 0.0, 0.0))
         # nearest row across the seam is x = -pi
         assert pt.x == pytest.approx(-math.pi)
-        assert cost < flat_graph.h
+        assert idx == flat_graph.node_index(0, 16, 16)
 
     def test_axis_distance_is_exact(self, flat_graph):
-        r = grid3_distance(ConstantField(1.0), Point3(0, 0, 0),
-                           Point3(0, 0, math.pi), graph=flat_graph)
-        assert r.distance == pytest.approx(math.pi, abs=1e-10)
-        assert r.method == "grid3-32^3"
+        d = pair_distance(flat_graph, Point3(0, 0, 0), Point3(0, 0, math.pi))
+        assert d == pytest.approx(math.pi, abs=1e-10)
 
     def test_symmetry_exact(self, flat_graph):
         p, q = Point3(0.3, -1.2, 2.0), Point3(-2.0, 1.1, -0.4)
-        a = grid3_distance(ConstantField(1.0), p, q, graph=flat_graph)
-        b = grid3_distance(ConstantField(1.0), q, p, graph=flat_graph)
-        assert a.distance == b.distance
+        assert pair_distance(flat_graph, p, q) == pair_distance(flat_graph, q, p)
 
     def test_identity(self, flat_graph):
         p = Point3(0.3, -1.2, 2.0)
-        r = grid3_distance(ConstantField(1.0), p, p, graph=flat_graph)
-        assert r.distance == 0.0
+        assert pair_distance(flat_graph, p, p) == 0.0
 
     def test_triangle_inequality_on_grid_nodes(self, flat_graph, full_rows):
         g = flat_graph
@@ -347,13 +333,13 @@ class TestGrid3:
         targets = cube_samples(10, offset=5)
         fld = ConstantField(1.3)
         lefts = [stretched_graph.snap(p) for p in sources]
-        table = full_rows(stretched_graph, [n for n, _, _ in lefts])
+        table = full_rows(stretched_graph, [n for n, _ in lefts])
         checked = 0
-        for row, (_, ps, _) in enumerate(lefts):
+        for row, (_, ps) in enumerate(lefts):
             for q in targets:
-                nq, qs, _ = stretched_graph.snap(q)
+                nq, qs = stretched_graph.snap(q)
                 d = float(table[row, nq])
-                err = stretched_graph.aniso_bound * d + 1e-9
+                err = stretched_graph.error_bound(d)
                 assert abs(d - limit3_distance(1.3, ps, qs)) <= err
                 checked += 1
         assert checked == 50
@@ -361,8 +347,8 @@ class TestGrid3:
     def test_grid_never_undershoots_limit_much(self, stretched_graph, full_rows):
         # graph paths approximate true geodesics from above up to quadrature
         for p, q in zip(cube_samples(6), cube_samples(6, offset=6)):
-            np_, ps, _ = stretched_graph.snap(p)
-            nq, qs, _ = stretched_graph.snap(q)
+            np_, ps = stretched_graph.snap(p)
+            nq, qs = stretched_graph.snap(q)
             d = float(full_rows(stretched_graph, [np_])[0, nq])
             assert d >= limit3_distance(1.3, ps, qs) - 1e-6
 
@@ -372,14 +358,12 @@ class TestGrid3:
     def test_bump_raises_distance_near_peak_only(self):
         fld = BumpField(1.0, 2.0, (0.0, 0.0), 0.5)
         g = Grid3Graph(fld, Grid3Spec(32))
-        near = grid3_distance(fld, Point3(0, 0, 0), Point3(0, 0, math.pi),
-                              graph=g)
-        far = grid3_distance(fld, Point3(math.pi, 0, 0),
-                             Point3(math.pi, 0, math.pi), graph=g)
-        assert far.distance == pytest.approx(math.pi, abs=1e-9)
-        assert near.distance > math.pi + 0.5
+        near = pair_distance(g, Point3(0, 0, 0), Point3(0, 0, math.pi))
+        far = pair_distance(g, Point3(math.pi, 0, 0), Point3(math.pi, 0, math.pi))
+        assert far == pytest.approx(math.pi, abs=1e-9)
+        assert near > math.pi + 0.5
         # detouring around the bump beats climbing it
-        assert near.distance < 2.0 * math.pi - 0.5
+        assert near < 2.0 * math.pi - 0.5
 
 
 # ---------------------------------------------------------------------------
