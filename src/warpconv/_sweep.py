@@ -68,18 +68,20 @@ def build_library(source: Path, cache_dir: Path) -> Path:
     return lib
 
 
+# One entry of the kernel's heap, as `entry` in _sweep.c lays it out.
+HEAP_ENTRY = np.dtype([("key", np.float64), ("node", np.int32)], align=True)
+
+
 def load_kernel(source: Path = SOURCE,
                 cache_dir: Path = SOURCE.parent / "__pycache__"):
     """`warpconv_sweep` from the library built from `source`, with its
     argument and result types declared."""
     fn = ctypes.CDLL(str(build_library(source, cache_dir))).warpconv_sweep
-    row = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    doubles = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     index = ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
-    fn.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                   ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS"),
-                   ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
-                   ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),
-                   ctypes.c_int64, row, index, index]
+    fn.argtypes = [ctypes.c_int32, ctypes.c_int32, index, index, index,
+                   doubles, ctypes.c_int32, doubles,
+                   ndpointer(HEAP_ENTRY, ndim=1, flags="C_CONTIGUOUS"), index]
     fn.restype = None
     return fn
 

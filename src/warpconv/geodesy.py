@@ -4,7 +4,8 @@ Three independent routes to the same quantity:
 
 * a weighted-graph oracle on a regular (r, theta) grid (Dijkstra over a
   k-neighborhood with quadrature edge weights, run by the C kernel of
-  `_sweep.c` on the per-row stencil, one thread per usable CPU),
+  `_sweep.c`, a 4-ary heap with decrease-key, on the per-row stencil, one
+  thread per usable CPU),
 * Clairaut geodesic shooting using the conserved quantity c = f(r)^2 theta',
 * closed-form candidates and bounds (level-set, taxi, ridge bypass, flat
   product).
@@ -28,7 +29,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._sweep import sweep as _kernel_sweep
+from ._sweep import HEAP_ENTRY, sweep as _kernel_sweep
 from .core import (
     BaseSpace,
     FiberSpace,
@@ -92,13 +93,16 @@ class GridSizeError(RuntimeError):
 class FiberStencil(NamedTuple):
     """Per-cell edges of a fibered graph's full (unfolded) form.
 
-    Slot s of base cell c joins node (c, z) to (target[c, s], (z + step[s])
-    % m) at weight[c, s], for every fiber position z; a cell without an edge
-    in a slot has target n_cells there.  Edges are stored both ways, so the
-    slots of a node are its in-neighbours as well.
+    Base cell c's edges are the slots start[c] .. start[c + 1] - 1, packed
+    cell after cell: slot s joins node (c, z) to (target[s], (z + step[s])
+    % m) at weight[s], for every fiber position z.  No cell has two slots
+    with the same (target, step).  Edges are stored both ways, so the slots
+    of a node are its in-neighbours as well.  start, target and step are
+    int32, weight float64: the arrays the sweep kernel reads.
     """
 
     m: int
+    start: np.ndarray
     target: np.ndarray
     step: np.ndarray
     weight: np.ndarray
@@ -138,10 +142,10 @@ def _start_on(cpu: int) -> None:
 def _sweep_cell(stencil: FiberStencil, cell: int, row: np.ndarray,
                 heap: np.ndarray, pos: np.ndarray) -> None:
     """Fill `row` with the folded sweep from node (cell, 0): the C kernel
-    of `_sweep.c`, run without the GIL; `heap` and `pos` are its int32
-    work arrays, as long as `row`."""
-    m, target, step, weight = stencil
-    _kernel_sweep(len(target), m, len(step), target, step, weight, cell,
+    of `_sweep.c`, run without the GIL; `heap` (HEAP_ENTRY) and `pos`
+    (int32) are its work arrays, as long as `row`."""
+    m, start, target, step, weight = stencil
+    _kernel_sweep(len(start) - 1, m, start, target, step, weight, cell,
                   row, heap, pos)
 
 
@@ -178,18 +182,22 @@ class OrbitSweepCache:
         distance to node (c, z) at column c * (m//2 + 1) + z.  Every call
         sweeps; `pair_distances` answers pairs from the cache.
 
-        Each sweep is one call of the C kernel (`_sweep_cell`), which works
-        on the stencil directly and writes straight into its row of the
-        table.  A call with several cells, where the process may run on
-        several CPUs, fans out to min(len(cells), usable CPUs) threads:
-        each starts on its own CPU and takes the next cell whenever it has
-        finished one, so a thread on a busy CPU sweeps fewer.  The kernel
+        Each sweep is one call of the C kernel (`_sweep_cell`): Dijkstra
+        with a 4-ary heap of (distance, node) entries and decrease-key,
+        which reads the stencil's packed slots directly and writes straight
+        into its row of the table.  Each thread allocates its heap and pos
+        work arrays once, as long as a row; the kernel touches only as much
+        of the heap as the sweep's frontier fills.  A call with several
+        cells, where the process may run on several CPUs, fans out to
+        min(len(cells), usable CPUs) threads: each starts on its own CPU
+        and takes the next cell whenever it has finished one, so a thread
+        on a busy CPU sweeps fewer.  The kernel
         releases the GIL, so the threads sweep at once, and every row is
         computed alone, so the table does not depend on the thread count.
         The first error of any thread is raised here once all have stopped,
         and no table is returned.
         """
-        n_cells = len(self._stencil.target)
+        n_cells = len(self._stencil.start) - 1
         cells = np.asarray(cells, dtype=np.int64).reshape(-1)
         if np.any((cells < 0) | (cells >= n_cells)):
             raise IndexError(f"base cells must lie in [0, {n_cells})")
@@ -202,8 +210,8 @@ class OrbitSweepCache:
             try:
                 if cpu is not None:
                     _start_on(cpu)
-                heap = np.empty(table.shape[1], dtype=np.int32)
-                pos = np.empty_like(heap)
+                heap = np.empty(table.shape[1], dtype=HEAP_ENTRY)
+                pos = np.empty(table.shape[1], dtype=np.int32)
                 while not failures:
                     with lock:
                         i = next(todo, None)
@@ -265,8 +273,12 @@ def fibered_stencil(n_cells: int, m: int, directions) -> FiberStencil:
     of arrays over base cells and stands for both fiber signs: for every z
     and s = dz, -dz, node (src[e], z) joins node (dst[e], (z + s) % m) at
     weight weights[e], and the edge is stored both ways, one slot per
-    orientation and sign.  A cell may start at most one edge per direction
-    and end at most one.
+    orientation and sign; an edge within a cell (src == dst) is its own
+    reverse and gets one slot per sign.  A cell may start at most one edge
+    per direction and end at most one, and no two directions may give a
+    cell the same (target, step).  The slots are written straight into the
+    packed arrays, cell after cell and in direction order within a cell,
+    so the build holds no array larger than the stencil.
 
     Every weight is thus even in the fiber step, so the mirror z -> -z
     (mod m) maps the graph onto itself and fixes z = 0.  Sweeps run on the
@@ -276,24 +288,46 @@ def fibered_stencil(n_cells: int, m: int, directions) -> FiberStencil:
     those are mirror symmetric and, with positive weights,
     d(v) = min_u fl(d(u) + w(u, v)) has one solution.  No array over the
     fiber is built.  Raises ValueError on steps the kernel cannot fold
-    (|dz| >= m) and GridSizeError when the folded nodes overflow int32.
+    (|dz| >= m), on cells outside [0, n_cells), on a cell starting or
+    ending two edges of one direction and on weights that are not
+    positive, and GridSizeError when the fiber length or the folded nodes
+    overflow int32.
     """
-    if (n_cells * (m // 2 + 1)) >= 2 ** 31:
+    if n_cells * (m // 2 + 1) >= 2 ** 31 or m >= 2 ** 31:
         raise GridSizeError(f"{n_cells} cells x {m // 2 + 1} folded fiber "
                             "positions overflow the sweep kernel's int32 nodes")
-    slots = []
+    columns = []  # (cells, targets, step, weights, entries kept) per slot
     for src, dst, dz, w in directions:
         if abs(dz) >= m:
             raise ValueError(f"fiber step {dz} does not fit a fiber of {m}")
+        src, dst, w = np.broadcast_arrays(np.asarray(src, dtype=np.int64),
+                                          np.asarray(dst, dtype=np.int64),
+                                          np.asarray(w, dtype=float))
+        if np.any((src < 0) | (src >= n_cells) | (dst < 0) | (dst >= n_cells)):
+            raise ValueError(f"stencil cells must lie in [0, {n_cells})")
+        if not np.all(w > 0):
+            raise ValueError("stencil weights must be positive")
+        apart = src != dst
         for s in ((dz, -dz) if dz else (0,)):
-            slots += [(src, dst, s, w), (dst, src, -s, w)]
-    target = np.full((n_cells, len(slots)), n_cells, dtype=np.int64)
-    weight = np.zeros((n_cells, len(slots)))
-    step = np.array([s for _, _, s, _ in slots], dtype=np.int64)
-    for s, (src, dst, _, w) in enumerate(slots):
-        target[src, s] = dst
-        weight[src, s] = w
-    return FiberStencil(m, target, step, weight)
+            columns += [(src, dst, s, w, slice(None)), (dst, src, -s, w, apart)]
+    counts = np.zeros(n_cells, dtype=np.int64)
+    for cells, _, _, _, keep in columns:
+        per_cell = np.bincount(cells[keep], minlength=n_cells)
+        if per_cell.max(initial=0) > 1:
+            raise ValueError("a cell may start at most one edge and end at "
+                             "most one per direction")
+        counts += per_cell
+    start = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    target = np.empty(start[-1], dtype=np.int32)
+    step = np.empty_like(target)
+    weight = np.empty(start[-1])
+    free = start[:-1].astype(np.int64)
+    for cells, to, s, w, keep in columns:
+        cells = cells[keep]
+        at = free[cells]
+        target[at], step[at], weight[at] = to[keep], s, w[keep]
+        free[cells] += 1
+    return FiberStencil(m, start, target, step, weight)
 
 
 def neighborhood_offsets(k: int) -> List[Tuple[int, int]]:

@@ -4,9 +4,9 @@
 cell, fiber step, weight); the sweep kernel walks them on the quotient of
 the graph by the fiber mirror z -> -z (mod m).  The oracle (tests/oracle.py)
 is the triplet construction of the full graph and its own fold.  The
-stencil must list exactly the oracle's edges, the oracle must be mirror
-symmetric, and the kernel's sweeps must equal scipy's sweeps on the folded
-oracle bit for bit from every cell.  Sweeps on the folded graph, unfolded by
+stencil must list exactly the oracle's edges, each (target, step) once per
+cell, the oracle must be mirror symmetric, and the kernel's sweeps must
+equal scipy's sweeps on the folded oracle bit for bit from every cell.  Sweeps on the folded graph, unfolded by
 the test's own index arithmetic or read through the orbit cache, must equal
 scipy's sweeps on the full oracle bit for bit from any source.
 """
@@ -56,22 +56,27 @@ def assert_mirror_symmetric(full, m):
 
 def assert_stencil_is_reference(stencil, full):
     """`fibered_stencil`'s per-cell stencil lists exactly the reference's
-    edges, in the dtypes and layout the sweep kernel reads."""
-    m, target, step, weight = stencil
-    n_cells, n_slots = target.shape
-    assert target.dtype == step.dtype == np.int64
-    assert weight.dtype == np.float64 and weight.shape == target.shape
-    assert target.flags.c_contiguous and weight.flags.c_contiguous
-    assert np.all((0 <= target) & (target <= n_cells))
+    edges, in the dtypes and layout the sweep kernel reads, with no two
+    slots of a cell sharing a (target, step)."""
+    m, start, target, step, weight = stencil
+    n_cells = len(start) - 1
+    assert start.dtype == target.dtype == step.dtype == np.int32
+    assert weight.dtype == np.float64
+    assert target.shape == step.shape == weight.shape == (start[-1],)
+    assert all(a.flags.c_contiguous for a in (start, target, step, weight))
+    assert start[0] == 0 and np.all(np.diff(start) >= 0)
+    assert np.all((0 <= target) & (target < n_cells))
     assert np.all(np.abs(step) < m)
-    cell = np.repeat(np.arange(n_cells), m * n_slots)
-    z = np.tile(np.repeat(np.arange(m), n_slots), n_cells)
-    slot = np.tile(np.arange(n_slots), n_cells * m)
-    live = target[cell, slot] < n_cells
+    owner = np.repeat(np.arange(n_cells), np.diff(start))
+    distinct = np.unique(np.stack([owner, target, step]), axis=1)
+    assert distinct.shape[1] == len(target)
+    n_slots = len(target)
+    slot = np.tile(np.arange(n_slots), m)
+    z = np.repeat(np.arange(m), n_slots)
     row, col, w = first_of_runs(
-        (cell * m + z)[live],
-        (target[cell, slot] * m + (z + step[slot]) % m)[live],
-        weight[cell, slot][live])
+        owner[slot].astype(np.int64) * m + z,
+        target[slot].astype(np.int64) * m + (z + step[slot]) % m,
+        weight[slot])
     coo = full.tocoo()
     ref = first_of_runs(coo.row.astype(np.int64), coo.col.astype(np.int64),
                         coo.data)
@@ -176,8 +181,46 @@ def test_memory_guard_keeps_int32_indices():
     # array is allocated
     with pytest.raises(GridSizeError):
         fibered_stencil(2 ** 29, 8, [])
+    with pytest.raises(GridSizeError):
+        fibered_stencil(1, 2 ** 31, [])
     with pytest.raises(ValueError):
         fibered_stencil(4, 8, [(np.arange(4), np.arange(4), 8, np.ones(4))])
+
+
+def test_fibered_stencil_rejects_edges_the_kernel_cannot_sweep():
+    cells = np.arange(4)
+    with pytest.raises(ValueError, match="cells"):
+        fibered_stencil(4, 8, [(cells, cells + 1, 1, np.ones(4))])
+    with pytest.raises(ValueError, match="cells"):
+        fibered_stencil(4, 8, [(cells - 1, cells, 1, np.ones(4))])
+    with pytest.raises(ValueError, match="at most one"):
+        fibered_stencil(4, 8, [([0, 0], [1, 2], 1, np.ones(2))])
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="positive"):
+            fibered_stencil(4, 8, [(cells, cells, 1, np.full(4, bad))])
+
+
+@pytest.mark.parametrize("make, degree", [
+    pytest.param(lambda: GridGraph(SURFACES["constant-circle"](),
+                                   GridSpec(16, 16, 1)), 8, id="surface-k1"),
+    pytest.param(lambda: GridGraph(SURFACES["cinched-circle"](),
+                                   GridSpec(16, 16, 2)), 16, id="surface-k2"),
+    pytest.param(lambda: GridGraph(SURFACES["cinched-interval"](),
+                                   GridSpec(16, 16, 3)), 32, id="interval-k3"),
+    pytest.param(lambda: Grid3Graph(BumpField(1.0, 2.0, (0.5, 0.5), 1.0),
+                                    Grid3Spec(32)), 26, id="torus3"),
+])
+def test_each_cell_keeps_one_slot_per_neighbour(make, degree):
+    # a fiber edge within a cell is its own reverse and keeps one slot per
+    # sign, so a cell has one slot per stencil offset; the end rows of an
+    # interval base keep only the offsets that stay on the base
+    graph = make()
+    counts = np.diff(graph._stencil.start)
+    if isinstance(graph, GridGraph) and not graph.space.base.is_circle:
+        k = graph.spec.k
+        assert np.all(counts[:k] < degree) and np.all(counts[-k:] < degree)
+        counts = counts[k:-k]
+    assert np.all(counts == degree)
 
 
 def test_surface_grid_over_the_guard_raises_before_building(monkeypatch):

@@ -42,7 +42,8 @@ from warpconv import (
     stencil_anisotropy,
     taxi_upper_bound,
 )
-from warpconv.convergence import plan_values
+from warpconv.convergence import default_grid, plan_values
+from warpconv.families import FAMILY_KINDS, RIDGE_KINDS
 from warpconv.torus3 import Grid3Spec
 
 
@@ -153,11 +154,11 @@ def test_grid_edge_matrix_is_bitwise_symmetric(cinch_graph):
     # every stencil edge (cell, target, step, weight) has its reverse
     # (target, cell, -step, weight) with the same weight bits
     _, graph = cinch_graph
-    _m, target, step, weight = graph._stencil
-    cell, slot = np.nonzero(target < len(target))
-    bits = weight[cell, slot].view(np.int64)
-    edges = np.stack([cell, target[cell, slot], step[slot], bits])
-    reverse = np.stack([target[cell, slot], cell, -step[slot], bits])
+    _m, start, target, step, weight = graph._stencil
+    cell = np.repeat(np.arange(len(start) - 1), np.diff(start))
+    bits = weight.view(np.int64)
+    edges = np.stack([cell, target, step, bits])
+    reverse = np.stack([target, cell, -step, bits])
     assert np.array_equal(edges[:, np.lexsort(edges[::-1])],
                           reverse[:, np.lexsort(reverse[::-1])])
 
@@ -203,10 +204,10 @@ def test_flat_grid_accuracy_within_declared_anisotropy(flat_graph, full_rows):
     assert checked >= 100
 
 
-def test_direction_weights_match_fine_quadrature(cinch_graph):
-    # every edge's 4-point midpoint weight against a 64-point rule on the
-    # same segment; axis directions are closed forms and must be exact
-    sp, graph = cinch_graph
+def worst_quadrature_deviation(sp, graph):
+    """Largest relative difference of any edge's 4-point midpoint weight
+    from a 64-point rule on the same segment; axis directions are closed
+    forms and must be exact."""
     worst = 0.0
     for di, dj in neighborhood_offsets(graph.spec.k):
         idx, w = graph._direction_weights(di, dj)
@@ -217,7 +218,34 @@ def test_direction_weights_match_fine_quadrature(cinch_graph):
         if di == 0 or dj == 0:
             assert np.array_equal(w, fine), (di, dj)
         worst = max(worst, float(rel.max()))
-    assert 0.0 < worst <= 3e-4
+    return worst
+
+
+def test_direction_weights_match_fine_quadrature(cinch_graph):
+    assert 0.0 < worst_quadrature_deviation(*cinch_graph) <= 3e-4
+
+
+# Worst relative deviation of the edge weights from the 64-point rule on
+# each family's default grid, as measured: the quadrature term a grid
+# distance's error bar must carry.  Constant profiles have exact weights.
+QUADRATURE_DEVIATION = {
+    ("cinched-torus", 1): 3.854e-6, ("cinched-torus", 4): 6.118e-5,
+    ("moving-cinch", 1): 3.854e-6, ("moving-cinch", 4): 1.534e-5,
+    ("single-ridge", 1): 3.683e-6, ("single-ridge", 4): 5.468e-5,
+    ("moving-ridges", 1): 3.683e-6, ("moving-ridges", 4): 1.432e-5,
+    ("many-ridges", 1): 5.018e-5, ("many-ridges", 4): 9.649e-5,
+    ("ret-cinches", 1): 3.321e-5, ("ret-cinches", 4): 4.658e-6,
+    ("constant", 1): 0.0, ("constant", 4): 0.0,
+}
+
+
+@pytest.mark.parametrize("j", [1, 4])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_direction_weights_match_fine_quadrature_on_every_family(kind, j):
+    fam = SequenceFamily(kind, depth=1.5 if kind in RIDGE_KINDS else 0.5)
+    sp = fam.space(j)
+    worst = worst_quadrature_deviation(sp, GridGraph(sp, default_grid(fam, j)))
+    assert worst == pytest.approx(QUADRATURE_DEVIATION[kind, j], rel=1e-3, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Building and loading the sweep kernel.
+"""Building, loading and running the sweep kernel.
 
 `warpconv._sweep` compiles `_sweep.c` once per hash of its source and flags
 into a cache directory and loads the library from there afterwards; a
-missing or failing compiler is an error that shows what went wrong.
+missing or failing compiler is an error that shows what went wrong.  The
+kernel's sweeps must equal scipy's Dijkstra on the folded graph bit for
+bit, also where its wrap-free band of fiber positions is empty or one
+position wide.
 """
 
 import subprocess
@@ -12,7 +15,18 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from warpconv import _sweep
+from oracle import graph_reference, oracle_sweeps, reference_fold
+from warpconv import (
+    ConstantProfile,
+    FiberSpace,
+    GridGraph,
+    GridSpec,
+    SequenceFamily,
+    WarpedSpace,
+    _sweep,
+    circle_base,
+    interval_base,
+)
 from warpconv.geodesy import FiberStencil, _sweep_cell, fibered_stencil
 
 
@@ -90,36 +104,73 @@ def path_stencil(m):
     ])
 
 
+def work_arrays(n):
+    """A row and the kernel's heap and pos work arrays for n folded nodes."""
+    return np.empty(n), np.empty(n, _sweep.HEAP_ENTRY), np.empty(n, np.int32)
+
+
 def sweep_with(kernel, stencil: FiberStencil, cell):
-    m, target, step, weight = stencil
-    n = len(target) * (m // 2 + 1)
-    row = np.empty(n)
-    heap, pos = np.empty(n, np.int32), np.empty(n, np.int32)
-    kernel(len(target), m, len(step), target, step, weight, cell, row, heap, pos)
+    m, start, target, step, weight = stencil
+    row, heap, pos = work_arrays((len(start) - 1) * (m // 2 + 1))
+    kernel(len(start) - 1, m, start, target, step, weight, cell, row, heap, pos)
     return row
 
 
 @pytest.mark.parametrize("m", [8, 9])
 def test_kernel_sweeps_the_folded_stencil_like_scipy(m):
     stencil = path_stencil(m)
-    _, target, step, weight = stencil
-    h = m // 2 + 1
+    _, start, target, step, weight = stencil
+    n_cells, h = len(start) - 1, m // 2 + 1
     rows, cols, data = [], [], []
-    for c in range(len(target)):
+    for c in range(n_cells):
         for z in range(h):
-            for s in range(len(step)):
+            for s in range(start[c], start[c + 1]):
                 zz = (z + step[s]) % m
                 rows.append(c * h + z)
-                cols.append(target[c, s] * h + min(zz, m - zz))
-                data.append(weight[c, s])
+                cols.append(target[s] * h + min(zz, m - zz))
+                data.append(weight[s])
     # duplicate (row, col) entries are summed by csr_matrix: keep the minimum
     best = {}
     for r, c, w in zip(rows, cols, data):
         best[r, c] = min(w, best.get((r, c), np.inf))
     (r, c), w = zip(*best), list(best.values())
-    folded = csr_matrix((w, (r, c)), shape=(len(target) * h,) * 2)
-    for cell in range(len(target)):
-        row = np.empty(folded.shape[0])
-        heap, pos = np.empty(len(row), np.int32), np.empty(len(row), np.int32)
+    folded = csr_matrix((w, (r, c)), shape=(n_cells * h,) * 2)
+    for cell in range(n_cells):
+        row, heap, pos = work_arrays(folded.shape[0])
         _sweep_cell(stencil, cell, row, heap, pos)
         assert np.array_equal(row, dijkstra(folded, indices=cell * h))
+
+
+# The kernel takes positions K <= z <= m//2 - K, K the largest |fiber
+# step| (k here), without wrap or fold and the rest through the fold.
+# Fibers of 8 and 9 leave that band one position wide at k = 2 and empty
+# at k = 3, fibers of 12 and 13 one position wide at k = 3.  Interval
+# bases leave the end rows fewer slots, a constant profile makes many
+# distances tie, and the sources sit in the first and the last cell.  On
+# the thin fiber every position of a row is about as far as position 0, so
+# an edge from just outside the band that skipped the fold, and so reached
+# position 0 of the next cell, would be a shortcut.
+EDGE_SPACES = {
+    "cinched-circle": lambda: SequenceFamily("cinched-torus").space(2),
+    "cinched-interval":
+        lambda: SequenceFamily("cinched-torus", base_shape="interval").space(2),
+    "constant-circle":
+        lambda: WarpedSpace(circle_base(), FiberSpace(), ConstantProfile(1.0)),
+    "constant-interval":
+        lambda: WarpedSpace(interval_base(), FiberSpace(), ConstantProfile(1.0)),
+    "thin-circle":
+        lambda: WarpedSpace(circle_base(), FiberSpace(), ConstantProfile(0.01)),
+}
+
+
+@pytest.mark.parametrize("m", [8, 9, 12, 13])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("space", sorted(EDGE_SPACES))
+def test_kernel_at_the_edges_of_the_wrap_free_band(space, k, m):
+    graph = GridGraph(EDGE_SPACES[space](), GridSpec(10, m, k))
+    stencil = graph._stencil
+    assert np.abs(stencil.step).max() == k
+    folded = reference_fold(graph_reference(graph)[0], m)
+    cells = [0, len(stencil.start) - 2]
+    assert np.array_equal(graph.distances_from(cells),
+                          oracle_sweeps(folded, m, cells))
