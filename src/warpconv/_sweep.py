@@ -68,22 +68,29 @@ def build_library(source: Path, cache_dir: Path) -> Path:
     return lib
 
 
-# One entry of the kernel's heap, as `entry` in _sweep.c lays it out.
-HEAP_ENTRY = np.dtype([("key", np.float64), ("node", np.int32)], align=True)
-
-
-def load_kernel(source: Path = SOURCE,
-                cache_dir: Path = SOURCE.parent / "__pycache__"):
-    """`warpconv_sweep` from the library built from `source`, with its
-    argument and result types declared."""
-    fn = ctypes.CDLL(str(build_library(source, cache_dir))).warpconv_sweep
+def load_library(source: Path = SOURCE,
+                 cache_dir: Path = SOURCE.parent / "__pycache__") -> ctypes.CDLL:
+    """The library built from `source`, with the argument and result types
+    of its `warpconv_sweep` declared."""
+    lib = ctypes.CDLL(str(build_library(source, cache_dir)))
     doubles = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     index = ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
-    fn.argtypes = [ctypes.c_int32, ctypes.c_int32, index, index, index,
-                   doubles, ctypes.c_int32, doubles,
-                   ndpointer(HEAP_ENTRY, ndim=1, flags="C_CONTIGUOUS"), index]
-    fn.restype = None
-    return fn
+    lib.warpconv_sweep.argtypes = [
+        ctypes.c_int32, ctypes.c_int32, index, index, index, doubles,
+        ctypes.c_int32, doubles, index, index]
+    lib.warpconv_sweep.restype = None
+    return lib
 
 
-sweep = load_kernel()
+_library = load_library()
+sweep = _library.warpconv_sweep
+# The most buckets a sweep's queue uses (WARPCONV_BUCKET_CAP in _sweep.c).
+BUCKET_CAP = ctypes.c_int32.in_dll(_library, "warpconv_bucket_cap").value
+
+
+def work_arrays(n_nodes: int):
+    """The kernel's succ and pred work arrays for a graph of n_nodes folded
+    nodes: int32, one entry per node and one per bucket.  They need no
+    initial values, and one pair serves any number of sweeps in turn."""
+    return (np.empty(n_nodes + BUCKET_CAP, np.int32),
+            np.empty(n_nodes + BUCKET_CAP, np.int32))

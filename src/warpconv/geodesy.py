@@ -4,7 +4,7 @@ Three independent routes to the same quantity:
 
 * a weighted-graph oracle on a regular (r, theta) grid (Dijkstra over a
   k-neighborhood with quadrature edge weights, run by the C kernel of
-  `_sweep.c`, a 4-ary heap with decrease-key, on the per-row stencil, one
+  `_sweep.c`, a bucket queue with decrease-key, on the per-row stencil, one
   thread per usable CPU),
 * Clairaut geodesic shooting using the conserved quantity c = f(r)^2 theta',
 * closed-form candidates and bounds (level-set, taxi, ridge bypass, flat
@@ -29,7 +29,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._sweep import HEAP_ENTRY, sweep as _kernel_sweep
+from ._sweep import BUCKET_CAP, sweep as _kernel_sweep, work_arrays
 from .core import (
     BaseSpace,
     FiberSpace,
@@ -140,13 +140,13 @@ def _start_on(cpu: int) -> None:
 
 
 def _sweep_cell(stencil: FiberStencil, cell: int, row: np.ndarray,
-                heap: np.ndarray, pos: np.ndarray) -> None:
+                succ: np.ndarray, pred: np.ndarray) -> None:
     """Fill `row` with the folded sweep from node (cell, 0): the C kernel
-    of `_sweep.c`, run without the GIL; `heap` (HEAP_ENTRY) and `pos`
-    (int32) are its work arrays, as long as `row`."""
+    of `_sweep.c`, run without the GIL; `succ` and `pred` are its work
+    arrays, from `_sweep.work_arrays(len(row))`."""
     m, start, target, step, weight = stencil
     _kernel_sweep(len(start) - 1, m, start, target, step, weight, cell,
-                  row, heap, pos)
+                  row, succ, pred)
 
 
 class OrbitSweepCache:
@@ -182,12 +182,11 @@ class OrbitSweepCache:
         distance to node (c, z) at column c * (m//2 + 1) + z.  Every call
         sweeps; `pair_distances` answers pairs from the cache.
 
-        Each sweep is one call of the C kernel (`_sweep_cell`): Dijkstra
-        with a 4-ary heap of (distance, node) entries and decrease-key,
-        which reads the stencil's packed slots directly and writes straight
-        into its row of the table.  Each thread allocates its heap and pos
-        work arrays once, as long as a row; the kernel touches only as much
-        of the heap as the sweep's frontier fills.  A call with several
+        Each sweep is one call of the C kernel (`_sweep_cell`): Dial's
+        bucket queue with decrease-key, which reads the stencil's packed
+        slots directly and writes straight into its row of the table.
+        Each thread allocates the kernel's two int32 work arrays once, one
+        entry per node plus one per bucket.  A call with several
         cells, where the process may run on several CPUs, fans out to
         min(len(cells), usable CPUs) threads: each starts on its own CPU
         and takes the next cell whenever it has finished one, so a thread
@@ -210,14 +209,13 @@ class OrbitSweepCache:
             try:
                 if cpu is not None:
                     _start_on(cpu)
-                heap = np.empty(table.shape[1], dtype=HEAP_ENTRY)
-                pos = np.empty(table.shape[1], dtype=np.int32)
+                succ, pred = work_arrays(table.shape[1])
                 while not failures:
                     with lock:
                         i = next(todo, None)
                     if i is None:
                         return
-                    _sweep_cell(self._stencil, int(cells[i]), table[i], heap, pos)
+                    _sweep_cell(self._stencil, int(cells[i]), table[i], succ, pred)
             except BaseException as exc:  # raised again on the calling thread
                 failures.append(exc)
 
@@ -291,9 +289,9 @@ def fibered_stencil(n_cells: int, m: int, directions) -> FiberStencil:
     (|dz| >= m), on cells outside [0, n_cells), on a cell starting or
     ending two edges of one direction and on weights that are not
     positive, and GridSizeError when the fiber length or the folded nodes
-    overflow int32.
+    (with the kernel's bucket heads) overflow int32.
     """
-    if n_cells * (m // 2 + 1) >= 2 ** 31 or m >= 2 ** 31:
+    if n_cells * (m // 2 + 1) + BUCKET_CAP >= 2 ** 31 or m >= 2 ** 31:
         raise GridSizeError(f"{n_cells} cells x {m // 2 + 1} folded fiber "
                             "positions overflow the sweep kernel's int32 nodes")
     columns = []  # (cells, targets, step, weights, entries kept) per slot

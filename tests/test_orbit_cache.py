@@ -244,26 +244,33 @@ def count_threads(monkeypatch):
     return started
 
 
-def record_cells(monkeypatch, delay_on=None, delay=0.0):
+def record_cells(monkeypatch, delay_on=None, delay=0.0, threads=None):
     """Log (thread, cell) for every cell `_sweep_cell` sweeps, where thread
     is the CPU the sweeping thread moved to first, and make the thread on
     `delay_on` sleep `delay` s per cell.  No thread really moves; each must
-    allow every usable CPU again before it sweeps."""
+    allow every usable CPU again before it sweeps.  With `threads` given,
+    each thread waits before its first sweep until that many threads have
+    taken a cell, so none can sweep every cell before another starts."""
     moves = {}  # thread ident -> its sched_setaffinity calls
     log = []
     sweep = geodesy._sweep_cell
+    barrier = threading.Barrier(threads, timeout=60) if threads else None
+    waited = set()
 
     def moving(pid, cpus):
         assert pid == 0
         moves.setdefault(threading.get_ident(), []).append(set(cpus))
 
-    def recording(stencil, cell, row, heap, pos):
+    def recording(stencil, cell, row, succ, pred):
         (cpu,), usable = moves[threading.get_ident()]
         assert usable == os.sched_getaffinity(0)
+        if barrier is not None and cpu not in waited:
+            waited.add(cpu)
+            barrier.wait()
         if cpu == delay_on:
             time.sleep(delay)
         log.append((cpu, cell))
-        sweep(stencil, cell, row, heap, pos)
+        sweep(stencil, cell, row, succ, pred)
 
     monkeypatch.setattr(os, "sched_setaffinity", moving)
     monkeypatch.setattr(geodesy, "_sweep_cell", recording)
@@ -343,10 +350,10 @@ def test_failed_worker_raises_and_caches_no_row(failing, fanned, monkeypatch):
     pairs = [(cell * m, 5) for cell in (40, 41, 42, 43)]
     sweep = geodesy._sweep_cell
 
-    def broken(stencil, cell, row, heap, pos):
+    def broken(stencil, cell, row, succ, pred):
         if failing == "every" or cell == 40:
             raise MemoryError("sweep failed")
-        sweep(stencil, cell, row, heap, pos)
+        sweep(stencil, cell, row, succ, pred)
 
     fake_cpus(monkeypatch, 2)
     threads = count_threads(monkeypatch)
@@ -366,7 +373,7 @@ def test_each_worker_starts_on_its_own_cpu_and_sweeps_one_cell_at_a_time(
     graph, folded = fanned("torus3")
     cells = [4, 8, 15, 16, 23, 42]
     fake_cpus(monkeypatch, 3)
-    log = record_cells(monkeypatch)
+    log = record_cells(monkeypatch, threads=3)
     table = graph.distances_from(cells)
     assert {cpu for cpu, _ in log} == {0, 1, 2}
     assert sorted(cell for _, cell in log) == cells
@@ -378,7 +385,7 @@ def test_a_slow_worker_sweeps_fewer_cells(fanned, monkeypatch):
     graph, folded = fanned("surface")
     cells = [0, 1, 2, 3, 4, 5]
     fake_cpus(monkeypatch, 2)
-    log = record_cells(monkeypatch, delay_on=0, delay=1.0)
+    log = record_cells(monkeypatch, delay_on=0, delay=1.0, threads=2)
     table = graph.distances_from(cells)
     assert Counter(cpu for cpu, _ in log) == {0: 1, 1: 5}
     assert np.array_equal(table, oracle_sweeps(folded, graph._stencil.m, cells))

@@ -4,8 +4,9 @@
 into a cache directory and loads the library from there afterwards; a
 missing or failing compiler is an error that shows what went wrong.  The
 kernel's sweeps must equal scipy's Dijkstra on the folded graph bit for
-bit, also where its wrap-free band of fiber positions is empty or one
-position wide.
+bit: where its wrap-free band of fiber positions is empty or one position
+wide, where the weights spread wider than its bucket cap allows (so nodes
+are queued again), and where a weight vanishes in the sum it is added to.
 """
 
 import subprocess
@@ -46,12 +47,12 @@ def test_a_fresh_cache_builds_once_and_later_loads_do_not_compile(
         tmp_path, monkeypatch):
     calls = count_compiles(monkeypatch)
     cache = tmp_path / "cache"
-    first = _sweep.load_kernel(_sweep.SOURCE, cache)
+    first = _sweep.load_library(_sweep.SOURCE, cache).warpconv_sweep
     assert len(calls) == 1 and calls[0][0] == _sweep.COMPILER
     # one library, named by the source hash; no temporary file left over
     (lib,) = cache.iterdir()
     assert lib.name.startswith("_sweep-") and lib.suffix == ".so"
-    second = _sweep.load_kernel(_sweep.SOURCE, cache)
+    second = _sweep.load_library(_sweep.SOURCE, cache).warpconv_sweep
     assert len(calls) == 1
     assert list(cache.iterdir()) == [lib]
     # both loads sweep like the kernel warpconv imported
@@ -77,7 +78,7 @@ def test_a_missing_compiler_raises_a_clear_error(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path / "no-such-dir"))
     cache = tmp_path / "cache"
     with pytest.raises(_sweep.KernelBuildError, match="no C compiler 'cc'"):
-        _sweep.load_kernel(_sweep.SOURCE, cache)
+        _sweep.load_library(_sweep.SOURCE, cache)
     assert list(cache.iterdir()) == []
 
 
@@ -104,41 +105,97 @@ def path_stencil(m):
     ])
 
 
-def work_arrays(n):
-    """A row and the kernel's heap and pos work arrays for n folded nodes."""
-    return np.empty(n), np.empty(n, _sweep.HEAP_ENTRY), np.empty(n, np.int32)
-
-
 def sweep_with(kernel, stencil: FiberStencil, cell):
     m, start, target, step, weight = stencil
-    row, heap, pos = work_arrays((len(start) - 1) * (m // 2 + 1))
-    kernel(len(start) - 1, m, start, target, step, weight, cell, row, heap, pos)
+    row = np.empty((len(start) - 1) * (m // 2 + 1))
+    kernel(len(start) - 1, m, start, target, step, weight, cell, row,
+           *_sweep.work_arrays(len(row)))
     return row
 
 
-@pytest.mark.parametrize("m", [8, 9])
-def test_kernel_sweeps_the_folded_stencil_like_scipy(m):
-    stencil = path_stencil(m)
-    _, start, target, step, weight = stencil
+def folded_csr(stencil: FiberStencil):
+    """The folded graph of a stencil, edge by edge from its slots."""
+    m, start, target, step, weight = stencil
     n_cells, h = len(start) - 1, m // 2 + 1
-    rows, cols, data = [], [], []
+    best = {}  # (row, col) -> least weight: csr_matrix sums duplicates
     for c in range(n_cells):
         for z in range(h):
             for s in range(start[c], start[c + 1]):
                 zz = (z + step[s]) % m
-                rows.append(c * h + z)
-                cols.append(target[s] * h + min(zz, m - zz))
-                data.append(weight[s])
-    # duplicate (row, col) entries are summed by csr_matrix: keep the minimum
-    best = {}
-    for r, c, w in zip(rows, cols, data):
-        best[r, c] = min(w, best.get((r, c), np.inf))
+                key = c * h + z, target[s] * h + min(zz, m - zz)
+                best[key] = min(weight[s], best.get(key, np.inf))
+    if not best:
+        return csr_matrix((n_cells * h,) * 2)
     (r, c), w = zip(*best), list(best.values())
-    folded = csr_matrix((w, (r, c)), shape=(n_cells * h,) * 2)
-    for cell in range(n_cells):
-        row, heap, pos = work_arrays(folded.shape[0])
-        _sweep_cell(stencil, cell, row, heap, pos)
+    return csr_matrix((w, (r, c)), shape=(n_cells * h,) * 2)
+
+
+def assert_sweeps_like_scipy(stencil: FiberStencil, cells):
+    folded = folded_csr(stencil)
+    h = stencil.m // 2 + 1
+    succ, pred = _sweep.work_arrays(folded.shape[0])
+    for cell in cells:
+        row = np.empty(folded.shape[0])
+        _sweep_cell(stencil, cell, row, succ, pred)
         assert np.array_equal(row, dijkstra(folded, indices=cell * h))
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_kernel_sweeps_the_folded_stencil_like_scipy(m):
+    assert_sweeps_like_scipy(path_stencil(m), range(5))
+
+
+def spread_stencil(n_cells, m, lo, hi, seed):
+    """A cycle of cells times a fiber of m positions, with weights drawn
+    log-uniformly from [lo, hi]: edges to the next cell and the one after,
+    and fiber steps of 1 and 2 within a cell."""
+    rng = np.random.default_rng(seed)
+    cells = np.arange(n_cells)
+
+    def weights():
+        return np.exp(rng.uniform(np.log(lo), np.log(hi), n_cells))
+
+    return fibered_stencil(n_cells, m, [
+        (cells, (cells + 1) % n_cells, 0, weights()),
+        (cells, (cells + 1) % n_cells, 1, weights()),
+        (cells, (cells + 2) % n_cells, 1, weights()),
+        (cells, cells, 1, weights()),
+        (cells, cells, 2, weights()),
+    ])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m", [8, 13])
+def test_weights_spread_wider_than_the_bucket_cap(m, seed):
+    # the buckets widen to w_max / (cap - 3), wider than most weights here,
+    # so a node taken off its bucket is often improved and queued again
+    stencil = spread_stencil(24, m, 1e-4, 10.0, seed)
+    assert 2 * stencil.weight.max() / stencil.weight.min() > _sweep.BUCKET_CAP
+    assert_sweeps_like_scipy(stencil, [0, 7, 23])
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_a_weight_below_half_an_ulp_leaves_the_sum_unchanged(m):
+    # edges of 1e-17 out of every fourth cell beside weights near 1: adding
+    # one to a distance of 0.25 or more leaves the distance as it was
+    cells = np.arange(12)
+    stencil = fibered_stencil(12, m, [
+        (cells, (cells + 1) % 12, 0, np.linspace(0.5, 2.0, 12)),
+        (cells, cells, 1, np.full(12, 0.7)),
+        (cells, (cells + 1) % 12, 1, np.where(cells % 4 == 2, 1e-17, 1.3)),
+    ])
+    folded = folded_csr(stencil)
+    h = m // 2 + 1
+    for cell in [0, 11]:
+        dist = dijkstra(folded, indices=cell * h)
+        u = np.repeat(np.arange(folded.shape[0]), np.diff(folded.indptr))
+        assert np.any((dist[u] + folded.data == dist[u]) & (dist[u] > 0))
+    assert_sweeps_like_scipy(stencil, [0, 4, 11])
+
+
+def test_a_stencil_without_edges_reaches_only_its_source():
+    stencil = fibered_stencil(3, 8, [])
+    assert_sweeps_like_scipy(stencil, [0, 2])
 
 
 # The kernel takes positions K <= z <= m//2 - K, K the largest |fiber
