@@ -57,6 +57,7 @@ from .core import (
     curve_length,
     diameter_upper_bound,
     lp_profile_distance,
+    sorted_distinct,
     theta_energy,
 )
 from .families import LimitMetric, SequenceFamily
@@ -335,7 +336,7 @@ def _monotone_geodesic_stats(space: WarpedSpace, p: SurfacePoint,
         return None
     length, c, _resid = out
     lo, hi = min(p.r, q.r), max(p.r, q.r)
-    edges = np.unique(np.concatenate(
+    edges = sorted_distinct(np.concatenate(
         ([lo, hi], space.breakpoints_unwrapped(lo, hi))))
     total_r = 0.0
     total_s = 0.0

@@ -35,6 +35,17 @@ class InvalidDescriptor(ValueError):
     """Profile, family or field parameters outside their valid range."""
 
 
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct values, ascending: np.unique's result on NaN-free input.
+
+    np.unique imports numpy.ma on its first call (about 10 ms), which would
+    land inside a process's first experiment."""
+    v = np.sort(np.asarray(values, dtype=float))
+    keep = np.ones(v.shape, dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]
+
+
 # ---------------------------------------------------------------------------
 # Fiber and base
 # ---------------------------------------------------------------------------
@@ -589,7 +600,7 @@ def lp_profile_distance(a: WarpingProfile, b: WarpingProfile, p: float,
     if p < 1:
         raise ValueError("p must be >= 1")
     lo, hi = base.r_min, base.r_max
-    cuts = np.unique(np.concatenate((
+    cuts = sorted_distinct(np.concatenate((
         [lo, hi], a.breakpoints_in(lo, hi), b.breakpoints_in(lo, hi))))
     nodes, weights = np.polynomial.legendre.leggauss(8)
     total = 0.0

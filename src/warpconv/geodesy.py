@@ -38,6 +38,7 @@ from .core import (
     SurfacePoint,
     WarpedSpace,
     segment_length,
+    sorted_distinct,
 )
 
 # Verified worst-case relative excess of grid paths over straight segments
@@ -75,8 +76,8 @@ def stencil_anisotropy(k: int, aspect_lo: float, aspect_hi: float) -> float:
     samples = np.exp(np.linspace(lo, hi, 257)) if hi > lo else [aspect_lo]
     worst = 0.0
     for a in samples:
-        angles = np.sort(np.unique([math.atan2(a * abs(dj), abs(di))
-                                    for di, dj in offs]))
+        angles = sorted_distinct([math.atan2(a * abs(dj), abs(di))
+                                  for di, dj in offs])
         gaps = np.diff(np.concatenate(([0.0], angles, [0.5 * math.pi])))
         # the 0 and pi/2 endpoints are axis directions already in the set,
         # so boundary gaps are real wedges against the axes
@@ -674,7 +675,7 @@ def _three_segment_candidate(space: WarpedSpace, p: SurfacePoint, q: SurfacePoin
                 + float(space.warp_at(r_hat)) * dtheta_abs)
 
     lo, hi = base.r_min, base.r_max
-    cuts = np.unique(np.concatenate(
+    cuts = sorted_distinct(np.concatenate(
         ([lo, hi, min(max(p.r, lo), hi), min(max(q.r, lo), hi)],
          space.profile.breakpoints_in(lo, hi))))
     best_v, best_r = math.inf, p.r
@@ -729,9 +730,9 @@ def _leg_rule(space: WarpedSpace, r_from: float, r_to: float,
     if turning_at_from:
         # integrate in u with r = r_from + sgn*u^2
         u_edges = np.sqrt(np.abs(np.concatenate(([lo, hi], bps)) - r_from))
-        edges = np.unique(u_edges)
+        edges = sorted_distinct(u_edges)
     else:
-        edges = np.unique(np.concatenate(([lo, hi], bps)))
+        edges = sorted_distinct(np.concatenate(([lo, hi], bps)))
 
     # every piece gets the same 6 sub-pieces whatever c is; this fixed rule
     # underestimates the log-singular advance of shots with c near an

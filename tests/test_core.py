@@ -38,6 +38,7 @@ from warpconv import (
     segment_length,
     theta_energy,
 )
+from warpconv.core import sorted_distinct
 
 
 def dense_integral(fn, lo: float, hi: float, n: int = 200001) -> float:
@@ -45,6 +46,15 @@ def dense_integral(fn, lo: float, hi: float, n: int = 200001) -> float:
     xs = np.linspace(lo, hi, n)
     ys = np.asarray(fn(xs), dtype=float)
     return float(np.trapezoid(ys, xs)) if hasattr(np, "trapezoid") else float(np.trapz(ys, xs))
+
+
+@given(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1e-300, math.pi])
+                | st.floats(-10.0, 10.0), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_sorted_distinct_is_np_unique_bit_for_bit(values):
+    got, want = sorted_distinct(values), np.unique(np.asarray(values, dtype=float))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ grid metric's cost per unit distance in direction u is the cheapest
 nonnegative combination of stencil steps summing to u, which is exactly the
 LP that the convex-hull computation solves geometrically.  Facet normals of
 the hull are the worst directions, so the LP maximum over them must equal
-the hull bound.
+the hull bound.  The library finds the hull's inradius with numpy alone;
+qhull (scipy, a test-only dependency) is the oracle it is checked against.
 """
 
 import math
@@ -45,6 +46,7 @@ from warpconv.torus3 import (
     stencil_anisotropy3,
     stencil_offsets3,
     wrap_cube,
+    _facet_triples3,
     _quadrature_l2,
 )
 
@@ -249,6 +251,68 @@ class TestAnisotropy3:
             stencil_anisotropy3(2.0, 1.0)
         with pytest.raises(ValueError):
             stencil_anisotropy3(1.0, math.inf)
+
+
+# ---------------------------------------------------------------------------
+# the numpy inradius against qhull
+# ---------------------------------------------------------------------------
+
+
+def qhull_inradius3(scale):
+    """Nearest facet offset of the hull of the rescaled unit steps, by qhull."""
+    _, _, hull = hull_of_scaled_stencil(scale)
+    return float(np.min(-hull.equations[:, -1]))
+
+
+def qhull_anisotropy3(scale_lo, scale_hi):
+    """`stencil_anisotropy3` as computed with qhull: the reference."""
+    lo, hi = math.log(scale_lo), math.log(scale_hi)
+    samples = np.exp(np.linspace(lo, hi, 65)) if hi > lo else [scale_lo]
+    worst = max(1.0 / qhull_inradius3(a) - 1.0 for a in samples)
+    return 1.005 * worst + 1e-4
+
+
+ORACLE_SCALES = np.exp(np.linspace(math.log(0.01), math.log(100.0), 2001))
+
+
+class TestInradiusAgainstQhull:
+    def test_bound_matches_qhull_at_2001_scales(self):
+        worst = 0.0
+        for a in ORACLE_SCALES:
+            want = 1.005 * (1.0 / qhull_inradius3(a) - 1.0) + 1e-4
+            worst = max(worst, abs(stencil_anisotropy3(a, a) / want - 1.0))
+        assert worst <= 1e-12
+
+    def test_every_hull_facet_holds_a_candidate_triple(self):
+        triples = _facet_triples3()
+        assert len(triples) == 268
+        for a in ORACLE_SCALES:
+            _, _, hull = hull_of_scaled_stencil(a)
+            # points on each facet's plane (a merged facet has more than 3)
+            on = np.abs(hull.points @ hull.equations[:, :3].T
+                        + hull.equations[:, 3]) < 1e-9
+            assert on[triples].all(axis=1).any(axis=0).all(), a
+
+    @pytest.mark.parametrize("lo, hi, bits", [
+        (1.0, 2.0, "0.20089984923430548"),
+        (1.0, 1.0, "0.12883327481337967"),
+        (0.5, 0.5, "0.23734831738728848"),
+    ])
+    def test_pins_the_qhull_bits_the_goldens_rest_on(self, lo, hi, bits):
+        assert repr(qhull_anisotropy3(lo, hi)) == bits
+        assert repr(stencil_anisotropy3(lo, hi)) == bits
+
+    @pytest.mark.parametrize("a", [1e-150, 1e-40, 1e-17, 1e17, 1e40, 1e150])
+    def test_extreme_scales_match_qhull(self, a):
+        # beyond 1e16 either way some candidate triples round to collinear
+        # points; they are skipped and the rest still find the inradius
+        want = 1.005 * (1.0 / qhull_inradius3(a) - 1.0) + 1e-4
+        assert stencil_anisotropy3(a, a) == pytest.approx(want, rel=1e-12)
+
+    def test_rejects_a_scale_whose_square_overflows(self):
+        stencil_anisotropy3(1.0, 1e154)
+        with pytest.raises(ValueError):
+            stencil_anisotropy3(1.0, 1e155)
 
 
 # ---------------------------------------------------------------------------
