@@ -2,25 +2,23 @@
 
 The experiment pipeline estimates how far a family stage's distances sit from
 the family's limit metric.  Warped surfaces (`run_family_experiment`) and
-warped 3-tori (`torus3.run_torus3_experiment`) share it:
+warped 3-tori (`torus3.run_torus3_experiment`) run it through
+`run_stages`, each supplying only its `Stage`s and `Limit`s:
 
 * probe pairs come from a deterministic sample plan (shared sources) plus
   family-specific worst cases,
 * `plan_values` reads a grid graph's distances and error bars on the plan
-  from the grid oracle's orbit cache: edge weights are invariant under
-  fiber rolls and even in the fiber step (z on the 3-torus), so one sweep
-  per source row answers all pairs, on the graph folded by the fiber
-  mirror (about half the nodes).  Each stage graph is read once, and
-  released before any reference graph is built or swept, so at most one
-  stage graph exists at a time and never beside a sweeping reference,
+  from the grid oracle's orbit cache (`geodesy.OrbitSweepCache`): one
+  sweep per source orbit answers all its pairs, on the graph folded by
+  the fiber mirror (about half the nodes),
 * a reference run discretizes the LIMIT geometry on the same grid, so the
   grid's systematic error (anisotropy, quadrature) can be cancelled by
-  comparing the two runs pair by pair.  Reference graphs depend only on
-  the limit and the grid, so they are cached across stages and keep their
-  folded rows: a later stage sweeps only reference rows not yet seen,
-* `limit_probes` joins the stage's values with the limit metric,
-  evaluated in closed form at the snapped endpoints, and with one
-  reference's values; every limit of a stage reuses the same stage values,
+  comparing the two runs pair by pair,
+* `run_stages` reads each stage graph once and releases it before any
+  reference is built or swept; references are cached per (limit, grid)
+  with their swept rows until the last stage on their grid,
+* `limit_result` joins the stage's values with one limit, in closed form
+  at the snapped endpoints, and with that limit's reference values,
 * `stage_row` turns the probes and the stage's closed-form data (L2 norm,
   bi-Lipschitz constant, volume) into one report row with its GH and
   intrinsic-flat bounds.
@@ -34,9 +32,11 @@ the uniform-convergence machinery (distance lower bound, diameter bound,
 monotone-curve length comparison, fiber turning rate, constant-level detour
 bound, bi-Lipschitz sandwich) on sampled pairs and curves, reporting slack =
 bound - observed, with hypothesis checks that skip inapplicable families.
-The audits are adversarial, not ceremonial: a bound that is false gets a
-negative slack in the table (the r-parameterized turning-rate bound is the
-known case; see audit_theorem_bounds).
+The lower-bound, diameter and sandwich rows are shared with the 3-torus
+audit (`lower_bound_row`, `diameter_row`, `sandwich_row`).  The audits are
+adversarial, not ceremonial: a bound that is false gets a negative slack in
+the table (the r-parameterized turning-rate bound is the known case; see
+audit_theorem_bounds).
 """
 
 import math
@@ -156,7 +156,7 @@ class PairProbe:
     grid_value: float
     grid_error: float
     limit_value: float
-    reference_value: Optional[float] = None
+    reference_value: float
 
     @property
     def raw_gap(self) -> float:
@@ -166,8 +166,6 @@ class PairProbe:
     def corrected_gap(self) -> float:
         """Stage-vs-reference gap on identical nodes; the grid's systematic
         error is common to both runs and cancels to first order."""
-        if self.reference_value is None:
-            return self.raw_gap
         return abs(self.grid_value - self.reference_value)
 
 
@@ -176,7 +174,6 @@ class DiscrepancyResult:
     """Probes of one stage against one limit; `grid` is the stage's
     `GridSpec` or `torus3.Grid3Spec`."""
 
-    family: str
     j: int
     limit: str
     grid: GridSpec
@@ -234,29 +231,46 @@ def plan_values(graph, plan: SamplePlan) -> PlanValues:
 
 def limit_probes(stage: PlanValues,
                  limit_distance: Callable[[object, object], float],
-                 reference_values: Optional[Sequence[float]] = None
-                 ) -> Tuple[PairProbe, ...]:
+                 reference_values: Sequence[float]) -> Tuple[PairProbe, ...]:
     """Probes of one limit from a stage's plan values: the stage's value
     and error, `limit_distance` at the snapped endpoints, and the
-    reference graph's value on the same nodes when `reference_values`
-    (that graph's `plan_values(...).values` on the same plan) is given.
-    The surface and 3-torus experiments build every probe here."""
-    if reference_values is None:
-        reference_values = [None] * len(stage.pairs)
+    reference graph's value on the same nodes, from `reference_values`
+    (that graph's `plan_values(...).values` on the same plan)."""
     return tuple(
         PairProbe(pa, pb, val, err, limit_distance(pa, pb), ref)
         for (pa, pb), val, err, ref in zip(stage.pairs, stage.values,
                                            stage.errors, reference_values))
 
 
-def _surface_result(family: SequenceFamily, j: int, grid: GridSpec,
-                    plan: SamplePlan, limit: LimitMetric, stage: PlanValues,
-                    reference: GridGraph) -> DiscrepancyResult:
-    """Stage j's plan values against one limit and its reference graph."""
+class Limit(NamedTuple):
+    """A limit as experiments probe it: report name, distance between
+    snapped endpoints, and builder of its reference graph on a grid."""
+
+    name: str
+    distance: Callable[[object, object], float]
+    reference: Callable[[object], object]
+
+
+def limit_result(j: int, grid, plan: SamplePlan, stage: PlanValues,
+                 limit: Limit, references: dict) -> DiscrepancyResult:
+    """Stage j's plan values against one limit, with its reference graph
+    on `grid` from `references` (keyed by limit name and grid; built when
+    missing)."""
+    key = (limit.name, grid)
+    if key not in references:
+        references[key] = limit.reference(grid)
+    probes = limit_probes(stage, limit.distance,
+                          plan_values(references[key], plan).values)
+    return DiscrepancyResult(j, limit.name, grid, probes)
+
+
+def _surface_limit(family: SequenceFamily, limit: LimitMetric) -> Limit:
+    """`limit` on the family's base and fiber, referenced by `reference_space`."""
     base, fiber = family.base, family.fiber
-    probes = limit_probes(stage, lambda p, q: limit.distance(base, fiber, p, q),
-                          plan_values(reference, plan).values)
-    return DiscrepancyResult(family.describe(), j, limit.describe(), grid, probes)
+    return Limit(
+        limit.describe(),
+        lambda p, q: limit.distance(base, fiber, p, q),
+        lambda grid: GridGraph(reference_space(limit, base, fiber, grid), grid))
 
 
 def discrepancy_estimate(family: SequenceFamily, j: int,
@@ -274,9 +288,7 @@ def discrepancy_estimate(family: SequenceFamily, j: int,
     limit = limit if limit is not None else family.candidate_limits()[0]
     plan = plan or family.sample_plan(j)
     stage = plan_values(GridGraph(family.space(j), grid), plan)
-    reference = GridGraph(
-        reference_space(limit, family.base, family.fiber, grid), grid)
-    return _surface_result(family, j, grid, plan, limit, stage, reference)
+    return limit_result(j, grid, plan, stage, _surface_limit(family, limit), {})
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +321,49 @@ class AuditRow:
             "n_samples": self.n_samples, "skipped": self.skipped,
             "reason": self.reason, "passed": self.passed,
         }
+
+
+def lower_bound_row(probes: Sequence[PairProbe], flat: Sequence[float],
+                    level: float, fmin: float, j: int,
+                    diameter: float) -> AuditRow:
+    """Stage distances undershoot the flat product at `level` (distances
+    `flat`) by at most sqrt(2 level) diameter / (fmin sqrt(j)); skipped
+    where the stage's minimum `fmin` dips below level - 1/j."""
+    name = "distance-lower-bound"
+    if fmin < level - 1.0 / j or fmin <= 0:
+        return AuditRow(name, skipped=True,
+                        reason=f"profile min {fmin:g} dips below "
+                               f"level - 1/j = {level - 1.0 / j:g}")
+    rhs = -math.sqrt(2.0) * math.sqrt(level) * diameter / (fmin * math.sqrt(j))
+    observed, tol = math.inf, 0.0
+    for pr, d in zip(probes, flat):
+        gap = pr.grid_value - d
+        if gap < observed:
+            observed, tol = gap, pr.grid_error
+    return AuditRow(name, slack=observed - rhs, tolerance=tol + 1e-9,
+                    bound=rhs, observed=observed, n_samples=len(probes))
+
+
+def diameter_row(probes: Sequence[PairProbe], bound: float) -> AuditRow:
+    """No probed stage distance exceeds the diameter bound."""
+    observed = max(pr.grid_value for pr in probes)
+    return AuditRow("diameter", slack=bound - observed,
+                    tolerance=max(pr.grid_error for pr in probes),
+                    bound=bound, observed=observed, n_samples=len(probes))
+
+
+def sandwich_row(probes: Sequence[PairProbe], unit: Sequence[float],
+                 lam: float) -> AuditRow:
+    """d_unit / lam <= stage distance <= lam * d_unit, for the distances
+    `unit` with profile (or field) 1."""
+    worst_slack, worst_tol = math.inf, 0.0
+    for pr, d1 in zip(probes, unit):
+        slack = min(lam * d1 - pr.grid_value, pr.grid_value - d1 / lam)
+        if slack < worst_slack:
+            worst_slack, worst_tol = slack, pr.grid_error
+    return AuditRow("bilip-sandwich", slack=worst_slack,
+                    tolerance=worst_tol + 1e-9, bound=lam,
+                    observed=worst_slack, n_samples=len(probes))
 
 
 # 12-point Gauss-Legendre rule for the turning integrals, built once
@@ -395,35 +450,14 @@ def audit_theorem_bounds(family: SequenceFamily, j: int,
     delta = lp_profile_distance(space.profile, ConstantProfile(level), 2, base)
     limit_space = WarpedSpace(base, fiber, ConstantProfile(level))
     norm_inf_sq = level * level * base.length  # squared L2 norm of the level
-    rows: List[AuditRow] = []
-
-    # -- lower bound on d_j - d_flat ------------------------------------
-    fmin = space.profile_min()
-    name = "distance-lower-bound"
-    if fmin < level - 1.0 / j or fmin <= 0:
-        rows.append(AuditRow(name, skipped=True,
-                             reason=f"profile min {fmin:g} dips below "
-                                    f"level - 1/j = {level - 1.0 / j:g}"))
-    else:
-        diam_j = diameter_upper_bound(space).value
-        rhs = -math.sqrt(2.0) * math.sqrt(level) * diam_j / (fmin * math.sqrt(j))
-        observed = math.inf
-        tol = 0.0
-        for pr in result.probes:
-            flat_d = flat_product_distance(base, fiber, level, pr.p, pr.q)
-            gap = pr.grid_value - flat_d
-            if gap < observed:
-                observed, tol = gap, pr.grid_error
-        rows.append(AuditRow(name, slack=observed - rhs, tolerance=tol + 1e-9,
-                             bound=rhs, observed=observed,
-                             n_samples=len(result.probes)))
-
-    # -- diameter bound ---------------------------------------------------
-    dbound = diameter_upper_bound(limit_space, delta_l2=delta).value
-    observed = max(pr.grid_value for pr in result.probes)
-    rows.append(AuditRow("diameter", slack=dbound - observed,
-                         tolerance=result.max_grid_error, bound=dbound,
-                         observed=observed, n_samples=len(result.probes)))
+    probes = result.probes
+    flat = [flat_product_distance(base, fiber, level, pr.p, pr.q)
+            for pr in probes]
+    rows: List[AuditRow] = [
+        lower_bound_row(probes, flat, level, space.profile_min(), j,
+                        diameter_upper_bound(space).value),
+        diameter_row(probes,
+                     diameter_upper_bound(limit_space, delta_l2=delta).value)]
 
     # -- length comparison on monotone curves -----------------------------
     curves = _monotone_test_curves(base, fiber)
@@ -455,7 +489,7 @@ def audit_theorem_bounds(family: SequenceFamily, j: int,
     # turning energy does obey the bound (|dtheta/ds| <= 1/f pointwise),
     # and is audited as the companion row.
     stats = []
-    for pr in result.probes:
+    for pr in probes:
         if abs(pr.p.r - pr.q.r) < 0.1:
             continue
         got = _monotone_geodesic_stats(space, pr.p, pr.q)
@@ -484,7 +518,7 @@ def audit_theorem_bounds(family: SequenceFamily, j: int,
     name = "level-detour"
     worst_slack, worst_tol, worst_bound, worst_obs = math.inf, 0.0, math.nan, math.nan
     n_level = 0
-    for pr in result.probes:
+    for pr in probes:
         if abs(pr.p.r - pr.q.r) > 1e-12:
             continue
         dsig = fiber.distance(pr.p.theta, pr.q.theta)
@@ -507,19 +541,10 @@ def audit_theorem_bounds(family: SequenceFamily, j: int,
                              n_samples=n_level))
 
     # -- bi-Lipschitz sandwich against the unit product -------------------
-    lam = bilipschitz_lambda(space)
-    worst_slack, worst_tol = math.inf, 0.0
-    for pr in result.probes:
-        d1 = flat_product_distance(base, fiber, 1.0, pr.p, pr.q)
-        upper = lam * d1 - pr.grid_value
-        lower = pr.grid_value - d1 / lam
-        slack = min(upper, lower)
-        if slack < worst_slack:
-            worst_slack, worst_tol = slack, pr.grid_error
-    rows.append(AuditRow("bilip-sandwich", slack=worst_slack,
-                         tolerance=worst_tol + 1e-9, bound=lam,
-                         observed=worst_slack,
-                         n_samples=len(result.probes)))
+    rows.append(sandwich_row(
+        probes, [flat_product_distance(base, fiber, 1.0, pr.p, pr.q)
+                 for pr in probes],
+        bilipschitz_lambda(space)))
 
     # -- uniform upper estimate via monotone limit geodesics --------------
     name = "monotone-uniform"
@@ -622,6 +647,51 @@ def stage_row(result: DiscrepancyResult, l2_norm: float, l2_bound: float,
         worst_pair=(worst.p, worst.q), alt_eps=dict(alt_eps or {}))
 
 
+class Stage(NamedTuple):
+    """One stage of an experiment: j, grid, plan, a builder of its grid
+    graph and its closed-form row data (l2_norm, l2_bound, lam, mass)."""
+
+    j: int
+    grid: object
+    plan: SamplePlan
+    graph: Callable[[], object]
+    closed_forms: Tuple[float, float, float, float]
+
+
+def run_stages(family, dimension: int, stages: Sequence[Stage],
+               limits: Sequence[Limit],
+               audit: Optional[Callable[[DiscrepancyResult, StageRow],
+                                        Sequence[AuditRow]]] = None
+               ) -> ConvergenceReport:
+    """Report rows of `stages` against `limits`, the first the headline
+    one, with `audit(result, row)`'s rows for the headline result.
+
+    Each stage graph is read once on its plan and released before any
+    reference graph is built or swept; every limit reuses those values.
+    References are cached per (limit, grid) with their swept rows and
+    dropped after the last stage on their grid.  So one stage graph exists
+    at a time, never beside a sweeping reference.
+    """
+    references = {}
+    rows: List[StageRow] = []
+    audits: Dict[int, Tuple[AuditRow, ...]] = {}
+    for i, st in enumerate(stages):
+        # the stage graph lives only for this read: no reference sees it
+        values = plan_values(st.graph(), st.plan)
+        head, *alt = [limit_result(st.j, st.grid, st.plan, values, lim,
+                                   references) for lim in limits]
+        row = stage_row(head, *st.closed_forms, dimension,
+                        {res.limit: res.eps_corrected for res in alt})
+        rows.append(row)
+        if audit is not None:
+            audits[st.j] = tuple(audit(head, row))
+        later = {other.grid for other in stages[i + 1:]}
+        for key in [key for key in references if key[1] not in later]:
+            del references[key]
+    return ConvergenceReport(family.describe(), limits[0].name, dimension,
+                             tuple(rows), audits)
+
+
 def run_family_experiment(family: SequenceFamily, j_list: Sequence[int],
                           grid: Optional[GridSpec] = None,
                           n_sources: int = 8, n_targets: int = 16,
@@ -630,57 +700,28 @@ def run_family_experiment(family: SequenceFamily, j_list: Sequence[int],
                           seed: int = 0) -> ConvergenceReport:
     """Per-stage discrepancy rows for a family, against its proven limit
     (moving-cinch: against both subsequential candidates, the first as the
-    headline number).
-
-    Each stage graph is built, read once on the stage's plan
-    (`plan_values`) and released before any reference graph is built or
-    swept; every limit reuses those values.  Reference graphs are cached
-    per (limit, grid) and keep their swept rows until the last stage on
-    their grid is done.  So one stage graph exists at a time, never beside
-    a sweeping reference, and no reference outlives its grid.
+    headline number), on `default_grid` unless `grid` is given.
     """
-    candidates = family.candidate_limits()
-    primary = candidates[0]
-    extra_limits: List[LimitMetric] = list(candidates[1:])
+    limits = list(family.candidate_limits())
     if with_wrong_limit:
         wrong = family.naive_limit()
-        if wrong.describe() != primary.describe():
-            extra_limits.append(wrong)
+        if wrong.describe() != limits[0].describe():
+            limits.append(wrong)
 
-    ref_cache: Dict[Tuple[str, Tuple[int, int, int]], GridGraph] = {}
-
-    def ref_for(limit: LimitMetric, g: GridSpec) -> GridGraph:
-        key = (limit.describe(), (g.n_r, g.n_theta, g.k))
-        if key not in ref_cache:
-            ref_cache[key] = GridGraph(
-                reference_space(limit, family.base, family.fiber, g), g)
-        return ref_cache[key]
-
-    rows: List[StageRow] = []
-    audits: Dict[int, Tuple[AuditRow, ...]] = {}
-    grids = [grid or default_grid(family, j) for j in j_list]
-    for i, (j, g) in enumerate(zip(j_list, grids)):
+    def stage(j: int) -> Stage:
         space = family.space(j)
-        plan = family.sample_plan(j, n_sources=n_sources, n_targets=n_targets,
-                                  offset=seed)
-        # the stage graph lives only for this read: no reference sees it
-        stage = plan_values(GridGraph(space, g), plan)
-        res = _surface_result(family, j, g, plan, primary, stage,
-                              ref_for(primary, g))
-        alt = {lim.describe(): _surface_result(family, j, g, plan, lim, stage,
-                                               ref_for(lim, g)).eps_corrected
-               for lim in extra_limits}
-
-        l2 = lp_profile_distance(space.profile,
+        g = grid or default_grid(family, j)
+        return Stage(
+            j, g, family.sample_plan(j, n_sources=n_sources,
+                                     n_targets=n_targets, offset=seed),
+            lambda: GridGraph(space, g),
+            (lp_profile_distance(space.profile,
                                  ConstantProfile(family.limit_level), 2,
-                                 family.base)
-        rows.append(stage_row(res, l2, family.l2_analytic_bound(j),
-                              bilipschitz_lambda(space), space.mass(),
-                              SURFACE_DIM, alt))
-        if with_audits:
-            audits[j] = tuple(audit_theorem_bounds(family, j, result=res))
-        later = {(h.n_r, h.n_theta, h.k) for h in grids[i + 1:]}
-        for key in [key for key in ref_cache if key[1] not in later]:
-            del ref_cache[key]
-    return ConvergenceReport(family.describe(), primary.describe(),
-                             SURFACE_DIM, tuple(rows), audits)
+                                 family.base),
+             family.l2_analytic_bound(j), bilipschitz_lambda(space),
+             space.mass()))
+
+    audit = ((lambda res, _row: audit_theorem_bounds(family, res.j, result=res))
+             if with_audits else None)
+    return run_stages(family, SURFACE_DIM, [stage(j) for j in j_list],
+                      [_surface_limit(family, lim) for lim in limits], audit)

@@ -165,17 +165,26 @@ class OrbitSweepCache:
     node, and d(a, b) is read from the folded sweep of a's orbit
     representative.
 
-    Subclasses set `_stencil` from `fibered_stencil`, `_base_shape` (the
-    base lattice's shape, cells in C order), `base_invariant` (True when
-    every wrap-around translation of that lattice is an automorphism too,
-    so cell 0 represents every source) and an empty `_orbit_rows` dict,
-    which keeps each swept row for the graph's lifetime as an
-    (n_cells, m//2 + 1) view, so sources in a known orbit sweep nothing.
+    A subclass passes the base lattice's shape (cells in C order), the
+    fiber length m, its `fibered_stencil` directions and whether the
+    lattice wraps.  `base_invariant` is set when it wraps and each
+    direction's weights are equal across cells: every translation is then
+    an automorphism, so cell 0 represents every source.  Each swept row is
+    kept for the graph's lifetime, so known orbits sweep nothing.
 
     Every sweep goes through `distances_from`, which runs the C kernel of
     `_sweep.c` on the stencil itself, one thread per usable CPU at most for
     a call with several cells.  No edge list or sparse matrix is built.
     """
+
+    def __init__(self, base_shape: Tuple[int, ...], m: int, directions,
+                 wraps: bool):
+        directions = list(directions)
+        self._base_shape = tuple(base_shape)
+        self.base_invariant = wraps and all(
+            bool(np.all(w == w[0])) for _, _, _, w in directions)
+        self._stencil = fibered_stencil(math.prod(base_shape), m, directions)
+        self._orbit_rows = {}
 
     def distances_from(self, cells: Sequence[int]) -> np.ndarray:
         """Sweeps of the folded graph from node (cell, 0) of each base cell:
@@ -440,17 +449,16 @@ class GridGraph(OrbitSweepCache):
     symmetric and its weights are even in the theta step.
 
     Weights depend on the start row only: `_direction_weights` gives one
-    weight per row and direction, and `fibered_stencil` keeps them per
-    slot with rows as base cells (`_base_shape` is (n_rows,)) and theta as
-    the fiber; sweeps run on the graph folded by the mirror
+    weight per row and direction, and `_directions` hands them to
+    `OrbitSweepCache` with rows as base cells and theta as the fiber,
+    wrapping on a circle base; sweeps run on the graph folded by the mirror
     theta -> -theta, columns 0..n_theta//2 of every row, about half the
     nodes.  Grids over MAX_NODES_2D nodes raise GridSizeError before
     anything is allocated.  Rolling the fiber is a graph automorphism, so
     one sweep per source row, run on the folded graph from the row's
-    column 0, answers every pair.  When the built weights are also bitwise
-    equal across rows of a circle base, `base_invariant` is set and one
-    sweep answers the whole graph.  Sweeps of several rows run on one
-    thread per usable CPU (see `OrbitSweepCache.distances_from`).
+    column 0, answers every pair; one sweep answers all when the weights
+    are also equal across rows of a circle base.  Sweeps of several rows
+    run on one thread per usable CPU (see `OrbitSweepCache.distances_from`).
     """
 
     def __init__(self, space: WarpedSpace, spec: GridSpec = GridSpec()):
@@ -471,9 +479,8 @@ class GridGraph(OrbitSweepCache):
         ratio = self.htheta / self.hr
         self.aniso_bound = stencil_anisotropy(
             spec.k, space.profile_min() * ratio, space.profile_max() * ratio)
-        self._base_shape = (self.n_rows,)
-        self._stencil, self.base_invariant = self._build()
-        self._orbit_rows = {}
+        super().__init__((self.n_rows,), spec.n_theta, self._directions(),
+                         base.is_circle)
 
     # -- construction -------------------------------------------------
 
@@ -514,22 +521,15 @@ class GridGraph(OrbitSweepCache):
                                                 dtheta, bps)
         return idx, w
 
-    def _build(self):
-        """Stencil of the graph, and whether every row got the same weights
-        on a circle base (row shifts are then automorphisms)."""
-        # one direction per mirror pair (di, +-dj): fibered_stencil adds both signs
-        halves = [(di, dj) for di, dj in neighborhood_offsets(self.spec.k)
-                  if di >= 0 and dj >= 0]
+    def _directions(self):
+        """One (start rows, end rows, theta step, weights) direction per
+        mirror pair (di, +-dj): `fibered_stencil` adds both signs."""
         circle = self.space.base.is_circle
-        directions = []
-        base_invariant = circle
-        for di, dj in halves:
-            idx, w = self._direction_weights(di, dj)
-            base_invariant = base_invariant and bool(np.all(w == w[0]))
-            dst = (idx + di) % self.n_rows if circle else idx + di
-            directions.append((idx, dst, dj, w))
-        return (fibered_stencil(self.n_rows, self.n_theta, directions),
-                base_invariant)
+        for di, dj in neighborhood_offsets(self.spec.k):
+            if di >= 0 and dj >= 0:
+                idx, w = self._direction_weights(di, dj)
+                dst = (idx + di) % self.n_rows if circle else idx + di
+                yield idx, dst, dj, w
 
     # -- queries --------------------------------------------------------
 

@@ -16,9 +16,10 @@ Pieces:
   the normals of 268 candidate facets: numpy alone, no hull library),
 * the closed-form limit metric, a diameter bound, a bi-Lipschitz constant,
 * a stage family (one bump walking the dyadic rationals of the diagonal
-  while it narrows) and the convergence experiment through the surface
-  pipeline: the plan, probe and stage-row code of `convergence` gives the
-  reference-corrected discrepancies, and this module adds the audit rows.
+  while it narrows) and the convergence experiment, run by the surface
+  pipeline's `convergence.run_stages` with its stage loop, reference cache,
+  probes, rows and audit rows; this module supplies the fields, the graph,
+  the flat limit and the diameter bound.
 
 The z-stencil choice deliberately exceeds the minimal axis+corner set: with
 only axis moves available inside the xy-plane, a diagonal xy pair costs a
@@ -33,27 +34,26 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .core import TAU, HypothesisError, InvalidDescriptor, _bump_shape
 from .convergence import (
-    AuditRow,
     ConvergenceReport,
-    DiscrepancyResult,
+    Limit,
     PairProbe,
-    StageRow,
-    limit_probes,
-    plan_values,
-    stage_row,
+    Stage,
+    diameter_row,
+    lower_bound_row,
+    run_stages,
+    sandwich_row,
 )
 from .families import dyadic_walk
 from .geodesy import (
     GridSizeError,
     OrbitSweepCache,
     _integer_fields,
-    fibered_stencil,
 )
 from .sampling import SamplePlan, halton_points
 
@@ -337,18 +337,15 @@ class Grid3Spec:
     """Per-axis resolution of the periodic 3D grid (unit stencil)."""
 
     n: int = 64
-    k: int = 1
 
     def __post_init__(self):
         _integer_fields(self)
         if self.n < 32:
             raise ValueError("3D grid needs at least 32 subdivisions per axis")
-        if self.k != 1:
-            raise ValueError("only the unit (26-direction) stencil is supported")
 
     def as_list(self) -> List[int]:
-        """Subdivisions per axis, then the stencil radius."""
-        return [self.n, self.n, self.n, self.k]
+        """Subdivisions per axis, then the stencil radius 1."""
+        return [self.n, self.n, self.n, 1]
 
 
 class Grid3Graph(OrbitSweepCache):
@@ -358,14 +355,14 @@ class Grid3Graph(OrbitSweepCache):
     node costs h * sqrt(dx^2 + dy^2 + f(mid)^2 dz^2) with f read at the
     step's xy midpoint.  Weights depend on (x, y) only and are even in dz,
     so each mirror pair (dx, dy, +-dz) is one n x n sheet of weights, and
-    `fibered_stencil` keeps them per slot with the (x, y) cells as base
-    cells (`_base_shape` (n, n)) and z as the fiber; sweeps run on the
+    `_directions` hands them to `OrbitSweepCache` with the (x, y) cells as
+    base cells, z as the fiber and a wrapping base; sweeps run on the
     graph folded by the mirror z -> -z, z = 0..n//2 of every cell, about
     half the nodes.  z rolls are automorphisms, so one sweep per source
     (x, y), run on the folded graph from the cell's z = 0, answers every
-    pair.  When every sheet is constant, `base_invariant` is set: one sweep
-    answers all.  Sweeps of several cells run on one thread per usable CPU
-    (see `OrbitSweepCache.distances_from`).
+    pair.  When every sheet is constant, one sweep answers all.  Sweeps of
+    several cells run on one thread per usable CPU (see
+    `OrbitSweepCache.distances_from`).
     """
 
     def __init__(self, fld: ScalarField2D, spec: Grid3Spec = Grid3Spec()):
@@ -379,34 +376,26 @@ class Grid3Graph(OrbitSweepCache):
         self.coords = -math.pi + self.h * np.arange(n)
         self.n_nodes = n ** 3
         self.aniso_bound = stencil_anisotropy3(fld.min_value(), fld.max_value())
-        self._base_shape = (n, n)
-        self._stencil, self.base_invariant = self._build()
-        self._orbit_rows = {}
+        super().__init__((n, n), n, self._directions(), True)
 
-    def _build(self):
-        """Stencil of the graph, and whether every weight sheet is constant
-        (xy shifts are then automorphisms too)."""
+    def _directions(self):
+        """One (cells, target cells, z step, weight sheet) direction per
+        pair +-(dx, dy, +-dz): `fibered_stencil` adds the rest."""
         n = self.spec.n
         h = self.h
-        xs = self.coords
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        X, Y = np.meshgrid(self.coords, self.coords, indexing="ij")
         plane = np.arange(n * n).reshape(n, n)
-        directions = []
-        # one direction per pair +-(dx, dy, +-dz): fibered_stencil adds the rest
-        halves = [o for o in stencil_offsets3()
-                  if o[:2] >= (0, 0) and o[2] >= 0 and o != (0, 0, 0)]
-        base_invariant = True
-        for dx, dy, dz in halves:
+        for dx, dy, dz in stencil_offsets3():
+            if (dx, dy) < (0, 0) or dz < 0:
+                continue
             if dz == 0:
                 w_sheet = np.full((n, n), h * math.hypot(dx, dy))
             else:
                 f = np.asarray(self.field(X + 0.5 * dx * h, Y + 0.5 * dy * h),
                                dtype=float)
                 w_sheet = h * np.sqrt(dx * dx + dy * dy + (f * dz) ** 2)
-            base_invariant = base_invariant and bool(np.all(w_sheet == w_sheet[0, 0]))
             sheet_to = plane[(np.arange(n) + dx) % n][:, (np.arange(n) + dy) % n]
-            directions.append((plane.ravel(), sheet_to.ravel(), dz, w_sheet.ravel()))
-        return fibered_stencil(n * n, n, directions), base_invariant
+            yield plane.ravel(), sheet_to.ravel(), dz, w_sheet.ravel()
 
     # -- queries --------------------------------------------------------
 
@@ -429,10 +418,6 @@ class Grid3Graph(OrbitSweepCache):
                for v in (p.x, p.y, p.z)]
         node = self.node_index(*ids)
         return node, self.node_point(node)
-
-    def mass(self) -> float:
-        """Riemannian volume: the z circle sweeps the field's area integral."""
-        return TAU * self.field.integral()
 
 
 # ---------------------------------------------------------------------------
@@ -532,78 +517,42 @@ def run_torus3_experiment(family: Torus3Family, j_list: Sequence[int],
     same-grid constant reference run cancelling the oracle's systematic
     error, plus the lower-bound / diameter / sandwich audit rows.
 
-    As in `convergence.run_family_experiment`, each stage graph is read
-    once on its plan and released before the next graph is built and
-    before the reference (built at the first stage, then kept with its one
-    row: a constant field is invariant along every axis) is swept.
+    Runs through `convergence.run_stages`, which holds one stage graph at
+    a time and keeps the reference, with its one swept row (a constant
+    field is invariant along every axis), for every stage on the grid.
     """
     c = family.level
-    limit = f"flat3(level={c:g})"
-    reference = None
-    rows: List[StageRow] = []
-    audits: Dict[int, Tuple[AuditRow, ...]] = {}
-    for j in j_list:
+    flat = Limit(f"flat3(level={c:g})",
+                 lambda p, q: limit3_distance(c, p, q),
+                 lambda g: Grid3Graph(ConstantField(c), g))
+
+    def stage(j: int) -> Stage:
         fld = family.field(j)
-        plan = family.sample_plan(j, n_sources=n_sources, n_targets=n_targets,
-                                  offset=seed)
-        graph = Grid3Graph(fld, grid)
-        stage, mass = plan_values(graph, plan), graph.mass()
-        del graph
-        if reference is None:
-            reference = Grid3Graph(ConstantField(c), grid)
-        res = DiscrepancyResult(
-            family.describe(), j, limit, grid,
-            limit_probes(stage, lambda p, q: limit3_distance(c, p, q),
-                         plan_values(reference, plan).values))
-        l2 = _quadrature_l2(fld, c)
-        lam = bilip_lambda3(fld)
-        rows.append(stage_row(res, l2, fld.l2_vs_level(c), lam, mass, VOLUME_DIM))
-        if with_audits:
-            audits[j] = tuple(_audit_rows3(family, j, fld, res.probes, l2, lam))
-    return ConvergenceReport(family.describe(), limit, VOLUME_DIM,
-                             tuple(rows), audits)
+        return Stage(
+            j, grid, family.sample_plan(j, n_sources=n_sources,
+                                        n_targets=n_targets, offset=seed),
+            lambda: Grid3Graph(fld, grid),
+            (_quadrature_l2(fld, c), fld.l2_vs_level(c), bilip_lambda3(fld),
+             TAU * fld.integral()))
+
+    audit = ((lambda res, row: _audit_rows3(family, res.j, family.field(res.j),
+                                            res.probes, row.l2_norm, row.lam))
+             if with_audits else None)
+    return run_stages(family, VOLUME_DIM, [stage(j) for j in j_list], [flat],
+                      audit)
 
 
 def _audit_rows3(family: Torus3Family, j: int, fld: ScalarField2D,
                  probes: Tuple[PairProbe, ...], l2: float, lam: float):
+    """The shared audit rows of stage j: the lower bound against the flat
+    limit, the diameter bound and the sandwich against the unit flat
+    3-torus."""
     c = family.level
-    fmin = fld.min_value()
-    rows: List[AuditRow] = []
-
-    # stage distances cannot undershoot the limit by more than the pinched
-    # detour cost; the cap uses the stage diameter bound
-    name = "distance-lower-bound"
-    if fmin < c - 1.0 / j or fmin <= 0:
-        rows.append(AuditRow(name, skipped=True,
-                             reason=f"field min {fmin:g} dips below "
-                                    f"c - 1/j = {c - 1.0 / j:g}"))
-    else:
-        diam_j = diameter3_upper_bound(l2, c)
-        rhs = -math.sqrt(2.0) * math.sqrt(c) * diam_j / (fmin * math.sqrt(j))
-        observed, tol = math.inf, 0.0
-        for pr in probes:
-            gap = pr.grid_value - pr.limit_value
-            if gap < observed:
-                observed, tol = gap, pr.grid_error
-        rows.append(AuditRow(name, slack=observed - rhs, tolerance=tol + 1e-9,
-                             bound=rhs, observed=observed,
-                             n_samples=len(probes)))
-
-    dbound = diameter3_upper_bound(l2, c)
-    observed = max(pr.grid_value for pr in probes)
-    rows.append(AuditRow("diameter", slack=dbound - observed,
-                         tolerance=max(pr.grid_error for pr in probes),
-                         bound=dbound, observed=observed,
-                         n_samples=len(probes)))
-
-    # sandwich against the unit flat 3-torus, whose distance is closed-form
-    worst_slack, worst_tol = math.inf, 0.0
-    for pr in probes:
-        d1 = limit3_distance(1.0, pr.p, pr.q)
-        slack = min(lam * d1 - pr.grid_value, pr.grid_value - d1 / lam)
-        if slack < worst_slack:
-            worst_slack, worst_tol = slack, pr.grid_error
-    rows.append(AuditRow("bilip-sandwich", slack=worst_slack,
-                         tolerance=worst_tol + 1e-9, bound=lam,
-                         observed=worst_slack, n_samples=len(probes)))
-    return rows
+    diameter = diameter3_upper_bound(l2, c)
+    return [
+        lower_bound_row(probes, [pr.limit_value for pr in probes], c,
+                        fld.min_value(), j, diameter),
+        diameter_row(probes, diameter),
+        sandwich_row(probes, [limit3_distance(1.0, pr.p, pr.q) for pr in probes],
+                     lam),
+    ]

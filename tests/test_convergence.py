@@ -136,8 +136,6 @@ def test_pair_probe_gaps():
                       limit_value=1.2, reference_value=1.45)
     assert probe.raw_gap == pytest.approx(0.3)
     assert probe.corrected_gap == pytest.approx(0.05)
-    bare = PairProbe(p, q, 1.5, 0.1, 1.2)
-    assert bare.corrected_gap == bare.raw_gap
 
 
 @pytest.mark.parametrize("grid, pair, grid_list, pair_lists", [
@@ -244,6 +242,17 @@ def test_hypothesis_violation_skips_lower_bound():
     assert row.skipped
     assert "dips below" in row.reason
     assert row.passed  # skipping is not failing
+
+
+def test_skip_reason_reaches_the_report_verbatim():
+    # the golden reports carry this string: cinch depth 0.5 against
+    # level - 1/j at j = 4
+    report = run_family_experiment(SequenceFamily("cinched-torus"), [4],
+                                   grid=GridSpec(48, 48, 2), n_sources=2,
+                                   n_targets=3, with_audits=True)
+    row = next(a for a in report.audits[4] if a.name == "distance-lower-bound")
+    assert row.skipped
+    assert row.reason == "profile min 0.5 dips below level - 1/j = 0.75"
 
 
 def test_wrong_limit_floor_for_cinched_torus():

@@ -35,7 +35,7 @@ from warpconv import (
     circle_base,
     interval_base,
 )
-from warpconv.geodesy import MAX_NODES_2D, fibered_stencil
+from warpconv.geodesy import MAX_NODES_2D, OrbitSweepCache, fibered_stencil
 from warpconv.torus3 import (
     BumpField,
     ConstantField,
@@ -224,10 +224,11 @@ def test_each_cell_keeps_one_slot_per_neighbour(make, degree):
 
 
 def test_surface_grid_over_the_guard_raises_before_building(monkeypatch):
-    def no_build(self):
+    def no_build(self, *args):
         raise AssertionError("the guard must fire before the graph is built")
 
-    monkeypatch.setattr(GridGraph, "_build", no_build)
+    monkeypatch.setattr(GridGraph, "_direction_weights", no_build)
+    monkeypatch.setattr(OrbitSweepCache, "__init__", no_build)
     # an interval base has n_r + 1 rows: 8193 * 4096 is just over 2**25
     space = WarpedSpace(interval_base(), FiberSpace(), ConstantProfile(1.0))
     assert 8193 * 4096 > MAX_NODES_2D
@@ -236,6 +237,7 @@ def test_surface_grid_over_the_guard_raises_before_building(monkeypatch):
 
 
 def test_pinned_grid_passes_the_guard(monkeypatch):
-    monkeypatch.setattr(GridGraph, "_build", lambda self: (None, False))
+    # the stencil is never built: no weight is computed
+    monkeypatch.setattr(OrbitSweepCache, "__init__", lambda self, *args: None)
     graph = GridGraph(SequenceFamily("ret-cinches").space(1), GridSpec(1024, 1024, 3))
     assert graph.n_nodes == 1024 * 1024

@@ -408,10 +408,10 @@ def test_grid_spec_validation():
     lambda: GridSpec(64, 64, np.bool_(True)),
     lambda: GridSpec("64", 64, 2),
     lambda: Grid3Spec(32.0),
-    lambda: Grid3Spec(64, k=True),
+    lambda: Grid3Spec(True),
     lambda: Grid3Spec(np.float64(64)),
 ], ids=["float-n_r", "fraction", "bool-k", "numpy-bool-k", "str",
-        "float-n", "bool-k3", "numpy-float-n"])
+        "float-n", "bool-n3", "numpy-float-n"])
 def test_grid_specs_reject_non_integer_sizes(make):
     with pytest.raises(ValueError):
         make()
@@ -419,10 +419,10 @@ def test_grid_specs_reject_non_integer_sizes(make):
 
 def test_grid_specs_store_numpy_integers_as_int():
     spec = GridSpec(np.int64(64), np.int32(48), np.uint8(2))
-    spec3 = Grid3Spec(np.int64(33), np.int16(1))
+    spec3 = Grid3Spec(np.int64(33))
     for value in spec.as_list() + spec3.as_list():
         assert type(value) is int
-    assert spec == GridSpec(64, 48, 2) and spec3 == Grid3Spec(33, 1)
+    assert spec == GridSpec(64, 48, 2) and spec3 == Grid3Spec(33)
 
 
 # ---------------------------------------------------------------------------
