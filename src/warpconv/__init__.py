@@ -52,10 +52,7 @@ from .geodesy import (
     flat_product_distance,
     level_set_distance,
     neighborhood_offsets,
-    ridge_bypass_bound,
-    ridge_bypass_improves,
     stencil_anisotropy,
-    taxi_upper_bound,
 )
 from .ret import (
     RETSpace,

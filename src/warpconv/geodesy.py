@@ -4,11 +4,11 @@ Three independent routes to the same quantity:
 
 * a weighted-graph oracle on a regular (r, theta) grid (Dijkstra over a
   k-neighborhood with quadrature edge weights, run by the C kernel of
-  `_sweep.c`, a bucket queue with decrease-key, on the per-row stencil, one
+  `_sweep.c`, a bucket queue with decrease-key, on the per-row stencil; the
+  sweeps of several rows are mapped over a thread pool of at most one
   thread per usable CPU),
 * Clairaut geodesic shooting using the conserved quantity c = f(r)^2 theta',
-* closed-form candidates and bounds (level-set, taxi, ridge bypass, flat
-  product).
+* closed forms (level-set, flat product, the cinch limit).
 
 The grid oracle's error estimate is the direction-anisotropy term alone:
 probe endpoints snap to grid nodes and the limit metric is evaluated at the
@@ -23,9 +23,9 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -115,29 +115,28 @@ def _fold(z, m: int):
     return np.minimum(z, m - z)
 
 
-def _usable_cpus() -> List[int]:
-    """CPUs this process may run on, in order; all of them where the
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on; os.cpu_count() where the
     platform cannot say."""
     if hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return list(range(os.cpu_count() or 1))
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _start_on(cpu: int) -> None:
-    """Move the calling thread to `cpu`, then let it run on every CPU it
-    could before: left to place them, the scheduler of a 2-CPU virtual
-    machine was seen to start two forked sweep processes on one CPU and
-    keep them there for a whole call, which then took twice as long, and
-    it places new threads by the same rule.  A no-op where the platform
-    has no thread affinity."""
-    if not hasattr(os, "sched_setaffinity"):
-        return
-    usable = os.sched_getaffinity(0)
-    try:
-        os.sched_setaffinity(0, {cpu})  # moves this thread there now
-    except OSError:
-        pass  # the CPU went away since it was listed
-    os.sched_setaffinity(0, usable)
+def _is_translation(shape: Tuple[int, ...], src, dst, weights) -> bool:
+    """Whether one stencil direction over the wrapped lattice of `shape` is
+    a translation: its sources are every cell once, its targets are the
+    sources moved by one fixed lattice offset, and its weights are equal."""
+    src, dst, weights = np.broadcast_arrays(src, dst, weights)
+    n_cells = math.prod(shape)
+    if src.size != n_cells or np.any(np.bincount(src.ravel(),
+                                                 minlength=n_cells) != 1):
+        return False
+    moved = np.mod(np.subtract(np.unravel_index(dst.ravel(), shape),
+                               np.unravel_index(src.ravel(), shape)),
+                   np.reshape(shape, (-1, 1)))
+    return bool(np.all(moved == moved[:, :1])
+                and np.all(weights == weights.flat[0]))
 
 
 def _sweep_cell(stencil: FiberStencil, cell: int, row: np.ndarray,
@@ -167,23 +166,26 @@ class OrbitSweepCache:
 
     A subclass passes the base lattice's shape (cells in C order), the
     fiber length m, its `fibered_stencil` directions and whether the
-    lattice wraps.  `base_invariant` is set when it wraps and each
-    direction's weights are equal across cells: every translation is then
-    an automorphism, so cell 0 represents every source.  Each swept row is
-    kept for the graph's lifetime, so known orbits sweep nothing.
+    lattice wraps.  `base_invariant` is set when it wraps and every
+    direction is one translation of the lattice (`_is_translation`): every
+    translation is then an automorphism, so cell 0 represents every
+    source.  Each swept row is kept for the graph's lifetime, so known
+    orbits sweep nothing.
 
     Every sweep goes through `distances_from`, which runs the C kernel of
-    `_sweep.c` on the stencil itself, one thread per usable CPU at most for
-    a call with several cells.  No edge list or sparse matrix is built.
+    `_sweep.c` on the stencil itself; a call with several cells maps them
+    over a thread pool of at most one thread per usable CPU.  No edge list
+    or sparse matrix is built.
     """
 
     def __init__(self, base_shape: Tuple[int, ...], m: int, directions,
                  wraps: bool):
         directions = list(directions)
         self._base_shape = tuple(base_shape)
-        self.base_invariant = wraps and all(
-            bool(np.all(w == w[0])) for _, _, _, w in directions)
         self._stencil = fibered_stencil(math.prod(base_shape), m, directions)
+        self.base_invariant = wraps and all(
+            _is_translation(self._base_shape, src, dst, w)
+            for src, dst, _, w in directions)
         self._orbit_rows = {}
 
     def distances_from(self, cells: Sequence[int]) -> np.ndarray:
@@ -194,52 +196,36 @@ class OrbitSweepCache:
 
         Each sweep is one call of the C kernel (`_sweep_cell`): Dial's
         bucket queue with decrease-key, which reads the stencil's packed
-        slots directly and writes straight into its row of the table.
-        Each thread allocates the kernel's two int32 work arrays once, one
-        entry per node plus one per bucket.  A call with several
-        cells, where the process may run on several CPUs, fans out to
-        min(len(cells), usable CPUs) threads: each starts on its own CPU
-        and takes the next cell whenever it has finished one, so a thread
-        on a busy CPU sweeps fewer.  The kernel
-        releases the GIL, so the threads sweep at once, and every row is
-        computed alone, so the table does not depend on the thread count.
-        The first error of any thread is raised here once all have stopped,
-        and no table is returned.
+        slots directly and writes straight into its row of the table, with
+        two int32 work arrays of its own, one entry per node plus one per
+        bucket.  A call with several cells, where the process may run on
+        several CPUs, maps them over a `ThreadPoolExecutor` of
+        min(len(cells), usable CPUs) threads, which take the next cell
+        whenever they have finished one, so a thread on a busy CPU sweeps
+        fewer.  The kernel releases the GIL, so the threads sweep at once,
+        and every row is computed alone, so the table does not depend on
+        the thread count.  When a sweep fails, the error of the first
+        failing cell in call order is raised here once the threads have
+        stopped; cells already queued may still finish, and no table is
+        returned.
         """
         n_cells = len(self._stencil.start) - 1
         cells = np.asarray(cells, dtype=np.int64).reshape(-1)
         if np.any((cells < 0) | (cells >= n_cells)):
             raise IndexError(f"base cells must lie in [0, {n_cells})")
         table = np.empty((len(cells), n_cells * (self._stencil.m // 2 + 1)))
-        todo = iter(range(len(cells)))
-        lock = threading.Lock()
-        failures = []
 
-        def work(cpu: Optional[int]) -> None:
-            try:
-                if cpu is not None:
-                    _start_on(cpu)
-                succ, pred = work_arrays(table.shape[1])
-                while not failures:
-                    with lock:
-                        i = next(todo, None)
-                    if i is None:
-                        return
-                    _sweep_cell(self._stencil, int(cells[i]), table[i], succ, pred)
-            except BaseException as exc:  # raised again on the calling thread
-                failures.append(exc)
+        def sweep(i: int) -> None:
+            succ, pred = work_arrays(table.shape[1])
+            _sweep_cell(self._stencil, int(cells[i]), table[i], succ, pred)
 
-        cpus = _usable_cpus()[:len(cells)]
-        if len(cpus) < 2:
-            work(None)
+        workers = min(len(cells), _usable_cpus())
+        if workers < 2:
+            for i in range(len(cells)):
+                sweep(i)
         else:
-            threads = [threading.Thread(target=work, args=(cpu,)) for cpu in cpus]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        if failures:
-            raise failures[0]
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(sweep, range(len(cells))))
         return table
 
     def _orbit(self, a: np.ndarray, b: np.ndarray):
@@ -458,7 +444,7 @@ class GridGraph(OrbitSweepCache):
     one sweep per source row, run on the folded graph from the row's
     column 0, answers every pair; one sweep answers all when the weights
     are also equal across rows of a circle base.  Sweeps of several rows
-    run on one thread per usable CPU (see `OrbitSweepCache.distances_from`).
+    are mapped over a thread pool (see `OrbitSweepCache.distances_from`).
     """
 
     def __init__(self, space: WarpedSpace, spec: GridSpec = GridSpec()):
@@ -584,47 +570,6 @@ def level_set_distance(space: WarpedSpace, r0: float,
         raise HypothesisError(
             "level_set_distance requires f(r0) to be the global profile minimum")
     return f0 * space.fiber.distance(theta1, theta2)
-
-
-def taxi_upper_bound(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint) -> float:
-    """Upper bound: base distance plus (min profile between the levels) times
-    the fiber arc distance.  On circle bases the minimum is over the minor
-    arc joining the two levels."""
-    base = space.base
-    dth = space.fiber.distance(p.theta, q.theta)
-    if base.is_circle:
-        d = base.signed_minor(p.r, q.r)
-        fmin = space.warp_min_on(p.r, p.r + d)
-        dr = abs(d)
-    else:
-        for pt in (p, q):
-            if not base.contains(pt.r):
-                raise HypothesisError(f"point r={pt.r} outside the base interval")
-        fmin = space.warp_min_on(p.r, q.r)
-        dr = abs(q.r - p.r)
-    return dr + fmin * dth
-
-
-def ridge_bypass_bound(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
-                       r_hat: float) -> float:
-    """Upper bound for two points on a common level r*: descend to the level
-    r_hat, travel the fiber there, climb back: 2 d(r*, r_hat) + f(r_hat) dsigma."""
-    if abs(p.r - q.r) > 1e-9:
-        raise HypothesisError("ridge bypass requires both points on a common level")
-    dth = space.fiber.distance(p.theta, q.theta)
-    leg = space.base.distance(p.r, r_hat)
-    return 2.0 * leg + float(space.warp_at(r_hat)) * dth
-
-
-def ridge_bypass_improves(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
-                          r_hat: float) -> bool:
-    """True when the bypass is strictly shorter than staying on the level:
-    f(r_hat) < f(r*) - 2 d(r*, r_hat) / dsigma."""
-    dth = space.fiber.distance(p.theta, q.theta)
-    if dth == 0.0:
-        return False
-    leg = space.base.distance(p.r, r_hat)
-    return float(space.warp_at(r_hat)) < float(space.warp_at(p.r)) - 2.0 * leg / dth
 
 
 def cinch_limit_distance(depth: float, cinch_r: float, base: BaseSpace,

@@ -361,7 +361,7 @@ class Grid3Graph(OrbitSweepCache):
     half the nodes.  z rolls are automorphisms, so one sweep per source
     (x, y), run on the folded graph from the cell's z = 0, answers every
     pair.  When every sheet is constant, one sweep answers all.  Sweeps of
-    several cells run on one thread per usable CPU (see
+    several cells are mapped over a thread pool (see
     `OrbitSweepCache.distances_from`).
     """
 

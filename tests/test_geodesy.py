@@ -36,11 +36,8 @@ from warpconv import (
     level_set_distance,
     neighborhood_offsets,
     ridge_bump,
-    ridge_bypass_bound,
-    ridge_bypass_improves,
     segment_length,
     stencil_anisotropy,
-    taxi_upper_bound,
 )
 from warpconv.convergence import default_grid, plan_values
 from warpconv.families import FAMILY_KINDS, RIDGE_KINDS
@@ -259,26 +256,6 @@ def test_level_set_distance_requires_minimum():
         level_set_distance(sp, 1.0, 0.0, math.pi)  # f=1 there, not the min
 
 
-def test_taxi_upper_bound_dominates_grid(cinch_graph):
-    sp, graph = cinch_graph
-    pairs = random_surface_pairs(np.random.default_rng(11), 25)
-    for ps, qs, d, err in grid_values(graph, pairs):
-        assert taxi_upper_bound(sp, ps, qs) >= d - err - 1e-9
-
-
-def test_ridge_bypass_bound_and_improvement():
-    sp = WarpedSpace(circle_base(), FiberSpace(), ridge_bump(2.0, 0.0, 0.25))
-    p, q = SurfacePoint(0.0, 0.0), SurfacePoint(0.0, math.pi)
-    val = ridge_bypass_bound(sp, p, q, r_hat=0.25)
-    assert val == pytest.approx(0.5 + math.pi, rel=1e-12)
-    assert ridge_bypass_improves(sp, p, q, r_hat=0.25)
-    # a shallow ridge is cheaper to ride across than to walk around
-    shallow = WarpedSpace(circle_base(), FiberSpace(), ridge_bump(1.05, 0.0, 0.25))
-    assert not ridge_bypass_improves(shallow, p, SurfacePoint(0.0, 0.5), r_hat=0.25)
-    with pytest.raises(HypothesisError):
-        ridge_bypass_bound(sp, p, SurfacePoint(0.4, 1.0), r_hat=0.25)
-
-
 # ---------------------------------------------------------------------------
 # Clairaut shooting vs closed forms and vs the grid oracle
 
@@ -320,7 +297,9 @@ def test_clairaut_on_ridge_antipodal_turns_down_the_flank():
     res = clairaut_distance(sp, p, q)
     assert res.method == "clairaut-one-turn"
     assert res.distance == pytest.approx(3.4611, abs=2e-3)
-    assert math.pi <= res.distance < ridge_bypass_bound(sp, p, q, r_hat=0.25)
+    # the corner bypass: two 0.25 legs to the support edge r = 0.25, where
+    # f = 1, and the half fiber pi there
+    assert math.pi <= res.distance < 0.5 + math.pi
 
 
 def test_clairaut_never_reports_impossibly_short():

@@ -2,16 +2,18 @@
 
 Edge weights of the surface grid depend only on the start row, and those of
 the 3-torus grid only on (x, y), so translations along the fiber (z) map
-each graph onto itself; a graph whose built weights are also equal across
-rows (xy sheets) is invariant along every axis.  The cache answers a pair
-from one sweep per source orbit, which must give bit-for-bit the value a
-direct sweep from the pair's own source gives.  Sweeps of several cells fan
-out to threads, one started on each CPU, which take the cells one at a
-time; their table must equal a one-thread call and scipy's sweeps on the
-folded triplet oracle bit for bit.
+each graph onto itself; a graph whose every direction is one translation of
+a wrapped base lattice with one weight is invariant along every axis.  The
+cache answers a pair from one sweep per source orbit, which must give bit
+for bit the value a direct sweep from the pair's own source gives.  Sweeps
+of several cells are mapped over a thread pool of at most one thread per
+usable CPU, whose threads take the cells one at a time; their table must
+equal a one-thread call and scipy's sweeps on the folded triplet oracle bit
+for bit.  The thread tests tell the pool's threads apart by their idents.
 """
 
 import functools
+import math
 import os
 import sys
 import threading
@@ -20,6 +22,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracle import graph_reference, oracle_sweeps, reference_fold
 from warpconv import (
@@ -98,6 +101,100 @@ def test_torus3_constant_field_is_invariant_along_every_axis(full_rows):
     graph = Grid3Graph(ConstantField(1.3), Grid3Spec(32))
     assert graph.base_invariant
     assert_cache_matches_direct_sweeps(graph, 5, full_rows)
+
+
+def direct_pair_distances(cache, pairs):
+    """Each pair's distance read from a direct sweep of its source's own
+    cell, rolled by the source's fiber position and folded by the mirror."""
+    m = cache._stencil.m
+    a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    sources = sorted(set((a // m).tolist()))
+    rows = cache.distances_from(sources).reshape(len(sources), -1, m // 2 + 1)
+    z = np.abs((b - a + m // 2) % m - m // 2)
+    return [float(rows[sources.index(ca), cb, k])
+            for ca, cb, k in zip((a // m).tolist(), (b // m).tolist(), z.tolist())]
+
+
+def test_a_direction_on_some_cells_only_is_not_a_translation():
+    # a 6-cell circle times a fiber of 8: unit axis steps everywhere, and a
+    # fiber step of 2 at weight 0.5 from cells 2 and 3 only, so node 16
+    # (cell 2, z = 0) reaches node 20 (cell 2, z = 4) in two such steps
+    # while cell 0 needs four axis steps
+    cells = np.arange(6)
+    axes = [(cells, (cells + 1) % 6, 0, np.ones(6)), (cells, cells, 1, np.ones(6))]
+    some = np.array([2, 3])
+    partial = geodesy.OrbitSweepCache(
+        (6,), 8, axes + [(some, some, 2, np.full(2, 0.5))], True)
+    assert not partial.base_invariant
+    assert partial.pair_distances([(16, 20)]) == [1.0]
+    assert direct_pair_distances(partial, [(16, 20)]) == [1.0]
+    # every cell, but the targets are cycled in two groups of three, not
+    # moved by one offset
+    cycled = np.array([1, 2, 0, 4, 5, 3])
+    uneven = geodesy.OrbitSweepCache(
+        (6,), 8, axes + [(cells, cycled, 3, np.full(6, 0.5))], True)
+    assert not uneven.base_invariant
+    pairs = [(a, b) for a in range(48) for b in range(48)]
+    assert uneven.pair_distances(pairs) == direct_pair_distances(uneven, pairs)
+    assert geodesy.OrbitSweepCache((6,), 8, axes, True).base_invariant
+    assert not geodesy.OrbitSweepCache((6,), 8, axes, False).base_invariant
+
+
+@st.composite
+def wrapped_stencils(draw):
+    """(base shape, m, directions, whether every direction is a translation
+    with one weight) for a small wrapped lattice times a fiber.  A direction
+    moves cells by a lattice offset and the fiber by +-dz; it starts on
+    every cell or on some, with one weight or a weight per cell.  No two
+    edge slots of a cell share a (target, step)."""
+    shape = tuple(draw(st.lists(st.integers(3, 5), min_size=1, max_size=2)))
+    m = draw(st.integers(4, 9))
+    n_cells = math.prod(shape)
+    grid = np.indices(shape).reshape(len(shape), -1)
+    taken, directions, translations = set(), [], True
+    for _ in range(draw(st.integers(1, 5))):
+        offset = tuple(draw(st.integers(-1, 2)) % n for n in shape)
+        back = tuple(-o % n for o, n in zip(offset, shape))
+        dz = draw(st.integers(0, m // 2))
+        signs = (dz, -dz) if dz else (0,)
+        slots = [(offset, s) for s in signs]
+        if any(offset):
+            slots += [(back, -s) for s in signs]
+        if not (any(offset) or dz) or len(set(slots)) < len(slots) \
+                or taken.intersection(slots):
+            continue
+        taken.update(slots)
+        src = np.arange(n_cells)
+        if draw(st.booleans()):
+            keep = draw(st.lists(st.booleans(), min_size=n_cells,
+                                 max_size=n_cells).filter(any))
+            src = src[np.array(keep)]
+        dst = np.ravel_multi_index(
+            tuple((grid[:, src].T + offset).T), shape, mode="wrap")
+        weight = st.floats(0.25, 2.0, allow_nan=False, allow_infinity=False)
+        if draw(st.booleans()):
+            w = np.full(src.size, draw(weight))
+        else:
+            w = np.array(draw(st.lists(weight, min_size=src.size,
+                                       max_size=src.size)))
+        translations = translations and src.size == n_cells and bool(
+            np.all(w == w[0]))
+        directions.append((src, dst, dz, w))
+    if not directions:
+        directions.append((np.arange(n_cells), np.arange(n_cells), 1,
+                           np.ones(n_cells)))
+    return shape, m, directions, translations
+
+
+@settings(max_examples=150, deadline=None)
+@given(wrapped_stencils())
+def test_orbit_cache_equals_direct_sweeps_on_random_wrapped_stencils(stencil):
+    shape, m, directions, translations = stencil
+    cache = geodesy.OrbitSweepCache(shape, m, directions, True)
+    assert cache.base_invariant == translations
+    n_nodes = math.prod(shape) * m
+    pairs = [(a, b) for a in range(n_nodes) for b in range(n_nodes)]
+    assert cache.pair_distances(pairs) == direct_pair_distances(cache, pairs)
 
 
 def test_cache_hit_does_not_sweep(monkeypatch):
@@ -231,50 +328,46 @@ def fake_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def count_threads(monkeypatch):
-    """Count the threads `distances_from` starts; returns the list of them."""
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(geodesy.threading, "Thread", Counted)
-    return started
-
-
-def record_cells(monkeypatch, delay_on=None, delay=0.0, threads=None):
-    """Log (thread, cell) for every cell `_sweep_cell` sweeps, where thread
-    is the CPU the sweeping thread moved to first, and make the thread on
-    `delay_on` sleep `delay` s per cell.  No thread really moves; each must
-    allow every usable CPU again before it sweeps.  With `threads` given,
-    each thread waits before its first sweep until that many threads have
-    taken a cell, so none can sweep every cell before another starts."""
-    moves = {}  # thread ident -> its sched_setaffinity calls
+def record_cells(monkeypatch, slow_cell=None, delay=0.0, threads=None):
+    """Log (thread ident, cell) for every cell `_sweep_cell` sweeps, and make
+    the thread whose first cell is `slow_cell` sleep `delay` s before each
+    cell it sweeps.  No thread may change its CPU affinity.  With `threads`
+    given, each thread but the caller waits before its first sweep until
+    that many threads have taken a cell, so none can sweep every cell
+    before another starts."""
     log = []
     sweep = geodesy._sweep_cell
     barrier = threading.Barrier(threads, timeout=60) if threads else None
-    waited = set()
+    seen, slow = {threading.get_ident()}, set()
 
-    def moving(pid, cpus):
-        assert pid == 0
-        moves.setdefault(threading.get_ident(), []).append(set(cpus))
+    def no_move(pid, cpus):
+        raise AssertionError("a sweep changed its thread's CPU affinity")
 
     def recording(stencil, cell, row, succ, pred):
-        (cpu,), usable = moves[threading.get_ident()]
-        assert usable == os.sched_getaffinity(0)
-        if barrier is not None and cpu not in waited:
-            waited.add(cpu)
-            barrier.wait()
-        if cpu == delay_on:
+        me = threading.get_ident()
+        if me not in seen:
+            seen.add(me)
+            if cell == slow_cell:
+                slow.add(me)
+            if barrier is not None:
+                barrier.wait()
+        if me in slow:
             time.sleep(delay)
-        log.append((cpu, cell))
+        log.append((me, cell))
         sweep(stencil, cell, row, succ, pred)
 
-    monkeypatch.setattr(os, "sched_setaffinity", moving)
+    monkeypatch.setattr(os, "sched_setaffinity", no_move, raising=False)
     monkeypatch.setattr(geodesy, "_sweep_cell", recording)
     return log
+
+
+def sweeping_threads(log):
+    """The idents of the threads that swept the logged cells, after checking
+    that none of them, the calling thread apart, is still alive."""
+    idents = {ident for ident, _ in log}
+    workers = idents - {threading.get_ident()}
+    assert not workers & {t.ident for t in threading.enumerate()}
+    return idents
 
 
 @pytest.mark.parametrize("cpus", [None, 3], ids=["usable-cpus", "three-cpus"])
@@ -284,11 +377,16 @@ def test_fanned_out_sweeps_equal_one_inline_call(kind, cpus, fanned, monkeypatch
     cells = [5, 0, 17, 3, 9]  # unsorted, and more cells than threads
     if cpus is not None:
         fake_cpus(monkeypatch, cpus)
-    threads = count_threads(monkeypatch)
+    workers = min(len(cells), geodesy._usable_cpus())
+    log = record_cells(monkeypatch, threads=workers if workers > 1 else None)
     table = graph.distances_from(cells)
-    workers = min(len(cells), len(os.sched_getaffinity(0)))
-    assert len(threads) == (workers if workers > 1 else 0)
-    assert not any(t.is_alive() for t in threads)
+    idents = sweeping_threads(log)
+    if workers > 1:
+        assert len(idents) == workers
+        assert threading.get_ident() not in idents
+    else:
+        assert idents == {threading.get_ident()}
+    assert sorted(cell for _, cell in log) == sorted(cells)
     fake_cpus(monkeypatch, 1)
     one_thread = graph.distances_from(cells)
     want = oracle_sweeps(folded, graph._stencil.m, cells)
@@ -303,36 +401,35 @@ def test_single_cells_and_one_cpu_sweep_on_the_calling_thread(fanned,
     graph, folded = fanned("surface")
     m = graph._stencil.m
 
-    def no_thread(*args, **kwargs):
-        raise AssertionError("started a thread")
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a thread pool")
 
-    def no_move(pid, cpus):
-        raise AssertionError("moved the calling thread")
-
-    monkeypatch.setattr(geodesy.threading, "Thread", no_thread)
-    monkeypatch.setattr(os, "sched_setaffinity", no_move)
+    monkeypatch.setattr(geodesy, "ThreadPoolExecutor", no_pool)
+    log = record_cells(monkeypatch)
     fake_cpus(monkeypatch, 2)
     assert np.array_equal(graph.distances_from([7]), oracle_sweeps(folded, m, [7]))
     fake_cpus(monkeypatch, 1)
     assert np.array_equal(graph.distances_from([1, 2, 3]),
                           oracle_sweeps(folded, m, [1, 2, 3]))
     assert graph.distances_from([]).shape == (0, folded.shape[0])
+    assert [cell for _, cell in log] == [7, 1, 2, 3]
+    assert sweeping_threads(log) == {threading.get_ident()}
 
 
 def test_cpus_are_counted_where_the_platform_has_no_affinity(fanned,
                                                             monkeypatch):
     graph, folded = fanned("torus3")
+    log = record_cells(monkeypatch, threads=3)
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.delattr(os, "sched_setaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert geodesy._usable_cpus() == [0, 1, 2]
-    threads = count_threads(monkeypatch)
+    assert geodesy._usable_cpus() == 3
     cells = [1, 2, 3, 4]
     table = graph.distances_from(cells)
-    assert len(threads) == 3
+    assert len(sweeping_threads(log)) == 3
     assert np.array_equal(table, oracle_sweeps(folded, graph._stencil.m, cells))
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert geodesy._usable_cpus() == [0]
+    assert geodesy._usable_cpus() == 1
 
 
 def test_cells_outside_the_base_are_refused(fanned):
@@ -356,45 +453,36 @@ def test_failed_worker_raises_and_caches_no_row(failing, fanned, monkeypatch):
         sweep(stencil, cell, row, succ, pred)
 
     fake_cpus(monkeypatch, 2)
-    threads = count_threads(monkeypatch)
     monkeypatch.setattr(geodesy, "_sweep_cell", broken)
+    log = record_cells(monkeypatch, threads=2)
     with pytest.raises(MemoryError, match="sweep failed"):
         graph.pair_distances(pairs)
-    assert len(threads) == 2
-    assert not any(t.is_alive() for t in threads)
+    assert len(sweeping_threads(log)) == 2
     assert graph._orbit_rows == {}
     monkeypatch.setattr(geodesy, "_sweep_cell", sweep)
     assert len(graph.pair_distances(pairs)) == 4
     assert graph._orbit_rows.keys() == {40, 41, 42, 43}
 
 
-def test_each_worker_starts_on_its_own_cpu_and_sweeps_one_cell_at_a_time(
-        fanned, monkeypatch):
-    graph, folded = fanned("torus3")
-    cells = [4, 8, 15, 16, 23, 42]
-    fake_cpus(monkeypatch, 3)
-    log = record_cells(monkeypatch, threads=3)
-    table = graph.distances_from(cells)
-    assert {cpu for cpu, _ in log} == {0, 1, 2}
-    assert sorted(cell for _, cell in log) == cells
-    assert np.array_equal(table, oracle_sweeps(folded, graph._stencil.m, cells))
-
-
 def test_a_slow_worker_sweeps_fewer_cells(fanned, monkeypatch):
-    # the thread on CPU 0 needs 1 s a cell: the other sweeps the rest meanwhile
+    # the thread that takes cell 0 needs 1 s a cell: the other sweeps the
+    # rest meanwhile
     graph, folded = fanned("surface")
     cells = [0, 1, 2, 3, 4, 5]
     fake_cpus(monkeypatch, 2)
-    log = record_cells(monkeypatch, delay_on=0, delay=1.0, threads=2)
+    log = record_cells(monkeypatch, slow_cell=0, delay=1.0, threads=2)
     table = graph.distances_from(cells)
-    assert Counter(cpu for cpu, _ in log) == {0: 1, 1: 5}
+    per_thread = Counter(ident for ident, _ in log)
+    (slow,) = [ident for ident, cell in log if cell == 0]
+    assert per_thread[slow] == 1
+    assert sorted(per_thread.values()) == [1, 5]
     assert np.array_equal(table, oracle_sweeps(folded, graph._stencil.m, cells))
 
 
 def test_many_workers_sweep_every_cell_once(fanned, monkeypatch):
     # more threads than CPUs, switching as often as the interpreter allows:
-    # a lost update of the shared cell iterator would sweep a cell twice or
-    # leave a row unwritten
+    # a cell handed out twice would be swept twice, a lost one would leave
+    # its row unwritten
     graph, _ = fanned("torus3")
     cells = list(range(0, 1024, 16))
     fake_cpus(monkeypatch, 1)
@@ -410,5 +498,5 @@ def test_many_workers_sweep_every_cell_once(fanned, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert sorted(cell for _, cell in log) == cells
-    assert len({cpu for cpu, _ in log}) > 1
+    assert len(sweeping_threads(log)) > 1
     assert np.array_equal(table, want)
