@@ -54,12 +54,7 @@ from .geodesy import (
     neighborhood_offsets,
     stencil_anisotropy,
 )
-from .ret import (
-    RETSpace,
-    mix_threshold,
-    ret_distance,
-    ret_point_distance,
-)
+from .ret import ret_distance, ret_point_distance
 from .sampling import (
     SamplePlan,
     default_plan,

@@ -188,24 +188,19 @@ class WarpingProfile:
         """
         raise NotImplementedError
 
-    def _extremum_candidates(self, lo: float, hi: float) -> np.ndarray:
-        inner = self.breakpoints_in(lo, hi)
-        return np.concatenate(([lo], inner, [hi]))
+    def _extremum_values(self, lo: float, hi: float) -> np.ndarray:
+        """The profile at points of [lo, hi] that include its min and max
+        there: the ends and the breakpoints between them."""
+        return self(np.concatenate(([lo], self.breakpoints_in(lo, hi), [hi])))
 
     def min_on(self, lo: float, hi: float) -> float:
-        cands = self._extremum_candidates(lo, hi)
-        return float(np.min(self(cands)))
+        return float(np.min(self._extremum_values(lo, hi)))
 
     def max_on(self, lo: float, hi: float) -> float:
-        cands = self._extremum_candidates(lo, hi)
-        return float(np.max(self(cands)))
+        return float(np.max(self._extremum_values(lo, hi)))
 
     def integral_on(self, lo: float, hi: float) -> float:
         raise NotImplementedError
-
-    def lp_from_level(self, level: float, p: float, base: "BaseSpace") -> float:
-        """L^p norm of (profile - level) over the base domain."""
-        return lp_profile_distance(self, ConstantProfile(level), p, base)
 
 
 @dataclass(frozen=True)
@@ -339,23 +334,19 @@ class BumpLatticeProfile(WarpingProfile):
         pts = pts[(pts > lo) & (pts < hi)]
         return np.sort(pts)
 
-    def min_on(self, lo, hi):
+    def _extremum_values(self, lo, hi):
+        # Around each lattice point the profile is one bump, monotone on
+        # either side of its center, and it sits at the level where the
+        # cells of two lattice points meet.  So the min and max over any
+        # window are among the ends, one center inside (all bumps share one
+        # peak) and, when the ends are nearest to different lattice points,
+        # the level, however many bumps the window holds.
         i0, i1 = self._center_indices_in(lo, hi)
-        vals = [float(self(np.array([lo]))[0]), float(self(np.array([hi]))[0])]
-        if i1 >= i0:
-            vals.append(min(self.level, self.peak))
-        if i1 - i0 + 1 < self.cells - 1 or hi - lo > self.spacing:
-            vals.append(self.level)
-        return min(vals)
-
-    def max_on(self, lo, hi):
-        i0, i1 = self._center_indices_in(lo, hi)
-        vals = [float(self(np.array([lo]))[0]), float(self(np.array([hi]))[0])]
-        if i1 >= i0:
-            vals.append(max(self.level, self.peak))
-        if i1 - i0 + 1 < self.cells - 1 or hi - lo > self.spacing:
-            vals.append(self.level)
-        return max(vals)
+        ends = [lo, hi] if i1 < i0 else [lo, hi, -math.pi + i0 * self.spacing]
+        values = self(np.array(ends))
+        if self._nearest_center_index(lo) != self._nearest_center_index(hi):
+            values = np.append(values, self.level)
+        return values
 
     def integral_on(self, lo, hi):
         total = self.level * (hi - lo)
@@ -376,23 +367,6 @@ class BumpLatticeProfile(WarpingProfile):
             t1 = (hi - center) / self.half_width
             total += (self.peak - self.level) * self.half_width * _bump_shape_integral(t0, t1)
         return total
-
-    def lp_from_level(self, level, p, base):
-        # Closed form: the lattice's bumps are far below quadrature resolution
-        # at high cell counts, so integrate one bump shape and scale.
-        if abs(level - self.level) > 1e-15:
-            return super().lp_from_level(level, p, base)
-        count = self.cells - 1
-        amp = abs(self.peak - self.level)
-        if p == 1.0:
-            shape = 1.0  # integral of the bump shape over its support / half_width
-        elif p == 2.0:
-            shape = 0.75
-        else:
-            ts = np.linspace(-1.0, 1.0, 4097)
-            simpson = _bump_shape(ts) ** p
-            shape = float(np.sum((simpson[:-1] + simpson[1:]) * 0.5 * np.diff(ts)))
-        return (count * amp ** p * self.half_width * shape) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -444,18 +418,29 @@ class WarpedSpace:
         out = np.concatenate(pts)
         return np.sort(out[(out > lo) & (out < hi)])
 
+    def _window_pieces(self, lo: float, hi: float) -> List[Tuple[float, float]]:
+        """An unwrapped coordinate interval, ends in either order, cut at the
+        seams of a circle base, each piece moved into the fundamental
+        domain."""
+        lo, hi = min(lo, hi), max(lo, hi)
+        if not self.base.is_circle:
+            return [(lo, hi)]
+        r_min, period = self.base.r_min, self.base.length
+        k0 = math.floor((lo - r_min) / period)
+        pieces = []
+        for k in range(k0, math.floor((hi - r_min) / period) + 1):
+            a, b = max(lo, r_min + k * period), min(hi, r_min + (k + 1) * period)
+            if b > a or k == k0:
+                pieces.append((a - k * period, b - k * period))
+        return pieces
+
     def warp_min_on(self, lo: float, hi: float) -> float:
         """Min of the profile over an unwrapped coordinate interval."""
-        if hi < lo:
-            lo, hi = hi, lo
-        cands = np.concatenate(([lo], self.breakpoints_unwrapped(lo, hi), [hi]))
-        return float(np.min(self.warp_at(cands)))
+        return min(self.profile.min_on(a, b) for a, b in self._window_pieces(lo, hi))
 
     def warp_max_on(self, lo: float, hi: float) -> float:
-        if hi < lo:
-            lo, hi = hi, lo
-        cands = np.concatenate(([lo], self.breakpoints_unwrapped(lo, hi), [hi]))
-        return float(np.max(self.warp_at(cands)))
+        """Max of the profile over an unwrapped coordinate interval."""
+        return max(self.profile.max_on(a, b) for a, b in self._window_pieces(lo, hi))
 
     def mass(self) -> float:
         """Riemannian area: fiber circumference times the profile integral."""
@@ -515,34 +500,50 @@ class PolylineCurve:
             yield p.r, p.theta, dr, dtheta
 
 
-def segment_length(space: WarpedSpace, r0: float, dr: float, dtheta: float,
-                   points_per_piece: int = 4) -> float:
+def segment_length(space: WarpedSpace, r0, dr: float, dtheta: float,
+                   points_per_piece: int = 4):
     """Length of the straight parameter-space segment from (r0, .) with
-    displacement (dr, dtheta), by composite midpoint quadrature.
+    displacement (dr, dtheta), by composite midpoint quadrature: a float
+    for a scalar r0, one length per start for an array of starts.
 
-    The parameter range is split at every profile breakpoint the segment
-    crosses, so narrow bumps are never stepped over unsampled.  Pure-r and
-    pure-theta segments are evaluated in closed form.
+    Each segment's parameter range t in [0, 1] is split at every profile
+    breakpoint strictly inside it, so narrow bumps are never stepped over
+    unsampled; each piece takes `points_per_piece` midpoints and adds
+    sum * width / points_per_piece to a total kept from 0.0, piece after
+    piece.  The breakpoints are queried once, over the hull of all the
+    segments; a segment with fewer pieces than the most crossed one is
+    padded with empty pieces at t = 1, which add 0.0, so every length is
+    the one a call with that start alone gives, as long as the hull holds
+    no more bumps than `breakpoints_in` refines.  Pure-r and pure-theta
+    segments are evaluated in closed form.  This is the only quadrature
+    of straight segments: every surface grid edge weight comes from it.
     """
+    r0 = np.asarray(r0, dtype=float)
     if dtheta == 0.0:
-        return abs(dr)
-    if dr == 0.0:
-        return float(space.warp_at(r0)) * abs(dtheta)
-    lo, hi = (r0, r0 + dr) if dr > 0 else (r0 + dr, r0)
-    bps = space.breakpoints_unwrapped(lo, hi)
-    # convert breakpoints to parameter values t in (0,1)
-    ts = np.sort((bps - r0) / dr) if bps.size else np.empty(0)
-    edges = np.concatenate(([0.0], ts[(ts > 1e-15) & (ts < 1 - 1e-15)], [1.0]))
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        width = b - a
-        if width <= 0:
-            continue
-        m = np.arange(points_per_piece)
-        t_mid = a + (2 * m + 1) * width / (2 * points_per_piece)
-        f = space.warp_at(r0 + t_mid * dr)
-        total += np.sum(np.sqrt(dr * dr + (f * dtheta) ** 2)) * width / points_per_piece
-    return float(total)
+        total = np.full(r0.shape, abs(dr))
+    elif dr == 0.0:
+        total = space.warp_at(r0) * abs(dtheta)
+    else:
+        r = r0.reshape(-1, 1)
+        lo, hi = (r, r + dr) if dr > 0 else (r + dr, r)
+        bps = space.breakpoints_unwrapped(float(lo.min()), float(hi.max()))
+        first = np.searchsorted(bps, lo, side="right")
+        count = np.searchsorted(bps, hi, side="left") - first
+        slot = np.arange(count.max())
+        # the breakpoints as parameter values t in (0, 1), padded with t = 1
+        ts = (bps[np.minimum(first + slot, bps.size - 1)] - r) / dr
+        ts[(slot >= count) | (ts <= 1e-15) | (ts >= 1 - 1e-15)] = 1.0
+        ts.sort()
+        edges = np.concatenate((np.zeros_like(r), ts, np.ones_like(r)), axis=1)
+        width = edges[:, 1:] - edges[:, :-1]
+        odd = np.arange(1, 2 * points_per_piece, 2)  # 2m + 1 for midpoint m
+        t_mid = edges[:, :-1, None] + odd * width[..., None] / (2 * points_per_piece)
+        f = space.warp_at(r[..., None] + t_mid * dr)
+        g = np.sqrt(dr * dr + (f * dtheta) ** 2)
+        pieces = g.sum(axis=-1) * width / points_per_piece
+        # cumsum adds the pieces in order, as a running total from 0.0 does
+        total = pieces.cumsum(axis=1)[:, -1].reshape(r0.shape)
+    return float(total) if total.ndim == 0 else total
 
 
 def curve_length(space: WarpedSpace, curve: PolylineCurve,

@@ -283,8 +283,10 @@ def fibered_stencil(n_cells: int, m: int, directions) -> FiberStencil:
     d(v) = min_u fl(d(u) + w(u, v)) has one solution.  No array over the
     fiber is built.  Raises ValueError on steps the kernel cannot fold
     (|dz| >= m), on cells outside [0, n_cells), on a cell starting or
-    ending two edges of one direction and on weights that are not
-    positive, and GridSizeError when the fiber length or the folded nodes
+    ending two edges of one direction, on a direction holding an edge and
+    its reverse (c -> d and d -> c: one cell would get two slots with one
+    (target, step)) and on weights that are not positive, and
+    GridSizeError when the fiber length or the folded nodes
     (with the kernel's bucket heads) overflow int32.
     """
     if n_cells * (m // 2 + 1) + BUCKET_CAP >= 2 ** 31 or m >= 2 ** 31:
@@ -302,6 +304,12 @@ def fibered_stencil(n_cells: int, m: int, directions) -> FiberStencil:
         if not np.all(w > 0):
             raise ValueError("stencil weights must be positive")
         apart = src != dst
+        ahead = np.full(n_cells, -1)
+        ahead[src] = dst
+        if np.any(ahead[dst[apart]] == src[apart]):
+            # edges c -> d and d -> c: each one's reverse slots repeat the
+            # other's forward ones
+            raise ValueError("a direction may not hold an edge and its reverse")
         for s in ((dz, -dz) if dz else (0,)):
             columns += [(src, dst, s, w, slice(None)), (dst, src, -s, w, apart)]
     counts = np.zeros(n_cells, dtype=np.int64)
@@ -391,48 +399,19 @@ class GeodesicResult:
 # ---------------------------------------------------------------------------
 
 
-def _crossing_lengths(space: WarpedSpace, r0: np.ndarray, dr: float,
-                      dtheta: float, bps: np.ndarray) -> np.ndarray:
-    """`segment_length(space, r, dr, dtheta, points_per_piece=4)` for every
-    start r in `r0` at once, bit for bit.
-
-    `bps` is sorted and holds every breakpoint the segments cross.  Each
-    segment takes those strictly between its ends, as
-    `breakpoints_unwrapped` gives them, and goes through the same steps:
-    t = (bp - r0) / dr, the 1e-15 filters, four midpoints per piece, and
-    sum * width / 4 added piece by piece from 0.0.  Rows with fewer pieces
-    are padded with empty pieces at t = 1, which add 0.0.
-    """
-    end = r0 + dr
-    lo, hi = (r0, end) if dr > 0 else (end, r0)
-    first = np.searchsorted(bps, lo, side="right")
-    count = np.searchsorted(bps, hi, side="left") - first
-    slot = np.arange(int(count.max()))
-    ts = (bps[np.minimum(first[:, None] + slot, bps.size - 1)] - r0[:, None]) / dr
-    keep = (slot < count[:, None]) & (ts > 1e-15) & (ts < 1 - 1e-15)
-    edges = np.concatenate((np.zeros((r0.size, 1)),
-                            np.sort(np.where(keep, ts, 1.0), axis=1),
-                            np.ones((r0.size, 1))), axis=1)
-    a, width = edges[:, :-1], np.diff(edges, axis=1)
-    t_mid = a[..., None] + (2 * np.arange(4) + 1) * width[..., None] / 8
-    f = space.warp_at(r0[:, None, None] + t_mid * dr)
-    pieces = np.sum(np.sqrt(dr * dr + (f * dtheta) ** 2), axis=-1) * width / 4
-    total = np.zeros(r0.size)
-    for piece in pieces.T:
-        total += piece
-    return total
-
-
 class GridGraph(OrbitSweepCache):
     """Weighted graph over an (r, theta) grid of a warped surface.
 
     Nodes sit at r = r_min + i*hr (i rows; circle bases wrap, interval bases
     include both endpoints) and theta = l*htheta.  Edges join nodes within
     Chebyshev radius k using co-prime offsets only; each edge weight is the
-    quadrature length of the straight parameter-space segment, with forced
-    sample splits at bump-support boundaries.  Weights are computed once per
-    undirected edge and its mirror image (di, -dj), so the graph is bitwise
-    symmetric and its weights are even in the theta step.
+    `segment_length` of the straight parameter-space segment, the 4-point
+    midpoint rule with forced splits at the profile's breakpoints, bit for
+    bit what a scalar call from the edge's start row gives while the base
+    holds no more bumps than `breakpoints_in` refines.  Weights are
+    computed once per undirected edge and its mirror image (di, -dj), so
+    the graph is bitwise symmetric and its weights are even in the theta
+    step.
 
     Weights depend on the start row only: `_direction_weights` gives one
     weight per row and direction, and `_directions` hands them to
@@ -473,39 +452,17 @@ class GridGraph(OrbitSweepCache):
     def _direction_weights(self, di: int, dj: int) -> Tuple[np.ndarray, np.ndarray]:
         """Edge weights for one offset direction, per start row.
 
-        Returns (start_row_indices, weights).  Weight depends only on the
-        start row because the profile is a function of r alone.
+        Returns (start_row_indices, weights): the rows whose edge stays on
+        the base, and one `segment_length` call over all of them, at its
+        default 4 midpoints per piece.  Weight depends only on the start
+        row because the profile is a function of r alone.
         """
-        base = self.space.base
-        dr = di * self.hr
-        dtheta = dj * self.htheta
-        if base.is_circle:
+        if self.space.base.is_circle:
             idx = np.arange(self.n_rows)
         else:
-            lo = max(0, -di)
-            hi = self.n_rows - 1 - max(0, di)
-            idx = np.arange(lo, hi + 1)
-        r0 = self.rows[idx]
-        if dj == 0:
-            return idx, np.full(idx.size, abs(dr))
-        if di == 0:
-            f = np.asarray(self.space.warp_at(r0), dtype=float)
-            return idx, f * abs(dtheta)
-        # bulk 4-point midpoint quadrature, then fix rows crossing breakpoints
-        mids = r0[:, None] + dr * (2 * np.arange(4) + 1)[None, :] / 8.0
-        f = np.asarray(self.space.warp_at(mids), dtype=float)
-        w = np.mean(np.sqrt(dr * dr + (f * dtheta) ** 2), axis=1)
-        span_lo = np.minimum(r0, r0 + dr)
-        bps = self.space.breakpoints_unwrapped(
-            float(self.rows[0] - abs(dr)), float(self.rows[-1] + abs(dr)))
-        if bps.size:
-            i0 = np.searchsorted(bps, span_lo)
-            i1 = np.searchsorted(bps, span_lo + abs(dr))
-            affected = np.nonzero(i1 > i0)[0]
-            if affected.size:
-                w[affected] = _crossing_lengths(self.space, r0[affected], dr,
-                                                dtheta, bps)
-        return idx, w
+            idx = np.arange(max(0, -di), self.n_rows - max(0, di))
+        return idx, segment_length(self.space, self.rows[idx], di * self.hr,
+                                   dj * self.htheta)
 
     def _directions(self):
         """One (start rows, end rows, theta step, weights) direction per

@@ -22,7 +22,6 @@ the ellipse ds^2 + 4 dsigma^2 = r^2.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,31 +29,14 @@ import numpy as np
 from .core import BaseSpace, FiberSpace, InvalidDescriptor, SurfacePoint
 
 __all__ = [
-    "mix_threshold",
     "ret_distance",
     "ret_point_distance",
-    "RETSpace",
 ]
 
 
 def _check_stretch(stretch: float) -> None:
     if not (stretch >= 1.0):
         raise InvalidDescriptor("stretch ratio must be >= 1")
-
-
-def mix_threshold(ds, stretch: float):
-    """Fiber displacement below which the pure euclidean mix is optimal.
-
-    Infinite when stretch == 1 (the euclidean branch always wins).
-    Vectorized over ds.
-    """
-    _check_stretch(stretch)
-    ds = np.asarray(ds, dtype=float)
-    if stretch == 1.0:
-        out = np.full_like(ds, np.inf)
-        return out if out.ndim else float(out)
-    out = ds / (stretch * math.sqrt(stretch * stretch - 1.0))
-    return out if out.ndim else float(out)
 
 
 def ret_distance(ds, dsigma, stretch: float):
@@ -93,21 +75,3 @@ def ret_point_distance(p: SurfacePoint, q: SurfacePoint, stretch: float,
             else abs(p.theta - q.theta))
     return float(ret_distance(ds, dsig, stretch))
 
-
-@dataclass(frozen=True)
-class RETSpace:
-    """Product of a base space and fiber circle carrying the mixed metric."""
-
-    base: BaseSpace
-    fiber: FiberSpace
-    stretch: float
-
-    def __post_init__(self):
-        _check_stretch(self.stretch)
-
-    def distance(self, p: SurfacePoint, q: SurfacePoint) -> float:
-        return ret_point_distance(p, q, self.stretch, self.base, self.fiber)
-
-    def diameter_upper_bound(self) -> float:
-        ds = self.base.length / 2.0 if self.base.is_circle else self.base.length
-        return float(ret_distance(ds, self.fiber.diameter, self.stretch))

@@ -202,5 +202,6 @@ def test_one_shot_builds_its_leg_rule_once(monkeypatch, max_iter):
     # every bisection step (plus the reach test at c_sup) evaluates the sums
     assert calls["sums"] > min(max_iter, 5)
     assert calls["rule"] == 1
-    # one breakpoint scan for the leg's warp minimum, one for its rule
-    assert calls["breakpoints"] == 2
+    # one breakpoint scan, for its rule: the leg's warp minimum asks the
+    # profile alone
+    assert calls["breakpoints"] == 1

@@ -179,10 +179,14 @@ def test_bump_lattice_integral_and_l2_closed_forms():
     assert num == pytest.approx((cells - 1) * (peak - 1.0) * delta, rel=1e-6)
 
     l2_num = math.sqrt(dense_integral(lambda x: (lat(x) - 1.0) ** 2, -math.pi, math.pi, 400001))
-    l2_closed = lat.lp_from_level(1.0, 2, interval_base(-math.pi, math.pi))
-    assert l2_closed == pytest.approx(l2_num, rel=1e-6)
-    l1_closed = lat.lp_from_level(1.0, 1, interval_base(-math.pi, math.pi))
-    assert l1_closed == pytest.approx((cells - 1) * (peak - 1.0) * delta, rel=1e-9)
+    base, level = interval_base(-math.pi, math.pi), ConstantProfile(1.0)
+    l2 = lp_profile_distance(lat, level, 2, base)
+    assert l2 == pytest.approx(l2_num, rel=1e-6)
+    # the squared bump shape integrates to 3/4 of its half-width
+    l2_closed = math.sqrt((cells - 1) * (peak - 1.0) ** 2 * delta * 0.75)
+    assert l2 == pytest.approx(l2_closed, rel=1e-9)
+    l1 = lp_profile_distance(lat, level, 1, base)
+    assert l1 == pytest.approx((cells - 1) * (peak - 1.0) * delta, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +228,49 @@ def test_warp_min_max_on_wrapped_window():
     # window crossing the seam must still see the ridge at r=3.0
     assert sp.warp_max_on(2.8, math.pi + (3.4 - math.pi)) == pytest.approx(1.5, abs=1e-12)
     assert sp.warp_min_on(-0.5, 0.5) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_warp_min_max_on_see_bumps_beyond_the_breakpoint_cap():
+    # 2047 dips are more than breakpoints_in refines, so it gives none;
+    # the extremes come from the lattice itself
+    space = SequenceFamily("ret-cinches").space(11)
+    assert space.profile.breakpoints_in(-math.pi, math.pi).size == 0
+    assert space.warp_min_on(-math.pi, math.pi) == space.profile_min() == 1.0
+    assert space.warp_max_on(-math.pi, math.pi) == space.profile_max() == 5.0
+
+
+def test_lattice_min_on_a_short_window_around_a_ridge_center():
+    space = SequenceFamily("many-ridges", depth=1.5).space(3)
+    lat = space.profile
+    center = -math.pi + 3 * lat.spacing
+    lo, hi = center - 1e-4, center + 1e-4
+    # the window never leaves the ridge: its min is at the ends, not the level
+    want = float(np.min(lat(np.array([lo, hi]))))
+    assert want == pytest.approx(1.49995, abs=1e-6)
+    assert lat.min_on(lo, hi) == space.warp_min_on(lo, hi) == want
+    assert lat.max_on(lo, hi) == space.warp_max_on(lo, hi) == 1.5
+
+
+@given(
+    cells=st.integers(2, 16),
+    width=st.floats(0.05, 1.0),
+    peak=st.sampled_from([0.2, 1.0, 1.5]),
+    lo=st.floats(-3.5, 3.5),
+    span=st.floats(0.0, 2.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_lattice_min_max_on_window_match_dense_sampling(cells, width, peak, lo,
+                                                        span):
+    lat = BumpLatticeProfile(1.0, peak, cells, width * math.pi / cells)
+    hi = lo + span ** 3  # windows from a point to two lattice spacings and more
+    # every center and every midway point between lattice points in the
+    # window, where the profile turns or sits at the level
+    marks = -math.pi + 0.5 * lat.spacing * np.arange(2 * cells + 1)
+    xs = np.concatenate((np.linspace(lo, hi, 4001),
+                         marks[(marks >= lo) & (marks <= hi)]))
+    vals = lat(xs)
+    assert lat.min_on(lo, hi) == pytest.approx(float(np.min(vals)), abs=1e-12)
+    assert lat.max_on(lo, hi) == pytest.approx(float(np.max(vals)), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,22 @@ def test_fibered_stencil_rejects_edges_the_kernel_cannot_sweep():
             fibered_stencil(4, 8, [(cells, cells, 1, np.full(4, bad))])
 
 
+@pytest.mark.parametrize("n_cells, shift, sign, dz", [
+    # cell 0 would get the slots (5, 3), (5, -3), (5, -3), (5, 3)
+    (6, 5, -1, 3),
+    # cell 0 would get (2, 1), (2, -1), (2, -1), (2, 1)
+    (4, 2, 1, 1),
+    # and (2, 0), (2, 0) without a fiber step
+    (4, 2, 1, 0),
+])
+def test_fibered_stencil_rejects_a_direction_holding_edges_both_ways(
+        n_cells, shift, sign, dz):
+    cells = np.arange(n_cells)
+    dst = (shift + sign * cells) % n_cells
+    with pytest.raises(ValueError, match="reverse"):
+        fibered_stencil(n_cells, 8, [(cells, dst, dz, np.ones(n_cells))])
+
+
 @pytest.mark.parametrize("make, degree", [
     pytest.param(lambda: GridGraph(SURFACES["constant-circle"](),
                                    GridSpec(16, 16, 1)), 8, id="surface-k1"),

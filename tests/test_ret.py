@@ -12,12 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracle import ret_distance_brute
 from warpconv import FiberSpace, InvalidDescriptor, SurfacePoint, circle_base
-from warpconv.ret import (
-    RETSpace,
-    mix_threshold,
-    ret_distance,
-    ret_point_distance,
-)
+from warpconv.ret import ret_distance, ret_point_distance
 
 
 # hand-worked values: (stretch, ds, dsigma, expected)
@@ -38,18 +33,13 @@ def test_worked_examples(stretch, ds, dsig, expect):
     assert ret_distance(ds, dsig, stretch) == pytest.approx(expect, rel=1e-14)
 
 
-def test_threshold_value():
-    assert mix_threshold(2.0 * math.sqrt(3.0), 2.0) == pytest.approx(1.0, rel=1e-14)
-    assert mix_threshold(1.0, 1.0) == math.inf
-
-
 def test_branch_agreement_at_threshold():
     rng = np.random.default_rng(0)
     for _ in range(500):
         R = rng.uniform(1.01, 20.0)
         ds = rng.uniform(1e-3, 50.0)
-        t0 = mix_threshold(ds, R)
         root = math.sqrt(R * R - 1.0)
+        t0 = ds / (R * root)
         euclid = math.hypot(ds, R * t0)
         taxi = ds * root / R + t0
         assert abs(euclid - taxi) <= 1e-12 * max(1.0, euclid)
@@ -104,7 +94,11 @@ def test_triangle_inequality_in_the_plane(s, t, u, stretch):
 
 
 def test_triangle_inequality_on_product_space():
-    space = RETSpace(circle_base(), FiberSpace(), 5.0)
+    base, fiber = circle_base(), FiberSpace()
+
+    def d(a, b):
+        return ret_point_distance(a, b, 5.0, base, fiber)
+
     rng = np.random.default_rng(2)
     pts = [
         SurfacePoint(rng.uniform(-math.pi, math.pi), rng.uniform(0, 2 * math.pi))
@@ -113,16 +107,15 @@ def test_triangle_inequality_on_product_space():
     for a in pts[:20]:
         for b in pts[20:40]:
             for c in pts[40:]:
-                lhs = space.distance(a, c)
-                rhs = space.distance(a, b) + space.distance(b, c)
+                lhs = d(a, c)
+                rhs = d(a, b) + d(b, c)
                 assert lhs <= rhs + 1e-10
 
 
 def test_point_distance_uses_minor_arcs():
-    space = RETSpace(circle_base(), FiberSpace(), 2.0)
     p = SurfacePoint(-math.pi + 0.05, 0.1)
     q = SurfacePoint(math.pi - 0.05, 2.0 * math.pi - 0.1)
-    assert space.distance(p, q) == pytest.approx(
+    assert ret_point_distance(p, q, 2.0, circle_base(), FiberSpace()) == pytest.approx(
         float(ret_distance(0.1, 0.2, 2.0)), rel=1e-12
     )
     # without spaces, displacements are raw absolute differences
@@ -130,8 +123,3 @@ def test_point_distance_uses_minor_arcs():
         float(ret_distance(2 * math.pi - 0.1, 2 * math.pi - 0.2, 2.0)), rel=1e-12
     )
 
-
-def test_diameter_upper_bound():
-    space = RETSpace(circle_base(), FiberSpace(), 5.0)
-    d = space.diameter_upper_bound()
-    assert d == pytest.approx(math.pi * (math.sqrt(24.0) / 5.0 + 1.0), rel=1e-12)
