@@ -8,15 +8,19 @@ warped 3-tori (`torus3.run_torus3_experiment`) run it through
 * probe pairs come from a deterministic sample plan (shared sources) plus
   family-specific worst cases,
 * `plan_values` reads a grid graph's distances and error bars on the plan
-  from the grid oracle's orbit cache (`geodesy.OrbitSweepCache`): one
+  through the grid oracle's orbit sweeps (`geodesy.OrbitSweepCache`): one
   sweep per source orbit answers all its pairs, on the graph folded by
-  the fiber mirror (about half the nodes),
+  the fiber mirror (about half the nodes), and no swept row outlives the
+  read,
 * a reference run discretizes the LIMIT geometry on the same grid, so the
   grid's systematic error (anisotropy, quadrature) can be cancelled by
-  comparing the two runs pair by pair,
+  comparing the two runs pair by pair; `reference_values` builds one
+  reference graph, reads it once on the plans of every stage that needs
+  it and drops it,
 * `run_stages` reads each stage graph once and releases it before any
-  reference is built or swept; references are cached per (limit, grid)
-  with their swept rows until the last stage on their grid,
+  reference is built or swept, and builds and reads each (limit, grid)
+  reference once, at the first stage on its grid, for every stage on that
+  grid,
 * `limit_result` joins the stage's values with one limit, in closed form
   at the snapped endpoints, and with that limit's reference values,
 * `stage_row` turns the probes and the stage's closed-form data (L2 norm,
@@ -206,11 +210,11 @@ class PlanValues(NamedTuple):
     errors: List[float]
 
 
-def plan_values(graph, plan: SamplePlan) -> PlanValues:
-    """Snap the plan onto a grid graph (`GridGraph` or `torus3.Grid3Graph`),
-    each distinct point once, and read every pair from the graph's orbit
-    cache in one `pair_distances` call (one sweep per source orbit not yet
-    swept on this graph)."""
+def _read_plans(graph, plans: Sequence[SamplePlan]):
+    """Snap every plan onto a grid graph (`GridGraph` or
+    `torus3.Grid3Graph`), each distinct point once, and read all their
+    pairs in one `pair_distances` call, one sweep per source orbit.
+    Returns the snapped pairs and the distances of each plan."""
     snap_cache = {}
 
     def snap(pt):
@@ -219,14 +223,22 @@ def plan_values(graph, plan: SamplePlan) -> PlanValues:
         return snap_cache[pt]
 
     pairs, nodes = [], []
-    for a, b in plan.pairs():
-        ia, pa = snap(a)
-        ib, pb = snap(b)
-        pairs.append((pa, pb))
-        nodes.append((ia, ib))
-    values = graph.pair_distances(nodes)
-    errors = [graph.error_bound(d) for d in values]
-    return PlanValues(pairs, values, errors)
+    for plan in plans:
+        pairs.append([])
+        for a, b in plan.pairs():
+            ia, pa = snap(a)
+            ib, pb = snap(b)
+            pairs[-1].append((pa, pb))
+            nodes.append((ia, ib))
+    values = iter(graph.pair_distances(nodes))
+    return pairs, [[next(values) for _ in plan_pairs] for plan_pairs in pairs]
+
+
+def plan_values(graph, plan: SamplePlan) -> PlanValues:
+    """A grid graph's snapped pairs, distances and error bars on the plan,
+    read in one `pair_distances` call."""
+    (pairs,), (values,) = _read_plans(graph, [plan])
+    return PlanValues(pairs, values, [graph.error_bound(d) for d in values])
 
 
 def limit_probes(stage: PlanValues,
@@ -251,17 +263,20 @@ class Limit(NamedTuple):
     reference: Callable[[object], object]
 
 
-def limit_result(j: int, grid, plan: SamplePlan, stage: PlanValues,
-                 limit: Limit, references: dict) -> DiscrepancyResult:
-    """Stage j's plan values against one limit, with its reference graph
-    on `grid` from `references` (keyed by limit name and grid; built when
-    missing)."""
-    key = (limit.name, grid)
-    if key not in references:
-        references[key] = limit.reference(grid)
-    probes = limit_probes(stage, limit.distance,
-                          plan_values(references[key], plan).values)
-    return DiscrepancyResult(j, limit.name, grid, probes)
+def reference_values(limit: Limit, grid,
+                     plans: Sequence[SamplePlan]) -> List[List[float]]:
+    """The values of `limit`'s reference graph on `grid` on each of
+    `plans`: the graph is built, read once on all the plans (one sweep per
+    source orbit of their union) and dropped before this returns."""
+    return _read_plans(limit.reference(grid), plans)[1]
+
+
+def limit_result(j: int, grid, stage: PlanValues, limit: Limit,
+                 reference: Sequence[float]) -> DiscrepancyResult:
+    """Stage j's plan values against one limit, with `reference`, the
+    limit's reference values on the stage's plan (`reference_values`)."""
+    return DiscrepancyResult(j, limit.name, grid,
+                             limit_probes(stage, limit.distance, reference))
 
 
 def _surface_limit(family: SequenceFamily, limit: LimitMetric) -> Limit:
@@ -285,10 +300,12 @@ def discrepancy_estimate(family: SequenceFamily, j: int,
     whose row for the same stage, plan and limit carries these probes.
     """
     grid = grid or default_grid(family, j)
-    limit = limit if limit is not None else family.candidate_limits()[0]
+    limit = _surface_limit(
+        family, limit if limit is not None else family.candidate_limits()[0])
     plan = plan or family.sample_plan(j)
     stage = plan_values(GridGraph(family.space(j), grid), plan)
-    return limit_result(j, grid, plan, stage, _surface_limit(family, limit), {})
+    (reference,) = reference_values(limit, grid, [plan])
+    return limit_result(j, grid, stage, limit, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -668,26 +685,34 @@ def run_stages(family, dimension: int, stages: Sequence[Stage],
 
     Each stage graph is read once on its plan and released before any
     reference graph is built or swept; every limit reuses those values.
-    References are cached per (limit, grid) with their swept rows and
-    dropped after the last stage on their grid.  So one stage graph exists
-    at a time, never beside a sweeping reference.
+    Each (limit, grid) reference is built once, at the first stage on its
+    grid, read once on the plans of that stage and of every later stage on
+    the grid, and dropped straight away; only its values wait for the
+    later stages.  So at most one graph exists at a time.
     """
-    references = {}
+    waiting = {}  # (limit name, stage index) -> that stage's reference values
     rows: List[StageRow] = []
     audits: Dict[int, Tuple[AuditRow, ...]] = {}
     for i, st in enumerate(stages):
         # the stage graph lives only for this read: no reference sees it
         values = plan_values(st.graph(), st.plan)
-        head, *alt = [limit_result(st.j, st.grid, st.plan, values, lim,
-                                   references) for lim in limits]
+        results = []
+        for lim in limits:
+            if (lim.name, i) not in waiting:
+                same = [k for k in range(i, len(stages))
+                        if stages[k].grid == st.grid]
+                waiting.update(zip(
+                    [(lim.name, k) for k in same],
+                    reference_values(lim, st.grid,
+                                     [stages[k].plan for k in same])))
+            results.append(limit_result(st.j, st.grid, values, lim,
+                                        waiting.pop((lim.name, i))))
+        head, *alt = results
         row = stage_row(head, *st.closed_forms, dimension,
                         {res.limit: res.eps_corrected for res in alt})
         rows.append(row)
         if audit is not None:
             audits[st.j] = tuple(audit(head, row))
-        later = {other.grid for other in stages[i + 1:]}
-        for key in [key for key in references if key[1] not in later]:
-            del references[key]
     return ConvergenceReport(family.describe(), limits[0].name, dimension,
                              tuple(rows), audits)
 

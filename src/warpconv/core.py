@@ -188,6 +188,11 @@ class WarpingProfile:
         """
         raise NotImplementedError
 
+    def refined_span(self) -> float:
+        """Length of the longest interval whose breakpoints `breakpoints_in`
+        always returns in full."""
+        return math.inf
+
     def _extremum_values(self, lo: float, hi: float) -> np.ndarray:
         """The profile at points of [lo, hi] that include its min and max
         there: the ends and the breakpoints between them."""
@@ -333,6 +338,11 @@ class BumpLatticeProfile(WarpingProfile):
                               centers + self.half_width])
         pts = pts[(pts > lo) & (pts < hi)]
         return np.sort(pts)
+
+    def refined_span(self):
+        # an interval of length L meets at most (L + 2 half_width) / spacing
+        # + 1 bump supports; one spacing of headroom covers the rounding
+        return (_BREAKPOINT_CAP // 3 - 1) * self.spacing - 2.0 * self.half_width
 
     def _extremum_values(self, lo, hi):
         # Around each lattice point the profile is one bump, monotone on
@@ -510,13 +520,14 @@ def segment_length(space: WarpedSpace, r0, dr: float, dtheta: float,
     breakpoint strictly inside it, so narrow bumps are never stepped over
     unsampled; each piece takes `points_per_piece` midpoints and adds
     sum * width / points_per_piece to a total kept from 0.0, piece after
-    piece.  The breakpoints are queried once, over the hull of all the
-    segments; a segment with fewer pieces than the most crossed one is
-    padded with empty pieces at t = 1, which add 0.0, so every length is
-    the one a call with that start alone gives, as long as the hull holds
-    no more bumps than `breakpoints_in` refines.  Pure-r and pure-theta
-    segments are evaluated in closed form.  This is the only quadrature
-    of straight segments: every surface grid edge weight comes from it.
+    piece.  The starts are taken in chunks whose hull is no longer than the
+    profile's `refined_span`, and the breakpoints are queried once per
+    chunk, over its hull; a segment with fewer pieces than the most crossed
+    one of its chunk is padded with empty pieces at t = 1, which add 0.0.
+    So every length is the one a call with that start alone gives.
+    Pure-r and pure-theta segments are evaluated in closed form.  This is
+    the only quadrature of straight segments: every surface grid edge
+    weight comes from it.
     """
     r0 = np.asarray(r0, dtype=float)
     if dtheta == 0.0:
@@ -524,26 +535,55 @@ def segment_length(space: WarpedSpace, r0, dr: float, dtheta: float,
     elif dr == 0.0:
         total = space.warp_at(r0) * abs(dtheta)
     else:
-        r = r0.reshape(-1, 1)
-        lo, hi = (r, r + dr) if dr > 0 else (r + dr, r)
-        bps = space.breakpoints_unwrapped(float(lo.min()), float(hi.max()))
-        first = np.searchsorted(bps, lo, side="right")
-        count = np.searchsorted(bps, hi, side="left") - first
-        slot = np.arange(count.max())
-        # the breakpoints as parameter values t in (0, 1), padded with t = 1
-        ts = (bps[np.minimum(first + slot, bps.size - 1)] - r) / dr
-        ts[(slot >= count) | (ts <= 1e-15) | (ts >= 1 - 1e-15)] = 1.0
-        ts.sort()
-        edges = np.concatenate((np.zeros_like(r), ts, np.ones_like(r)), axis=1)
-        width = edges[:, 1:] - edges[:, :-1]
-        odd = np.arange(1, 2 * points_per_piece, 2)  # 2m + 1 for midpoint m
-        t_mid = edges[:, :-1, None] + odd * width[..., None] / (2 * points_per_piece)
-        f = space.warp_at(r[..., None] + t_mid * dr)
-        g = np.sqrt(dr * dr + (f * dtheta) ** 2)
-        pieces = g.sum(axis=-1) * width / points_per_piece
-        # cumsum adds the pieces in order, as a running total from 0.0 does
-        total = pieces.cumsum(axis=1)[:, -1].reshape(r0.shape)
+        starts = r0.reshape(-1)
+        total = np.empty(starts.shape)
+        for chunk in _refined_chunks(np.minimum(starts, starts + dr), abs(dr),
+                                     space.profile.refined_span()):
+            total[chunk] = _midpoint_lengths(space, starts[chunk], dr, dtheta,
+                                             points_per_piece)
+        total = total.reshape(r0.shape)
     return float(total) if total.ndim == 0 else total
+
+
+def _refined_chunks(lo: np.ndarray, width: float, span: float):
+    """Index chunks of the segments [lo, lo + width], each chunk's hull no
+    longer than `span` (a segment longer than `span` is a chunk alone)."""
+    if lo.size < 2 or float(lo.max() - lo.min()) + width <= span:
+        return [slice(None)]
+    order = np.argsort(lo, kind="stable")
+    ordered = lo[order]
+    chunks, i = [], 0
+    while i < order.size:
+        k = max(i + 1, int(np.searchsorted(ordered, ordered[i] + (span - width),
+                                           side="right")))
+        chunks.append(order[i:k])
+        i = k
+    return chunks
+
+
+def _midpoint_lengths(space: WarpedSpace, starts: np.ndarray, dr: float,
+                      dtheta: float, points_per_piece: int) -> np.ndarray:
+    """`segment_length` of segments from each of `starts`, dr and dtheta both
+    nonzero, with the breakpoints queried once over the hull."""
+    r = starts.reshape(-1, 1)
+    lo, hi = (r, r + dr) if dr > 0 else (r + dr, r)
+    bps = space.breakpoints_unwrapped(float(lo.min()), float(hi.max()))
+    first = np.searchsorted(bps, lo, side="right")
+    count = np.searchsorted(bps, hi, side="left") - first
+    slot = np.arange(count.max())
+    # the breakpoints as parameter values t in (0, 1), padded with t = 1
+    ts = (bps[np.minimum(first + slot, bps.size - 1)] - r) / dr
+    ts[(slot >= count) | (ts <= 1e-15) | (ts >= 1 - 1e-15)] = 1.0
+    ts.sort()
+    edges = np.concatenate((np.zeros_like(r), ts, np.ones_like(r)), axis=1)
+    width = edges[:, 1:] - edges[:, :-1]
+    odd = np.arange(1, 2 * points_per_piece, 2)  # 2m + 1 for midpoint m
+    t_mid = edges[:, :-1, None] + odd * width[..., None] / (2 * points_per_piece)
+    f = space.warp_at(r[..., None] + t_mid * dr)
+    g = np.sqrt(dr * dr + (f * dtheta) ** 2)
+    pieces = g.sum(axis=-1) * width / points_per_piece
+    # cumsum adds the pieces in order, as a running total from 0.0 does
+    return pieces.cumsum(axis=1)[:, -1]
 
 
 def curve_length(space: WarpedSpace, curve: PolylineCurve,

@@ -23,9 +23,10 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,8 +170,9 @@ class OrbitSweepCache:
     lattice wraps.  `base_invariant` is set when it wraps and every
     direction is one translation of the lattice (`_is_translation`): every
     translation is then an automorphism, so cell 0 represents every
-    source.  Each swept row is kept for the graph's lifetime, so known
-    orbits sweep nothing.
+    source.  The graph keeps no swept row: a row lives only while its
+    sweep runs, and `pair_distances` keeps just the entries its pairs
+    read, so a caller reads each graph once, with all of its pairs.
 
     Every sweep goes through `distances_from`, which runs the C kernel of
     `_sweep.c` on the stencil itself; a call with several cells maps them
@@ -186,38 +188,54 @@ class OrbitSweepCache:
         self.base_invariant = wraps and all(
             _is_translation(self._base_shape, src, dst, w)
             for src, dst, _, w in directions)
-        self._orbit_rows = {}
 
-    def distances_from(self, cells: Sequence[int]) -> np.ndarray:
-        """Sweeps of the folded graph from node (cell, 0) of each base cell:
-        shape (len(cells), n_cells * (m//2 + 1)), row i holding the
-        distance to node (c, z) at column c * (m//2 + 1) + z.  Every call
-        sweeps; `pair_distances` answers pairs from the cache.
+    def distances_from(self, cells: Sequence[int],
+                       columns: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Sweeps of the folded graph from node (cell, 0) of each base cell,
+        read at `columns`: shape (len(cells), len(columns)), entry (i, k)
+        holding the distance from cells[i]'s node to the folded node at
+        column columns[k], where node (c, z) sits at column
+        c * (m//2 + 1) + z.  With no columns the table holds every folded
+        node, n_cells * (m//2 + 1) columns.  Every call sweeps.
 
         Each sweep is one call of the C kernel (`_sweep_cell`): Dial's
         bucket queue with decrease-key, which reads the stencil's packed
-        slots directly and writes straight into its row of the table, with
-        two int32 work arrays of its own, one entry per node plus one per
-        bucket.  A call with several cells, where the process may run on
-        several CPUs, maps them over a `ThreadPoolExecutor` of
-        min(len(cells), usable CPUs) threads, which take the next cell
-        whenever they have finished one, so a thread on a busy CPU sweeps
-        fewer.  The kernel releases the GIL, so the threads sweep at once,
-        and every row is computed alone, so the table does not depend on
-        the thread count.  When a sweep fails, the error of the first
-        failing cell in call order is raised here once the threads have
-        stopped; cells already queued may still finish, and no table is
-        returned.
+        slots directly and writes one row of distances, with two int32 work
+        arrays, one entry per node plus one per bucket.  Each thread that
+        sweeps allocates its row buffer and work arrays when it takes its
+        first cell and reuses them for every later one, and a sweep copies
+        only its row's `columns` into the table.  So a call holds at most
+        one row and one pair of work arrays per thread beside the table,
+        and none of them outlives it.  A call with several cells, where the
+        process may run on several CPUs, maps them over a
+        `ThreadPoolExecutor` of min(len(cells), usable CPUs) threads, which
+        take the next cell whenever they have finished one, so a thread on
+        a busy CPU sweeps fewer.  The kernel releases the GIL, so the
+        threads sweep at once, and every row is computed alone, so the
+        table does not depend on the thread count.  When a sweep fails,
+        the error of the first failing cell in call order is raised here
+        once the threads have stopped; cells already queued may still
+        finish, and no table is returned.
         """
         n_cells = len(self._stencil.start) - 1
+        n_nodes = n_cells * (self._stencil.m // 2 + 1)
         cells = np.asarray(cells, dtype=np.int64).reshape(-1)
         if np.any((cells < 0) | (cells >= n_cells)):
             raise IndexError(f"base cells must lie in [0, {n_cells})")
-        table = np.empty((len(cells), n_cells * (self._stencil.m // 2 + 1)))
+        columns = np.arange(n_nodes) if columns is None else \
+            np.asarray(columns, dtype=np.int64).reshape(-1)
+        if np.any((columns < 0) | (columns >= n_nodes)):
+            raise IndexError(f"folded columns must lie in [0, {n_nodes})")
+        table = np.empty((len(cells), len(columns)))
+        buffers = threading.local()  # each sweeping thread's own arrays
 
         def sweep(i: int) -> None:
-            succ, pred = work_arrays(table.shape[1])
-            _sweep_cell(self._stencil, int(cells[i]), table[i], succ, pred)
+            if not hasattr(buffers, "row"):
+                buffers.row = np.empty(n_nodes)
+                buffers.work = work_arrays(n_nodes)
+            _sweep_cell(self._stencil, int(cells[i]), buffers.row,
+                        *buffers.work)
+            np.take(buffers.row, columns, out=table[i])
 
         workers = min(len(cells), _usable_cpus())
         if workers < 2:
@@ -242,21 +260,32 @@ class OrbitSweepCache:
         return cell_a, cell_b, _fold(b - a, m)
 
     def pair_distances(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
-        """Distances between (source node, target node) pairs."""
+        """Distances between (source node, target node) pairs: one
+        `distances_from` call, one sweep per distinct source orbit, read at
+        the distinct folded columns the pairs need."""
         a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        if a.size == 0:
+            return []
         reps, cells, z = self._orbit(a, b)
-        rows = self._orbit_rows
-        missing = [c for c in dict.fromkeys(reps.tolist()) if c not in rows]
-        if missing:
-            table = self.distances_from(missing)
-            rows.update(zip(missing, table.reshape(len(missing), -1,
-                                                   self._stencil.m // 2 + 1)))
-        return [float(rows[r][c, k])
-                for r, c, k in zip(reps.tolist(), cells.tolist(), z.tolist())]
+        reps, row = _distinct(reps)
+        columns, col = _distinct(cells * (self._stencil.m // 2 + 1) + z)
+        return self.distances_from(reps, columns=columns)[row, col].tolist()
 
     def error_bound(self, distance: float) -> float:
         """Error bar of a grid distance between nodes: the anisotropy term."""
         return self.aniso_bound * distance + 1e-9
+
+
+def _distinct(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an int array, ascending, and the index of each
+    value among them."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.ones(ordered.shape, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    index = np.empty_like(order)
+    index[order] = np.cumsum(new) - 1
+    return ordered[new], index
 
 
 def fibered_stencil(n_cells: int, m: int, directions) -> FiberStencil:
@@ -421,9 +450,10 @@ class GridGraph(OrbitSweepCache):
     nodes.  Grids over MAX_NODES_2D nodes raise GridSizeError before
     anything is allocated.  Rolling the fiber is a graph automorphism, so
     one sweep per source row, run on the folded graph from the row's
-    column 0, answers every pair; one sweep answers all when the weights
-    are also equal across rows of a circle base.  Sweeps of several rows
-    are mapped over a thread pool (see `OrbitSweepCache.distances_from`).
+    column 0, answers every pair of a `pair_distances` call; one sweep
+    answers all when the weights are also equal across rows of a circle
+    base.  No swept row is kept on the graph.  Sweeps of several rows are
+    mapped over a thread pool (see `OrbitSweepCache.distances_from`).
     """
 
     def __init__(self, space: WarpedSpace, spec: GridSpec = GridSpec()):

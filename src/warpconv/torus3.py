@@ -17,9 +17,9 @@ Pieces:
 * the closed-form limit metric, a diameter bound, a bi-Lipschitz constant,
 * a stage family (one bump walking the dyadic rationals of the diagonal
   while it narrows) and the convergence experiment, run by the surface
-  pipeline's `convergence.run_stages` with its stage loop, reference cache,
-  probes, rows and audit rows; this module supplies the fields, the graph,
-  the flat limit and the diameter bound.
+  pipeline's `convergence.run_stages` with its stage loop, reference
+  reads, probes, rows and audit rows; this module supplies the fields, the
+  graph, the flat limit and the diameter bound.
 
 The z-stencil choice deliberately exceeds the minimal axis+corner set: with
 only axis moves available inside the xy-plane, a diagonal xy pair costs a
@@ -360,7 +360,8 @@ class Grid3Graph(OrbitSweepCache):
     graph folded by the mirror z -> -z, z = 0..n//2 of every cell, about
     half the nodes.  z rolls are automorphisms, so one sweep per source
     (x, y), run on the folded graph from the cell's z = 0, answers every
-    pair.  When every sheet is constant, one sweep answers all.  Sweeps of
+    pair of a `pair_distances` call.  When every sheet is constant, one
+    sweep answers all.  No swept row is kept on the graph.  Sweeps of
     several cells are mapped over a thread pool (see
     `OrbitSweepCache.distances_from`).
     """
@@ -517,9 +518,10 @@ def run_torus3_experiment(family: Torus3Family, j_list: Sequence[int],
     same-grid constant reference run cancelling the oracle's systematic
     error, plus the lower-bound / diameter / sandwich audit rows.
 
-    Runs through `convergence.run_stages`, which holds one stage graph at
-    a time and keeps the reference, with its one swept row (a constant
-    field is invariant along every axis), for every stage on the grid.
+    Runs through `convergence.run_stages`, which holds one graph at a
+    time and builds the reference once, at the first stage, reading it
+    for every stage on the grid with one sweep in all (a constant field is
+    invariant along every axis).
     """
     c = family.level
     flat = Limit(f"flat3(level={c:g})",

@@ -25,3 +25,27 @@ def unfold_rows(graph, sources):
 def full_rows():
     """`unfold_rows`: full-fiber distance rows of a grid graph's sweeps."""
     return unfold_rows
+
+
+def held_row_arrays(graph):
+    """Arrays reachable from a grid graph's attributes, through tuples,
+    lists and dicts, with at least one entry per folded node: the size of
+    one swept row."""
+    folded = (len(graph._stencil.start) - 1) * (graph._stencil.m // 2 + 1)
+    held, todo = [], list(vars(graph).values())
+    while todo:
+        value = todo.pop()
+        if isinstance(value, np.ndarray):
+            if value.size >= folded:
+                held.append(value)
+        elif isinstance(value, (tuple, list)):
+            todo.extend(value)
+        elif isinstance(value, dict):
+            todo.extend(value.values())
+    return held
+
+
+@pytest.fixture(scope="session")
+def held_rows():
+    """`held_row_arrays`: row-sized arrays a grid graph keeps."""
+    return held_row_arrays

@@ -168,8 +168,7 @@ def test_sweeps_equal_full_graph_sweeps(name, picks, full_rows):
     folded = graph.distances_from([s // m for s in sources])
     assert folded.shape == (len(sources), graph.n_nodes // m * (m // 2 + 1))
     assert np.array_equal(full_rows(graph, sources), want)
-    # every node pair from the sources, swept afresh through the orbit cache
-    graph._orbit_rows.clear()
+    # every node pair from the sources, through the orbit sweeps
     pairs = [(s, t) for s in sources for t in range(graph.n_nodes)]
     assert np.array_equal(graph.pair_distances(pairs), want.ravel())
 

@@ -1,9 +1,9 @@
 """Surface grid edge weights come from one quadrature, `segment_length`.
 
 `GridGraph._direction_weights` makes one `segment_length` call over all the
-start rows of a direction.  That array call queries the breakpoints once,
-over the hull of its segments, and pads the rows that cross fewer of them
-with empty pieces at t = 1.  The reference below is the per-row loop: one
+start rows of a direction.  That array call queries the breakpoints once per
+chunk of starts whose hull the profile refines in full (`refined_span`), and
+pads the rows that cross fewer of them with empty pieces at t = 1.  The reference below is the per-row loop: one
 scalar `segment_length(points_per_piece=4)` call per start row.  Every
 weight must equal it bit for bit, on cinched, ridge, bump-lattice (the
 stretched-mix reference grid among them), interval-base and seam-crossing
@@ -129,6 +129,22 @@ def test_stretched_mix_reference_of_the_large_workload():
     crossed, _ = assert_weights_equal_the_loop(
         GridGraph(space, GridSpec(1024, 1024, 2)), 2)
     assert len(crossed) > 1000
+
+
+@pytest.mark.parametrize("j", [10, 11])
+@pytest.mark.parametrize("kind, depth", [("ret-cinches", 0.5),
+                                         ("many-ridges", 1.5)])
+def test_lattice_weights_equal_the_loop_beyond_the_breakpoint_cap(kind, depth,
+                                                                  j):
+    # from j = 11 the lattice holds more bumps than `breakpoints_in` refines
+    # over one interval, so the array call must split its starts: a single
+    # query over the whole base would skip every breakpoint, and the 4-point
+    # rule would alias with the lattice
+    space = SequenceFamily(kind, depth=depth).space(j)
+    graph = GridGraph(space, GridSpec(256, 256, 2))
+    assert (space.profile.refined_span() < space.base.length) == (j == 11)
+    crossed, _ = assert_weights_equal_the_loop(graph, 2)
+    assert len(crossed) > 256
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.37])

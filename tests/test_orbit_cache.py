@@ -1,11 +1,13 @@
-"""The per-graph orbit cache behind the experiments' pair lookups.
+"""The per-graph orbit sweeps behind the experiments' pair lookups.
 
 Edge weights of the surface grid depend only on the start row, and those of
 the 3-torus grid only on (x, y), so translations along the fiber (z) map
 each graph onto itself; a graph whose every direction is one translation of
-a wrapped base lattice with one weight is invariant along every axis.  The
-cache answers a pair from one sweep per source orbit, which must give bit
-for bit the value a direct sweep from the pair's own source gives.  Sweeps
+a wrapped base lattice with one weight is invariant along every axis.
+`pair_distances` answers a pair from one sweep per source orbit, which must
+give bit for bit the value a direct sweep from the pair's own source gives,
+and keeps no row: an experiment reads each graph once, so each source orbit
+is swept once per graph.  Sweeps
 of several cells are mapped over a thread pool of at most one thread per
 usable CPU, whose threads take the cells one at a time; their table must
 equal a one-thread call and scipy's sweeps on the folded triplet oracle bit
@@ -64,7 +66,7 @@ def assert_cache_matches_direct_sweeps(graph, seed, full_rows):
     table = full_rows(graph, sources)
     direct = [float(table[sources.index(a), b]) for a, b in pairs]
     assert cached == direct
-    # a second lookup is served from the rows already on the graph
+    # no row is kept: a second lookup sweeps again, to the same values
     assert graph.pair_distances(pairs) == direct
 
 
@@ -197,29 +199,16 @@ def test_orbit_cache_equals_direct_sweeps_on_random_wrapped_stencils(stencil):
     assert cache.pair_distances(pairs) == direct_pair_distances(cache, pairs)
 
 
-def test_cache_hit_does_not_sweep(monkeypatch):
-    graph = surface_graph(circle_base(), ConstantProfile(1.0), n=16)
-    pairs = [(5, 40), (100, 7)]
-    first = graph.pair_distances(pairs)
-
-    def no_sweep(self, sources, **kwargs):
-        raise AssertionError(f"swept {list(sources)} on a cache hit")
-
-    monkeypatch.setattr(GridGraph, "distances_from", no_sweep)
-    assert graph.pair_distances(pairs) == first
-    assert graph.pair_distances([]) == []
-
-
 def record_sweeps(monkeypatch, cls):
     """Replace cls.distances_from with a wrapper logging (graph, sources)."""
     calls = []
     sweep = cls.distances_from
 
-    def recording(self, sources, **kwargs):
+    def recording(self, sources, columns=None):
         sources = list(sources)
         assert sources, "distances_from called without sources"
         calls.append((self, sources))
-        return sweep(self, sources, **kwargs)
+        return sweep(self, sources, columns)
 
     monkeypatch.setattr(cls, "distances_from", recording)
     return calls
@@ -248,6 +237,47 @@ def test_extra_limit_does_not_sweep_the_stage_again(monkeypatch):
     assert len(stage_calls) == len(set(map(id, stage_calls))) == 2
     invariant = [s for g, s in per_graph if g.base_invariant]
     assert invariant == [[0]]
+
+
+def test_each_graph_is_built_and_read_once(monkeypatch, held_rows):
+    # three stages on one grid against the cinched limit and the naive
+    # product: each reference is built at the first stage and read there
+    # for all three, one sweep per source orbit of the plans' union
+    builds = []
+    init = GridGraph.__init__
+
+    def built(graph, *args, **kwargs):
+        init(graph, *args, **kwargs)
+        builds.append(graph)
+
+    monkeypatch.setattr(GridGraph, "__init__", built)
+    calls = record_sweeps(monkeypatch, GridGraph)
+    fam = SequenceFamily("cinched-torus")
+    j_list = [1, 2, 4]
+    plans = [fam.sample_plan(j, n_sources=3, n_targets=5, offset=1)
+             for j in j_list]
+    run_family_experiment(fam, j_list, grid=GridSpec(48, 48, 2), n_sources=3,
+                          n_targets=5, with_wrong_limit=True, seed=1)
+    assert [graph for graph, _ in calls] == builds
+    stage_1, cinched, product, stage_2, stage_4 = builds
+    assert [g.space for g in (stage_1, stage_2, stage_4)] == [
+        fam.space(j) for j in j_list]
+
+    def source_rows(graph, some_plans):
+        return sorted({graph.snap(a)[0] // graph.n_theta
+                       for plan in some_plans for a, _ in plan.pairs()})
+
+    swept = dict((id(graph), sources) for graph, sources in calls)
+    for graph, plan in zip((stage_1, stage_2, stage_4), plans):
+        assert swept[id(graph)] == source_rows(graph, [plan])
+    assert not cinched.base_invariant
+    assert swept[id(cinched)] == source_rows(cinched, plans)
+    assert len(swept[id(cinched)]) > len(source_rows(cinched, plans[:1]))
+    assert product.base_invariant and swept[id(product)] == [0]
+    assert not any(held_rows(graph) for graph in builds)
+    # no pairs, no sweep
+    assert stage_1.pair_distances([]) == []
+    assert len(calls) == len(builds)
 
 
 def test_torus3_constant_reference_swept_once(monkeypatch):
@@ -281,9 +311,9 @@ def test_single_pair_distance_reads_the_orbit_cache(kind, monkeypatch, full_rows
     (src, _), (dst, _) = graph.snap(p), graph.snap(q)
     first = graph.pair_distances([(src, dst)])
     assert len(calls) == 1
-    # the pair's source orbit is on the graph now: the repeat sweeps nothing
+    # the graph keeps no row: the repeat sweeps the one orbit again
     assert graph.pair_distances([(src, dst)]) == first
-    assert len(calls) == 1
+    assert len(calls) == 2 and calls[1][1] == calls[0][1]
     assert first[0] == full_rows(graph, [src])[0, dst]
 
 
@@ -433,16 +463,45 @@ def test_cpus_are_counted_where_the_platform_has_no_affinity(fanned,
 
 
 def test_cells_outside_the_base_are_refused(fanned):
-    graph, _ = fanned("surface")
+    graph, folded = fanned("surface")
     for cells in ([-1], [0, graph.n_rows]):
         with pytest.raises(IndexError):
             graph.distances_from(cells)
+    for columns in ([-1], [0, folded.shape[0]]):
+        with pytest.raises(IndexError):
+            graph.distances_from([0], columns)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("kind", sorted(FANNED))
+def test_columns_are_read_from_each_row(kind, cpus, fanned, monkeypatch):
+    # each sweeping thread allocates one row buffer and one pair of work
+    # arrays, at its first cell, and copies the asked columns out of it
+    graph, folded = fanned(kind)
+    cells = [5, 0, 17, 3, 9, 11]
+    columns = [7, 0, folded.shape[0] - 1, 7, 123]  # unsorted, one repeated
+    allocations = []
+    make = geodesy.work_arrays
+
+    def allocating(n_nodes):
+        allocations.append(threading.get_ident())
+        return make(n_nodes)
+
+    monkeypatch.setattr(geodesy, "work_arrays", allocating)
+    fake_cpus(monkeypatch, cpus)
+    log = record_cells(monkeypatch, threads=cpus if cpus > 1 else None)
+    table = graph.distances_from(cells, columns)
+    assert sorted(allocations) == sorted(sweeping_threads(log))
+    assert len(allocations) == cpus
+    want = oracle_sweeps(folded, graph._stencil.m, cells)
+    assert np.array_equal(table, want[:, columns])
+    assert graph.distances_from(cells, []).shape == (len(cells), 0)
 
 
 @pytest.mark.parametrize("failing", ["first", "every"])
-def test_failed_worker_raises_and_caches_no_row(failing, fanned, monkeypatch):
+def test_failed_worker_raises_and_caches_no_row(failing, fanned, monkeypatch,
+                                               held_rows):
     graph, _ = fanned("surface")
-    graph._orbit_rows.clear()
     m = graph._stencil.m
     pairs = [(cell * m, 5) for cell in (40, 41, 42, 43)]
     sweep = geodesy._sweep_cell
@@ -458,10 +517,10 @@ def test_failed_worker_raises_and_caches_no_row(failing, fanned, monkeypatch):
     with pytest.raises(MemoryError, match="sweep failed"):
         graph.pair_distances(pairs)
     assert len(sweeping_threads(log)) == 2
-    assert graph._orbit_rows == {}
+    assert held_rows(graph) == []
     monkeypatch.setattr(geodesy, "_sweep_cell", sweep)
     assert len(graph.pair_distances(pairs)) == 4
-    assert graph._orbit_rows.keys() == {40, 41, 42, 43}
+    assert held_rows(graph) == []
 
 
 def test_a_slow_worker_sweeps_fewer_cells(fanned, monkeypatch):

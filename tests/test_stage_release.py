@@ -1,10 +1,11 @@
 """The experiments hold one stage graph at a time.
 
 Each stage graph is read once on its plan and released before any
-reference graph is built or swept, so a run's peak memory is one graph's
-stencil and rows, not two.  The checks watch every graph through weak
-references, so they hold no graph themselves: a graph is alive only while
-the library keeps it.
+reference graph is built or swept, and each reference is read once, for
+every stage on its grid, and dropped, so a run's peak memory is one graph's
+stencil and sweep buffers, not two.  The checks watch every graph through
+weak references, so they hold no graph themselves: a graph is alive only
+while the library keeps it.
 """
 
 import weakref
@@ -57,12 +58,12 @@ class GraphWatch:
             watch.graphs.append((kind, weakref.ref(graph)))
             watch.snaps.append(0)
 
-        def swept(graph, cells):
+        def swept(graph, cells, columns=None):
             kind = watch.graphs[graph._watch_serial][0]
             if kind == "reference":
                 assert watch.live_stages() == 0, "reference swept beside a stage graph"
             watch.sweeps[kind] += len(cells)
-            return sweep(graph, cells)
+            return sweep(graph, cells, columns)
 
         def snapped(graph, p):
             watch.snaps[graph._watch_serial] += 1
@@ -117,9 +118,11 @@ def test_surface_stages_are_released_before_references(surface_watch, kind,
                                    with_wrong_limit=wrong, seed=2)
     assert all(len(row.alt_eps) == 1 for row in report.rows)
     kinds = surface_watch.kinds()
-    # one stage graph per stage; two limits, so two cached references
+    # one stage graph per stage; two limits, so two references, each built
+    # and dropped before the next graph is built
     assert kinds.count("stage") == len(j_list)
     assert kinds.count("reference") == 2
+    assert surface_watch.alive_at_build == [[]] * len(kinds)
     assert surface_watch.sweeps["stage"] > 0
     assert surface_watch.sweeps["reference"] > 0
     assert surface_watch.live_stages() == 0
