@@ -34,7 +34,6 @@ from .convergence import (
     StageRow,
     audit_theorem_bounds,
     default_grid,
-    discrepancy_estimate,
     flat_upper_bound,
     gh_upper_bound,
     reference_space,

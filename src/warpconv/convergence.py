@@ -17,15 +17,16 @@ warped 3-tori (`torus3.run_torus3_experiment`) run it through
   comparing the two runs pair by pair; `reference_values` builds one
   reference graph, reads it once on the plans of every stage that needs
   it and drops it,
-* `run_stages` reads each stage graph once and releases it before any
-  reference is built or swept, and builds and reads each (limit, grid)
-  reference once, at the first stage on its grid, for every stage on that
-  grid,
-* `limit_result` joins the stage's values with one limit, in closed form
-  at the snapped endpoints, and with that limit's reference values,
+* `run_stages` is the one way a stage is read: it reads each stage graph
+  once and releases it before any reference is built or swept, builds and
+  reads each (limit, grid) reference once, at the first stage on its
+  grid, for every stage on that grid, and joins the stage's values with
+  each limit (`limit_probes`: the limit in closed form at the snapped
+  endpoints, and its reference values),
 * `stage_row` turns the probes and the stage's closed-form data (L2 norm,
   bi-Lipschitz constant, volume) into one report row with its GH and
-  intrinsic-flat bounds.
+  intrinsic-flat bounds, and an audit reads that row and the headline
+  result, never a graph of its own.
 
 Every estimate is a max over finitely many pairs, hence a lower estimate of
 the true uniform discrepancy; reports carry that caveat in their field names
@@ -271,14 +272,6 @@ def reference_values(limit: Limit, grid,
     return _read_plans(limit.reference(grid), plans)[1]
 
 
-def limit_result(j: int, grid, stage: PlanValues, limit: Limit,
-                 reference: Sequence[float]) -> DiscrepancyResult:
-    """Stage j's plan values against one limit, with `reference`, the
-    limit's reference values on the stage's plan (`reference_values`)."""
-    return DiscrepancyResult(j, limit.name, grid,
-                             limit_probes(stage, limit.distance, reference))
-
-
 def _surface_limit(family: SequenceFamily, limit: LimitMetric) -> Limit:
     """`limit` on the family's base and fiber, referenced by `reference_space`."""
     base, fiber = family.base, family.fiber
@@ -286,26 +279,6 @@ def _surface_limit(family: SequenceFamily, limit: LimitMetric) -> Limit:
         limit.describe(),
         lambda p, q: limit.distance(base, fiber, p, q),
         lambda grid: GridGraph(reference_space(limit, base, fiber, grid), grid))
-
-
-def discrepancy_estimate(family: SequenceFamily, j: int,
-                         grid: Optional[GridSpec] = None,
-                         plan: Optional[SamplePlan] = None,
-                         limit: Optional[LimitMetric] = None) -> DiscrepancyResult:
-    """Sampled uniform-distance discrepancy between stage j and the limit.
-
-    Builds the stage graph and the limit's reference graph on `grid`
-    (default `default_grid`).  The stage graph is read once and released
-    before the reference is built or swept, as in `run_family_experiment`,
-    whose row for the same stage, plan and limit carries these probes.
-    """
-    grid = grid or default_grid(family, j)
-    limit = _surface_limit(
-        family, limit if limit is not None else family.candidate_limits()[0])
-    plan = plan or family.sample_plan(j)
-    stage = plan_values(GridGraph(family.space(j), grid), plan)
-    (reference,) = reference_values(limit, grid, [plan])
-    return limit_result(j, grid, stage, limit, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -448,23 +421,21 @@ def _monotone_test_curves(base, fiber, count: int = 10) -> List[PolylineCurve]:
     return curves
 
 
-def audit_theorem_bounds(family: SequenceFamily, j: int,
-                         result: Optional[DiscrepancyResult] = None,
-                         grid: Optional[GridSpec] = None) -> List[AuditRow]:
-    """Evaluate every quantitative inequality on stage j of the family.
+def audit_theorem_bounds(family: SequenceFamily, result: DiscrepancyResult,
+                         row: "StageRow") -> List[AuditRow]:
+    """Evaluate every quantitative inequality on one stage of the family.
 
-    Reuses the probes of `result` when given (saves the grid sweeps);
-    otherwise runs a fresh discrepancy estimate against the family's naive
-    constant-level limit.
+    The pair checks read the probes of `result`, the stage's headline
+    result in `run_stages`; only their endpoints, grid values and error
+    bars enter, so any limit's result gives the same rows.  delta, the
+    profile's L2 distance to the limit level, and the bi-Lipschitz
+    constant are the stage row's `l2_norm` and `lam`.
     """
+    j = result.j
     space = family.space(j)
     base, fiber = family.base, family.fiber
     level = family.limit_level
-    flat_limit = LimitMetric("product", level=level)
-    if result is None:
-        result = discrepancy_estimate(family, j, grid=grid, limit=flat_limit)
-
-    delta = lp_profile_distance(space.profile, ConstantProfile(level), 2, base)
+    delta = row.l2_norm
     limit_space = WarpedSpace(base, fiber, ConstantProfile(level))
     norm_inf_sq = level * level * base.length  # squared L2 norm of the level
     probes = result.probes
@@ -561,7 +532,7 @@ def audit_theorem_bounds(family: SequenceFamily, j: int,
     rows.append(sandwich_row(
         probes, [flat_product_distance(base, fiber, 1.0, pr.p, pr.q)
                  for pr in probes],
-        bilipschitz_lambda(space)))
+        row.lam))
 
     # -- uniform upper estimate via monotone limit geodesics --------------
     name = "monotone-uniform"
@@ -570,11 +541,10 @@ def audit_theorem_bounds(family: SequenceFamily, j: int,
     cap = ((delta * delta + 4.0 * norm_inf_sq) * math.sqrt(delta)
            * math.sqrt(SURFACE_DIM) * diam_inf / mlim)
     worst_slack, worst_tol, worst_obs, n_used = math.inf, 0.0, math.nan, 0
-    for pr in result.probes:
+    for pr, flat_d in zip(probes, flat):
         if abs(pr.p.r - pr.q.r) < 1e-12:
             continue  # limit geodesic not monotone in r
         n_used += 1
-        flat_d = flat_product_distance(base, fiber, level, pr.p, pr.q)
         slack = cap - (pr.grid_value - flat_d)
         if slack < worst_slack:
             worst_slack, worst_tol, worst_obs = slack, pr.grid_error, pr.grid_value - flat_d
@@ -689,7 +659,13 @@ def run_stages(family, dimension: int, stages: Sequence[Stage],
     grid, read once on the plans of that stage and of every later stage on
     the grid, and dropped straight away; only its values wait for the
     later stages.  So at most one graph exists at a time.
+
+    Raises ValueError, before any graph is built, unless `stages` is
+    non-empty with distinct j (the report keys its audits by j).
     """
+    js = [st.j for st in stages]
+    if not js or len(set(js)) != len(js):
+        raise ValueError(f"stages need one j or more, all distinct; got {js}")
     waiting = {}  # (limit name, stage index) -> that stage's reference values
     rows: List[StageRow] = []
     audits: Dict[int, Tuple[AuditRow, ...]] = {}
@@ -705,8 +681,9 @@ def run_stages(family, dimension: int, stages: Sequence[Stage],
                     [(lim.name, k) for k in same],
                     reference_values(lim, st.grid,
                                      [stages[k].plan for k in same])))
-            results.append(limit_result(st.j, st.grid, values, lim,
-                                        waiting.pop((lim.name, i))))
+            results.append(DiscrepancyResult(
+                st.j, lim.name, st.grid,
+                limit_probes(values, lim.distance, waiting.pop((lim.name, i)))))
         head, *alt = results
         row = stage_row(head, *st.closed_forms, dimension,
                         {res.limit: res.eps_corrected for res in alt})
@@ -746,7 +723,7 @@ def run_family_experiment(family: SequenceFamily, j_list: Sequence[int],
              family.l2_analytic_bound(j), bilipschitz_lambda(space),
              space.mass()))
 
-    audit = ((lambda res, _row: audit_theorem_bounds(family, res.j, result=res))
+    audit = ((lambda res, row: audit_theorem_bounds(family, res, row))
              if with_audits else None)
     return run_stages(family, SURFACE_DIM, [stage(j) for j in j_list],
                       [_surface_limit(family, lim) for lim in limits], audit)

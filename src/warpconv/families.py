@@ -25,7 +25,7 @@ every dyadic rational infinitely often while the bump keeps narrowing.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 from .core import (
     TAU,

@@ -6,7 +6,6 @@ Plans pair a small set of shared sources with a larger target set, so a grid
 backend answers every pair with one shortest-path sweep per source.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Tuple
 

@@ -19,7 +19,8 @@ Pieces:
   while it narrows) and the convergence experiment, run by the surface
   pipeline's `convergence.run_stages` with its stage loop, reference
   reads, probes, rows and audit rows; this module supplies the fields, the
-  graph, the flat limit and the diameter bound.
+  graph, the flat limit and the diameter bound.  Its audit takes a stage's
+  headline result and row, as the surface audit does.
 
 The z-stencil choice deliberately exceeds the minimal axis+corner set: with
 only axis moves available inside the xy-plane, a diagonal xy pair costs a
@@ -41,9 +42,10 @@ import numpy as np
 from .core import TAU, HypothesisError, InvalidDescriptor, _bump_shape
 from .convergence import (
     ConvergenceReport,
+    DiscrepancyResult,
     Limit,
-    PairProbe,
     Stage,
+    StageRow,
     diameter_row,
     lower_bound_row,
     run_stages,
@@ -537,24 +539,25 @@ def run_torus3_experiment(family: Torus3Family, j_list: Sequence[int],
             (_quadrature_l2(fld, c), fld.l2_vs_level(c), bilip_lambda3(fld),
              TAU * fld.integral()))
 
-    audit = ((lambda res, row: _audit_rows3(family, res.j, family.field(res.j),
-                                            res.probes, row.l2_norm, row.lam))
+    audit = ((lambda res, row: _audit_rows3(family, res, row))
              if with_audits else None)
     return run_stages(family, VOLUME_DIM, [stage(j) for j in j_list], [flat],
                       audit)
 
 
-def _audit_rows3(family: Torus3Family, j: int, fld: ScalarField2D,
-                 probes: Tuple[PairProbe, ...], l2: float, lam: float):
-    """The shared audit rows of stage j: the lower bound against the flat
-    limit, the diameter bound and the sandwich against the unit flat
-    3-torus."""
+def _audit_rows3(family: Torus3Family, result: DiscrepancyResult,
+                 row: StageRow):
+    """The shared audit rows of one stage, from its headline result and
+    its row (the L2 distance and bi-Lipschitz constant): the lower bound
+    against the flat limit, the diameter bound and the sandwich against
+    the unit flat 3-torus."""
     c = family.level
-    diameter = diameter3_upper_bound(l2, c)
+    probes = result.probes
+    diameter = diameter3_upper_bound(row.l2_norm, c)
     return [
         lower_bound_row(probes, [pr.limit_value for pr in probes], c,
-                        fld.min_value(), j, diameter),
+                        family.field(result.j).min_value(), result.j, diameter),
         diameter_row(probes, diameter),
         sandwich_row(probes, [limit3_distance(1.0, pr.p, pr.q) for pr in probes],
-                     lam),
+                     row.lam),
     ]

@@ -19,27 +19,26 @@ sides of that behavior.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
 from warpconv import (
     ConstantProfile,
     FiberSpace,
-    GridGraph,
     GridSpec,
     LimitMetric,
     SequenceFamily,
     SurfacePoint,
     WarpedSpace,
-    audit_theorem_bounds,
     circle_base,
     default_grid,
-    discrepancy_estimate,
     flat_upper_bound,
     gh_upper_bound,
     reference_space,
     run_family_experiment,
 )
+from warpconv import convergence
 from warpconv.convergence import (
     PairProbe,
     StageRow,
@@ -181,9 +180,10 @@ def test_turning_rate_counterexample_is_frozen():
 
 
 def test_audit_reports_the_violation_and_the_companion():
-    rows = {r.name: r for r in audit_theorem_bounds(
-        SequenceFamily("single-ridge", depth=1.5), 4,
-        grid=GridSpec(128, 128, 2))}
+    report = run_family_experiment(SequenceFamily("single-ridge", depth=1.5),
+                                   [4], grid=GridSpec(128, 128, 2),
+                                   with_audits=True)
+    rows = {r.name: r for r in report.audits[4]}
     tr = rows["turning-rate"]
     assert not tr.skipped
     assert tr.slack < -1.0          # far beyond any numerical tolerance
@@ -199,24 +199,25 @@ def test_audit_reports_the_violation_and_the_companion():
 
 
 @pytest.fixture(scope="module")
-def constant_result():
-    return discrepancy_estimate(SequenceFamily("constant"), 4,
-                                grid=GridSpec(96, 96, 2))
+def constant_report():
+    return run_family_experiment(SequenceFamily("constant"), [4],
+                                 grid=GridSpec(96, 96, 2), with_audits=True)
 
 
-def test_constant_family_raw_gap_is_grid_error(constant_result):
-    assert constant_result.eps_raw <= constant_result.max_grid_error
+def test_constant_family_raw_gap_is_grid_error(constant_report):
+    (row,) = constant_report.rows
+    assert row.eps_raw <= row.grid_error
 
 
-def test_constant_family_reference_cancels_exactly(constant_result):
+def test_constant_family_reference_cancels_exactly(constant_report):
     # stage and reference discretize the identical space, so the corrected
     # gap vanishes to the last bit
-    assert constant_result.eps_corrected == 0.0
+    (row,) = constant_report.rows
+    assert row.eps_corrected == 0.0
 
 
-def test_constant_family_audit_slacks_equal_bounds(constant_result):
-    rows = {r.name: r for r in audit_theorem_bounds(
-        SequenceFamily("constant"), 4, result=constant_result)}
+def test_constant_family_audit_slacks_equal_bounds(constant_report):
+    rows = {r.name: r for r in constant_report.audits[4]}
     # difference-type observations vanish: slack collapses to the bound
     lower = rows["distance-lower-bound"]
     assert not lower.skipped
@@ -235,9 +236,10 @@ def test_constant_family_audit_slacks_equal_bounds(constant_result):
 
 
 def test_hypothesis_violation_skips_lower_bound():
-    rows = {r.name: r for r in audit_theorem_bounds(
-        SequenceFamily("cinched-torus", depth=0.5), 4,
-        grid=GridSpec(96, 96, 2))}
+    report = run_family_experiment(SequenceFamily("cinched-torus", depth=0.5),
+                                   [4], grid=GridSpec(96, 96, 2),
+                                   with_audits=True)
+    rows = {r.name: r for r in report.audits[4]}
     row = rows["distance-lower-bound"]
     assert row.skipped
     assert "dips below" in row.reason
@@ -256,24 +258,24 @@ def test_skip_reason_reaches_the_report_verbatim():
 
 
 def test_wrong_limit_floor_for_cinched_torus():
-    res = discrepancy_estimate(SequenceFamily("cinched-torus", depth=0.5), 8,
-                               grid=GridSpec(128, 128, 2),
-                               limit=LimitMetric("product", level=1.0))
-    assert res.eps_corrected >= (1.0 - 0.5) * math.pi / 2.0
+    report = run_family_experiment(SequenceFamily("cinched-torus", depth=0.5),
+                                   [8], grid=GridSpec(128, 128, 2),
+                                   with_wrong_limit=True)
+    (row,) = report.rows
+    assert row.alt_eps["product(level=1)"] >= (1.0 - 0.5) * math.pi / 2.0
 
 
 def test_moving_cinch_alternates_around_threshold():
     fam = SequenceFamily("moving-cinch", depth=0.5)
     lim0 = LimitMetric("cinched-product", depth=0.5, cinch_r=0.0)
-    grid = GridSpec(128, 128, 2)
-
-    def eps(j):
-        return discrepancy_estimate(fam, j, grid=grid, limit=lim0).eps_corrected
-
+    report = run_family_experiment(fam, [3, 5, 6, 10],
+                                   grid=GridSpec(128, 128, 2))
+    assert report.limit == lim0.describe()
+    eps = {row.j: row.eps_corrected for row in report.rows}
     threshold = (1.0 - 0.5) * math.pi / 2.0
     # walk centers: j=3,6 sit at t=0, j=5,10 at t=1
-    assert eps(3) < threshold < eps(5)
-    assert eps(6) < threshold < eps(10)
+    assert eps[3] < threshold < eps[5]
+    assert eps[6] < threshold < eps[10]
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +298,48 @@ def test_run_family_experiment_rows_are_consistent():
         assert row.n_pairs == 4 * 8 + len(fam.special_pairs(row.j))
         assert not row.alt_eps  # naive limit coincides with the true one
     assert set(report.audits) == {2, 4}
+
+
+@pytest.mark.parametrize("j_list", [[], [2, 2]])
+def test_run_family_experiment_refuses_empty_or_repeated_stages(monkeypatch,
+                                                               j_list):
+    def built(*_args):
+        raise AssertionError("a graph was built for a refused stage list")
+
+    monkeypatch.setattr(convergence, "GridGraph", built)
+    with pytest.raises(ValueError, match="distinct"):
+        run_family_experiment(SequenceFamily("constant"), j_list,
+                              grid=GridSpec(48, 48, 2), n_sources=2,
+                              n_targets=3, with_audits=True)
+
+
+def test_each_stage_value_is_computed_once(monkeypatch):
+    # the audit reads delta and lambda from the stage row, not afresh
+    calls = Counter()
+    for name in ("lp_profile_distance", "bilipschitz_lambda"):
+        def counted(*args, _fn=getattr(convergence, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(convergence, name, counted)
+    seen = []
+    audit = convergence.audit_theorem_bounds
+
+    def recording(family, result, row):
+        seen.append((result, row))
+        return audit(family, result, row)
+
+    monkeypatch.setattr(convergence, "audit_theorem_bounds", recording)
+    report = run_family_experiment(SequenceFamily("single-ridge", depth=1.5),
+                                   [2, 4], grid=GridSpec(48, 48, 2),
+                                   n_sources=2, n_targets=3, with_audits=True)
+    assert calls == {"lp_profile_distance": 2, "bilipschitz_lambda": 2}
+    assert len(seen) == len(report.rows) == 2
+    for (result, row), reported in zip(seen, report.rows):
+        assert row is reported
+        assert result.j == row.j
+        assert result.limit == report.limit
 
 
 def test_run_family_experiment_wrong_limit_column():

@@ -9,7 +9,7 @@ bounds by independent quadrature.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from warpconv import (
     ConstantProfile,

@@ -16,11 +16,11 @@ from warpconv import (
     GridGraph,
     GridSpec,
     SequenceFamily,
-    discrepancy_estimate,
     run_family_experiment,
 )
 from warpconv import convergence
 from warpconv.convergence import (
+    DiscrepancyResult,
     default_grid,
     limit_probes,
     plan_values,
@@ -146,14 +146,6 @@ def test_a_reference_is_released_after_the_last_stage_on_its_grid(
     assert surface_watch.live() == []
 
 
-def test_discrepancy_estimate_releases_its_stage_graph(surface_watch):
-    fam = SequenceFamily("cinched-torus")
-    res = discrepancy_estimate(fam, 2, grid=GridSpec(48, 48, 2))
-    assert surface_watch.kinds() == ["stage", "reference"]
-    assert surface_watch.sweeps["reference"] > 0
-    assert len(res.probes) == len(list(fam.sample_plan(2).pairs()))
-
-
 def test_torus3_stages_are_released_before_the_reference(monkeypatch):
     watch = GraphWatch(monkeypatch, Grid3Graph,
                        lambda g: isinstance(g.field, ConstantField))
@@ -166,27 +158,27 @@ def test_torus3_stages_are_released_before_the_reference(monkeypatch):
     assert watch.live_stages() == 0
 
 
-def test_discrepancy_estimate_is_the_first_row_of_the_experiment():
+def test_surface_rows_match_probe_plan_on_prebuilt_graphs():
     fam = SequenceFamily("cinched-torus")
     grid = GridSpec(48, 48, 2)
     report = run_family_experiment(fam, [2, 4], grid=grid, n_sources=3,
                                    n_targets=5, with_wrong_limit=True, seed=4)
     plan = fam.sample_plan(2, n_sources=3, n_targets=5, offset=4)
-    res = discrepancy_estimate(fam, 2, grid=grid, plan=plan)
+    stage = plan_values(GridGraph(fam.space(2), grid), plan)
+
+    def probes(limit):
+        reference = GridGraph(convergence.reference_space(
+            limit, fam.base, fam.fiber, grid), grid)
+        return limit_probes(
+            stage, lambda p, q: limit.distance(fam.base, fam.fiber, p, q),
+            plan_values(reference, plan).values)
+
+    limit, wrong = fam.limit(), fam.naive_limit()
+    head = DiscrepancyResult(2, limit.describe(), grid, probes(limit))
+    alt = {wrong.describe(): max(pr.corrected_gap for pr in probes(wrong))}
     row = report.rows[0]
-    assert stage_row(res, row.l2_norm, row.l2_bound, row.lam, row.mass, 2,
-                     row.alt_eps) == row
-    wrong = discrepancy_estimate(fam, 2, grid=grid, plan=plan,
-                                 limit=fam.naive_limit())
-    assert row.alt_eps == {wrong.limit: wrong.eps_corrected}
-    # plan values of prebuilt graphs give the same probes
-    limit = fam.limit()
-    reference = GridGraph(convergence.reference_space(
-        limit, fam.base, fam.fiber, grid), grid)
-    assert limit_probes(
-        plan_values(GridGraph(fam.space(2), grid), plan),
-        lambda p, q: limit.distance(fam.base, fam.fiber, p, q),
-        plan_values(reference, plan).values) == res.probes
+    assert stage_row(head, row.l2_norm, row.l2_bound, row.lam, row.mass, 2,
+                     alt) == row
 
 
 def test_torus3_rows_match_probe_plan_on_prebuilt_graphs():

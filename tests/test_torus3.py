@@ -27,6 +27,7 @@ from warpconv import (
     SurfacePoint,
     run_family_experiment,
 )
+from warpconv import torus3
 from warpconv.convergence import PairProbe
 from warpconv.core import TAU
 from warpconv.reporting import point_label
@@ -545,6 +546,29 @@ class TestExperiment3:
         pr = PairProbe(Point3(0, 0, 0), Point3(1, 0, 0), 1.05, 0.01, 1.0, 1.04)
         assert pr.raw_gap == pytest.approx(0.05)
         assert pr.corrected_gap == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("j_list", [[], [2, 2]])
+    def test_refuses_empty_or_repeated_stages(self, j_list):
+        with pytest.raises(ValueError, match="distinct"):
+            run_torus3_experiment(Torus3Family(), j_list, Grid3Spec(32),
+                                  n_sources=2, n_targets=3)
+
+    def test_audit_reads_the_stage_row(self, monkeypatch):
+        seen = []
+        audit = torus3._audit_rows3
+
+        def recording(family, result, row):
+            seen.append((result, row))
+            return audit(family, result, row)
+
+        monkeypatch.setattr(torus3, "_audit_rows3", recording)
+        rep = run_torus3_experiment(Torus3Family(), [2, 3], Grid3Spec(32),
+                                    n_sources=2, n_targets=3)
+        assert len(seen) == len(rep.rows) == 2
+        for (result, row), reported in zip(seen, rep.rows):
+            assert row is reported
+            assert result.j == row.j
+            assert result.limit == rep.limit
 
     def test_rows_share_the_surface_row_type(self, small_run):
         surface = run_family_experiment(
