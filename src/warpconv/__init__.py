@@ -34,6 +34,7 @@ from .convergence import (
     StageRow,
     audit_theorem_bounds,
     default_grid,
+    exact_gap,
     flat_upper_bound,
     gh_upper_bound,
     reference_space,

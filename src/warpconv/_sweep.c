@@ -18,79 +18,109 @@
  * on, so every queued distance lies in buckets cur .. cur + nb - 1, and a
  * bucket index outside that window (rounding only) is clamped into it.
  *
- * Each bucket is a circular doubly linked list through succ and pred,
- * work arrays of n_nodes + WARPCONV_BUCKET_CAP int32 entries: entries
- * below n_nodes are the nodes' links, entry n_nodes + i is the head of
- * slot i.  Lowering a queued node's distance unlinks it and links it into
- * its new bucket, so no node is queued twice.  A node taken off its bucket
- * has pred -1.  Nodes are unseen while their distance is infinite, so only
- * the heads need initial values.  Nodes are taken from the lowest
- * non-empty bucket, first in first out (any order would do).  A node taken
- * off can still improve: from a node of its own bucket where the bucket is
- * wider than the least weight (the capped case), or by rounding; it is
- * then queued again and taken once more (label-correcting).  With
- * delta = w_min / 2 an edge crosses at least two bucket boundaries, so
- * outside the capped case that happens only where rounding puts a
- * distance one bucket low.
+ * The buckets use lazy deletion: every time a node's distance falls, an
+ * entry (node, distance) is appended to the new distance's bucket, and an
+ * entry whose distance is above its node's current one is skipped when it
+ * is taken off.  A node's values strictly fall, so at most one of its
+ * entries, the last, carries its current value.  Each bucket is a singly
+ * linked FIFO list of entries in one pool that the sweep allocates, grows
+ * by doubling and frees; freed entries are reused, so the pool holds the
+ * peak number of queued entries, stale ones included, and nothing per
+ * node.  The live entries leave in the order a queue with decrease-key
+ * that moves a lowered node to the back of its new bucket would take the
+ * nodes.  Entries are taken from the lowest non-empty bucket, first in
+ * first out (any order would do).  A node taken off can still improve:
+ * from a node of its own bucket where the bucket is wider than the least
+ * weight (the capped case), or by rounding; it then gets a new entry and
+ * is taken once more (label-correcting).  With delta = w_min / 2 an edge
+ * crosses at least two bucket boundaries, so outside the capped case that
+ * happens only where rounding puts a distance one bucket low.
  *
  * Why the distances are bit for bit scipy's csgraph Dijkstra, whatever the
  * order: write fl(a + w) for the rounded double sum.  (1) Every value ever
  * assigned is the left-to-right double sum along some path from the
  * source.  (2) At the end, d(v) <= fl(d(u) + w) on every edge u -> v: each
- * time d(u) falls u is queued, and the last time it is taken off it relaxes
- * every edge with its final value, after which d(v) only falls.  Take a
- * path whose double sum S_k is least among paths to v, with prefix sums
- * S_i at its nodes v_i.  By (2) and induction, since rounding is monotone,
- * d(v_{i+1}) <= fl(d(v_i) + w) <= fl(S_i + w) = S_{i+1}; so d(v) <= S_k, and
- * by (1) d(v) >= S_k.  Each distance is the least double path sum, which
- * depends on the graph alone.  Dijkstra's output satisfies (1) and (2) too
- * (a node settled before u has d(v) <= d(u) <= fl(d(u) + w)), so both are
- * that least sum.  Strict decreases of finitely many path sums end the
- * loop.  The argument needs fl(d + w) >= d, which holds for w > 0 even
- * where w is below half an ulp of d and fl(d + w) == d.
+ * time d(u) falls an entry with the new value is queued, and the entry
+ * with u's last value is taken off after that last decrease and is not
+ * skipped, so u relaxes every edge with its final value, after which d(v)
+ * only falls.  Take a path whose double sum S_k is least among paths to v,
+ * with prefix sums S_i at its nodes v_i.  By (2) and induction, since
+ * rounding is monotone, d(v_{i+1}) <= fl(d(v_i) + w) <= fl(S_i + w) =
+ * S_{i+1}; so d(v) <= S_k, and by (1) d(v) >= S_k.  Each distance is the
+ * least double path sum, which depends on the graph alone.  Dijkstra's
+ * output satisfies (1) and (2) too (a node settled before u has
+ * d(v) <= d(u) <= fl(d(u) + w)), so both are that least sum.  The loop
+ * ends: every entry is queued by a strict decrease of its node's value,
+ * a node's values are doubles no greater than its first one, and each
+ * pass of the loop takes one entry off.  The argument needs
+ * fl(d + w) >= d, which holds for w > 0 even where w is below half an ulp
+ * of d and fl(d + w) == d.
  *
  * With K the largest |step|, a position K <= z <= h - 1 - K reaches only
  * positions z + step in [0, h), which need neither wrap nor fold; those
  * positions take a loop without either, and only the 2K positions at the
  * ends of the folded fiber go through the fold.
  *
- * The caller checks the sizes, that start runs from 0 up to the slot
- * count, that every step satisfies |step| < m, every target lies in
- * [0, n_cells) and every weight is positive, and that m and
- * n_cells * h + WARPCONV_BUCKET_CAP fit an int32.
+ * warpconv_sweep returns 0, or WARPCONV_NO_MEMORY when the queue cannot be
+ * allocated or grown; dist is then incomplete.  The pool starts at
+ * pool_size entries.  The caller checks the sizes, that start runs from 0
+ * up to the slot count, that every step satisfies |step| < m, every target
+ * lies in [0, n_cells) and every weight is positive, and that m and
+ * n_cells * h fit an int32.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 #define WARPCONV_BUCKET_CAP 4096
+#define WARPCONV_NO_MEMORY 1
 
 const int32_t warpconv_bucket_cap = WARPCONV_BUCKET_CAP;
+const int32_t warpconv_no_memory = WARPCONV_NO_MEMORY;
 
 typedef struct {
-    int32_t *succ, *pred;
+    double dist;   /* the node's value when the entry was queued */
+    int32_t node;
+    int32_t next;  /* next entry of its bucket, or of the free list; -1 */
+} entry;
+
+typedef struct {
+    entry *pool;
+    int32_t size;      /* entries allocated */
+    int32_t used;      /* entries ever handed out, at most size */
+    int32_t free;      /* first reusable entry, or -1 */
+    int32_t *head, *tail;  /* each slot's first and last entry, or -1 */
     double *dist;
     double inv_delta;  /* 1 / bucket width */
     double cur;        /* absolute index of the bucket being emptied */
     int32_t slot;      /* its slot, cur mod nb */
     int32_t nb;        /* live slots */
-    int32_t heads;     /* index of slot 0's head, n_nodes */
-    int32_t queued;    /* nodes in some bucket */
+    int32_t queued;    /* entries in some bucket */
 } queue;
 
-/* Lower node v to dv if that is shorter, moving it to dv's bucket. */
-static inline void relax(queue *q, int32_t v, double dv)
+/* Lower node v to dv if that is shorter, queueing an entry in dv's bucket.
+ * Returns 0, or WARPCONV_NO_MEMORY when the pool cannot grow. */
+static inline int relax(queue *q, int32_t v, double dv)
 {
-    int32_t *succ = q->succ, *pred = q->pred;
     if (!(dv < q->dist[v]))
-        return;
-    if (q->dist[v] == INFINITY || pred[v] < 0) {
-        q->queued++;
-    } else {
-        succ[pred[v]] = succ[v];
-        pred[succ[v]] = pred[v];
-    }
+        return 0;
     q->dist[v] = dv;
+    int32_t e = q->free;
+    if (e >= 0) {
+        q->free = q->pool[e].next;
+    } else {
+        if (q->used == q->size) {
+            if (q->size > INT32_MAX / 2)
+                return WARPCONV_NO_MEMORY;
+            entry *grown = realloc(q->pool, 2 * (size_t)q->size * sizeof *grown);
+            if (grown == NULL)
+                return WARPCONV_NO_MEMORY;
+            q->pool = grown;
+            q->size *= 2;
+        }
+        e = q->used++;
+    }
     /* clamped as a double: no conversion can overflow */
     double ahead = dv * q->inv_delta - q->cur;
     if (!(ahead >= 0))
@@ -100,20 +130,74 @@ static inline void relax(queue *q, int32_t v, double dv)
     int32_t slot = q->slot + (int32_t)ahead;
     if (slot >= q->nb)
         slot -= q->nb;
-    const int32_t head = q->heads + slot, last = pred[head];
-    pred[v] = last;
-    succ[v] = head;
-    succ[last] = v;
-    pred[head] = v;
+    q->pool[e] = (entry){dv, v, -1};
+    if (q->tail[slot] < 0)
+        q->head[slot] = e;
+    else
+        q->pool[q->tail[slot]].next = e;
+    q->tail[slot] = e;
+    q->queued++;
+    return 0;
 }
 
-void warpconv_sweep(int32_t n_cells, int32_t m, const int32_t *start,
-                    const int32_t *target, const int32_t *step,
-                    const double *weight, int32_t source, double *dist,
-                    int32_t *succ, int32_t *pred)
+static int run(queue *q, int32_t m, const int32_t *start,
+               const int32_t *target, const int32_t *step,
+               const double *weight, int32_t source, int32_t reach)
 {
     const int32_t h = m / 2 + 1;
-    const int32_t n_nodes = n_cells * h;
+    const double *dist = q->dist;
+    int status = relax(q, source * h, 0.0);
+
+    while (status == 0 && q->queued > 0) {
+        const int32_t e = q->head[q->slot];
+        if (e < 0) {
+            q->cur += 1;
+            if (++q->slot == q->nb)
+                q->slot = 0;
+            continue;
+        }
+        const entry taken = q->pool[e];
+        q->head[q->slot] = taken.next;
+        if (taken.next < 0)
+            q->tail[q->slot] = -1;
+        else  /* many entries are stale (half on 1024^2 grids): fetch the
+               * value the next one is checked against */
+            __builtin_prefetch(&dist[q->pool[taken.next].node]);
+        q->pool[e].next = q->free;
+        q->free = e;
+        q->queued--;
+        const int32_t u = taken.node;
+        const double du = dist[u];
+        if (taken.dist > du)
+            continue;  /* stale: u has a later entry */
+        const int32_t cell = u / h;
+        const int32_t z = u - cell * h;
+        const int32_t first = start[cell], end = start[cell + 1];
+        if (z >= reach && z < h - reach) {
+            for (int32_t s = first; s < end && status == 0; s++)
+                status = relax(q, target[s] * h + z + step[s], du + weight[s]);
+            continue;
+        }
+        for (int32_t s = first; s < end && status == 0; s++) {
+            int64_t zz = (int64_t)z + step[s];
+            if (zz < 0)
+                zz += m;
+            else if (zz >= m)
+                zz -= m;
+            if (2 * zz > m)
+                zz = m - zz;
+            status = relax(q, target[s] * h + (int32_t)zz, du + weight[s]);
+        }
+    }
+    return status;
+}
+
+int warpconv_sweep(int32_t n_cells, int32_t m, const int32_t *start,
+                   const int32_t *target, const int32_t *step,
+                   const double *weight, int32_t source, double *dist,
+                   int32_t pool_size)
+{
+    const int32_t n_nodes = n_cells * (m / 2 + 1);
     int32_t reach = 0;
     double w_min = INFINITY, w_max = 0.0;
 
@@ -133,44 +217,21 @@ void warpconv_sweep(int32_t n_cells, int32_t m, const int32_t *start,
     else
         delta = w_max / (WARPCONV_BUCKET_CAP - 3);
 
-    queue q = {succ, pred, dist, 1 / delta, 0.0, 0, nb, n_nodes, 0};
-    for (int32_t i = n_nodes; i < n_nodes + nb; i++)
-        succ[i] = pred[i] = i;
-    for (int32_t i = 0; i < n_nodes; i++)
-        dist[i] = INFINITY;
-    relax(&q, source * h, 0.0);
-
-    while (q.queued > 0) {
-        const int32_t head = n_nodes + q.slot;
-        const int32_t u = succ[head];
-        if (u == head) {
-            q.cur += 1;
-            if (++q.slot == nb)
-                q.slot = 0;
-            continue;
-        }
-        succ[head] = succ[u];
-        pred[succ[u]] = head;
-        pred[u] = -1;
-        q.queued--;
-        const double du = dist[u];
-        const int32_t cell = u / h;
-        const int32_t z = u - cell * h;
-        const int32_t first = start[cell], end = start[cell + 1];
-        if (z >= reach && z < h - reach) {
-            for (int32_t s = first; s < end; s++)
-                relax(&q, target[s] * h + z + step[s], du + weight[s]);
-            continue;
-        }
-        for (int32_t s = first; s < end; s++) {
-            int64_t zz = (int64_t)z + step[s];
-            if (zz < 0)
-                zz += m;
-            else if (zz >= m)
-                zz -= m;
-            if (2 * zz > m)
-                zz = m - zz;
-            relax(&q, target[s] * h + (int32_t)zz, du + weight[s]);
-        }
+    if (pool_size < 1)
+        pool_size = 1;
+    queue q = {malloc((size_t)pool_size * sizeof(entry)), pool_size, 0, -1,
+               malloc(2 * (size_t)nb * sizeof(int32_t)), NULL, dist,
+               1 / delta, 0.0, 0, nb, 0};
+    int status = WARPCONV_NO_MEMORY;
+    if (q.pool != NULL && q.head != NULL) {
+        q.tail = q.head + nb;
+        for (int32_t i = 0; i < 2 * nb; i++)
+            q.head[i] = -1;
+        for (int32_t i = 0; i < n_nodes; i++)
+            dist[i] = INFINITY;
+        status = run(&q, m, start, target, step, weight, source, reach);
     }
+    free(q.pool);
+    free(q.head);
+    return status;
 }

@@ -8,6 +8,15 @@ fresh checkout pays the compile (a fraction of a second), every later one
 only loads the cached file.  The flags keep IEEE double arithmetic exact
 (-ffp-contract=off, no fast-math), so a sweep's floats do not depend on the
 compiler's choices.
+
+A sweep needs no work array from its caller: beside the row it fills, the
+kernel allocates its own bucket queue, a pool of (node, distance) entries
+sized by the peak number of queued entries, and frees it before it returns.
+It returns NO_MEMORY when that allocation fails.  Flags in the environment
+variable WARPCONV_SWEEP_CFLAGS are appended to CFLAGS, which is how a
+sanitizer build of the same source is loaded, for instance
+``WARPCONV_SWEEP_CFLAGS="-fsanitize=address,undefined"`` with the
+sanitizer's runtime preloaded.
 """
 
 import ctypes
@@ -23,7 +32,10 @@ from numpy.ctypeslib import ndpointer
 
 SOURCE = Path(__file__).with_name("_sweep.c")
 COMPILER = "cc"
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
+          *os.environ.get("WARPCONV_SWEEP_CFLAGS", "").split())
+# Entries the kernel's queue pool starts with; it doubles when full.
+INITIAL_POOL = 1024
 
 
 class KernelBuildError(RuntimeError):
@@ -77,8 +89,8 @@ def load_library(source: Path = SOURCE,
     index = ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
     lib.warpconv_sweep.argtypes = [
         ctypes.c_int32, ctypes.c_int32, index, index, index, doubles,
-        ctypes.c_int32, doubles, index, index]
-    lib.warpconv_sweep.restype = None
+        ctypes.c_int32, doubles, ctypes.c_int32]
+    lib.warpconv_sweep.restype = ctypes.c_int
     return lib
 
 
@@ -86,11 +98,5 @@ _library = load_library()
 sweep = _library.warpconv_sweep
 # The most buckets a sweep's queue uses (WARPCONV_BUCKET_CAP in _sweep.c).
 BUCKET_CAP = ctypes.c_int32.in_dll(_library, "warpconv_bucket_cap").value
-
-
-def work_arrays(n_nodes: int):
-    """The kernel's succ and pred work arrays for a graph of n_nodes folded
-    nodes: int32, one entry per node and one per bucket.  They need no
-    initial values, and one pair serves any number of sweeps in turn."""
-    return (np.empty(n_nodes + BUCKET_CAP, np.int32),
-            np.empty(n_nodes + BUCKET_CAP, np.int32))
+# The status a sweep returns when its queue cannot be allocated or grown.
+NO_MEMORY = ctypes.c_int32.in_dll(_library, "warpconv_no_memory").value

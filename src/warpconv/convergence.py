@@ -71,8 +71,9 @@ from .geodesy import (
     GridSpec,
     _shoot_monotone,
     flat_product_distance,
+    level_set_distance,
 )
-from .sampling import SamplePlan, surface_samples
+from .sampling import Pair, SamplePlan, surface_samples
 
 SURFACE_DIM = 2
 
@@ -279,6 +280,36 @@ def _surface_limit(family: SequenceFamily, limit: LimitMetric) -> Limit:
         limit.describe(),
         lambda p, q: limit.distance(base, fiber, p, q),
         lambda grid: GridGraph(reference_space(limit, base, fiber, grid), grid))
+
+
+def exact_gap(family: SequenceFamily, j: int, limit: LimitMetric,
+              pairs: Optional[Sequence[Pair]] = None) -> float:
+    """A lower bound on the uniform distance of stage j to `limit` that no
+    grid enters: the largest |d_j(p, q) - limit distance| over pairs on one
+    circle at a global minimum of f_j.  There d_j is exact
+    (`geodesy.level_set_distance`, f_j(r) times the fiber distance: every
+    curve is at least that long, and the circle attains it).
+
+    `pairs` defaults to the family's special pairs that sit on such a
+    circle, and the gap is 0.0, the trivial bound, when none does.  A pair
+    given in `pairs` whose ends are not on one minimum circle raises
+    HypothesisError.
+    """
+    space = family.space(j)
+    gaps = []
+    for p, q in family.special_pairs(j) if pairs is None else pairs:
+        try:
+            if p.r != q.r:
+                raise HypothesisError("an exact pair needs both ends on one "
+                                      "level circle")
+            exact = level_set_distance(space, p.r, p.theta, q.theta)
+        except HypothesisError:
+            if pairs is None:
+                continue
+            raise
+        gaps.append(abs(exact - limit.distance(family.base, family.fiber,
+                                               p, q)))
+    return max(gaps, default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Three independent routes to the same quantity:
 
 * a weighted-graph oracle on a regular (r, theta) grid (Dijkstra over a
   k-neighborhood with quadrature edge weights, run by the C kernel of
-  `_sweep.c`, a bucket queue with decrease-key, on the per-row stencil; the
+  `_sweep.c`, a bucket queue with lazy deletion, on the per-row stencil; the
   sweeps of several rows are mapped over a thread pool of at most one
   thread per usable CPU),
 * Clairaut geodesic shooting using the conserved quantity c = f(r)^2 theta',
@@ -30,7 +30,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._sweep import BUCKET_CAP, sweep as _kernel_sweep, work_arrays
+from ._sweep import INITIAL_POOL, sweep as _kernel_sweep
 from .core import (
     BaseSpace,
     FiberSpace,
@@ -140,14 +140,15 @@ def _is_translation(shape: Tuple[int, ...], src, dst, weights) -> bool:
                 and np.all(weights == weights.flat[0]))
 
 
-def _sweep_cell(stencil: FiberStencil, cell: int, row: np.ndarray,
-                succ: np.ndarray, pred: np.ndarray) -> None:
+def _sweep_cell(stencil: FiberStencil, cell: int, row: np.ndarray) -> None:
     """Fill `row` with the folded sweep from node (cell, 0): the C kernel
-    of `_sweep.c`, run without the GIL; `succ` and `pred` are its work
-    arrays, from `_sweep.work_arrays(len(row))`."""
+    of `_sweep.c`, run without the GIL.  Raises MemoryError when the
+    kernel cannot allocate its queue; `row` is then incomplete."""
     m, start, target, step, weight = stencil
-    _kernel_sweep(len(start) - 1, m, start, target, step, weight, cell,
-                  row, succ, pred)
+    if _kernel_sweep(len(start) - 1, m, start, target, step, weight, cell,
+                     row, INITIAL_POOL):
+        raise MemoryError(f"the sweep from cell {cell} could not allocate "
+                          "its bucket queue")
 
 
 class OrbitSweepCache:
@@ -177,7 +178,10 @@ class OrbitSweepCache:
     Every sweep goes through `distances_from`, which runs the C kernel of
     `_sweep.c` on the stencil itself; a call with several cells maps them
     over a thread pool of at most one thread per usable CPU.  No edge list
-    or sparse matrix is built.
+    or sparse matrix is built.  Each sweeping thread holds one row of 8
+    bytes per folded node while the call runs, and the kernel's queue, a
+    pool of 16-byte entries as large as the most entries queued at once
+    (thousands on a 1024^2 grid), while a sweep runs.
     """
 
     def __init__(self, base_shape: Tuple[int, ...], m: int, directions,
@@ -199,14 +203,15 @@ class OrbitSweepCache:
         node, n_cells * (m//2 + 1) columns.  Every call sweeps.
 
         Each sweep is one call of the C kernel (`_sweep_cell`): Dial's
-        bucket queue with decrease-key, which reads the stencil's packed
-        slots directly and writes one row of distances, with two int32 work
-        arrays, one entry per node plus one per bucket.  Each thread that
-        sweeps allocates its row buffer and work arrays when it takes its
-        first cell and reuses them for every later one, and a sweep copies
-        only its row's `columns` into the table.  So a call holds at most
-        one row and one pair of work arrays per thread beside the table,
-        and none of them outlives it.  A call with several cells, where the
+        buckets with lazy deletion, which read the stencil's packed slots
+        directly and write one row of distances, 8 bytes per folded node.
+        The kernel's queue is a pool of entries sized by the most entries
+        queued at once, not by the node count, and is freed when the sweep
+        returns.  Each thread that sweeps allocates its row buffer when it
+        takes its first cell and reuses it for every later one, and a sweep
+        copies only its row's `columns` into the table.  So a call holds at
+        most one row and one queue pool per thread beside the table, and
+        none of them outlives it.  A call with several cells, where the
         process may run on several CPUs, maps them over a
         `ThreadPoolExecutor` of min(len(cells), usable CPUs) threads, which
         take the next cell whenever they have finished one, so a thread on
@@ -227,14 +232,12 @@ class OrbitSweepCache:
         if np.any((columns < 0) | (columns >= n_nodes)):
             raise IndexError(f"folded columns must lie in [0, {n_nodes})")
         table = np.empty((len(cells), len(columns)))
-        buffers = threading.local()  # each sweeping thread's own arrays
+        buffers = threading.local()  # each sweeping thread's own row
 
         def sweep(i: int) -> None:
             if not hasattr(buffers, "row"):
                 buffers.row = np.empty(n_nodes)
-                buffers.work = work_arrays(n_nodes)
-            _sweep_cell(self._stencil, int(cells[i]), buffers.row,
-                        *buffers.work)
+            _sweep_cell(self._stencil, int(cells[i]), buffers.row)
             np.take(buffers.row, columns, out=table[i])
 
         workers = min(len(cells), _usable_cpus())
@@ -315,10 +318,10 @@ def fibered_stencil(n_cells: int, m: int, directions) -> FiberStencil:
     ending two edges of one direction, on a direction holding an edge and
     its reverse (c -> d and d -> c: one cell would get two slots with one
     (target, step)) and on weights that are not positive, and
-    GridSizeError when the fiber length or the folded nodes
-    (with the kernel's bucket heads) overflow int32.
+    GridSizeError when the fiber length or the folded nodes overflow
+    int32.
     """
-    if n_cells * (m // 2 + 1) + BUCKET_CAP >= 2 ** 31 or m >= 2 ** 31:
+    if n_cells * (m // 2 + 1) >= 2 ** 31 or m >= 2 ** 31:
         raise GridSizeError(f"{n_cells} cells x {m // 2 + 1} folded fiber "
                             "positions overflow the sweep kernel's int32 nodes")
     columns = []  # (cells, targets, step, weights, entries kept) per slot

@@ -27,12 +27,14 @@ from warpconv import (
     ConstantProfile,
     FiberSpace,
     GridSpec,
+    HypothesisError,
     LimitMetric,
     SequenceFamily,
     SurfacePoint,
     WarpedSpace,
     circle_base,
     default_grid,
+    exact_gap,
     flat_upper_bound,
     gh_upper_bound,
     reference_space,
@@ -377,3 +379,50 @@ def test_report_serializes_to_plain_dicts():
     assert d["rows"][0]["grid"] == [96, 96, 2]
     audit_rows = d["audits"]["2"]
     assert all(set(a) >= {"name", "slack", "passed"} for a in audit_rows)
+
+
+# Exact pairs: on a circle at the profile's global minimum two points are
+# min f times their fiber distance apart, so |d_j - d_lim| there is a gap
+# no grid enters.  The antipodal pairs on the minimum circle give, in
+# closed form: for the cinched torus 0 to its limit and (1 - depth) pi =
+# pi/2 to the naive product; for the moving cinch centered at c = 1/2 (j =
+# 4 and 8) 2 |c - r*| sqrt(1 - depth^2) = sqrt(3)/2 to the cinched products
+# at r* = 0 and 1 (a leg to the cinch circle and back beats the flat
+# route); for ret-cinches, on a dip circle (f = 1), 0 to the stretched mix
+# and (5 - 1) 2 pi / 2 = 4 pi to the naive product at level 5.
+EXACT_GAPS = [
+    ("cinched-torus", j, limit, gap)
+    for j in (1, 2, 8)
+    for limit, gap in ((LimitMetric("cinched-product", depth=0.5), 0.0),
+                       (LimitMetric("product"), math.pi / 2))
+] + [
+    ("moving-cinch", j, LimitMetric("cinched-product", depth=0.5, cinch_r=r),
+     math.sqrt(3) / 2)
+    for j in (4, 8) for r in (0.0, 1.0)
+] + [
+    ("ret-cinches", 3, LimitMetric("stretched-mix"), 0.0),
+    ("ret-cinches", 3, LimitMetric("product", level=5.0), 4 * math.pi),
+]
+
+
+@pytest.mark.parametrize("kind, j, limit, gap", EXACT_GAPS)
+def test_exact_gap_matches_the_closed_forms(kind, j, limit, gap):
+    family = SequenceFamily(kind)
+    assert exact_gap(family, j, limit) == pytest.approx(gap, rel=1e-12,
+                                                        abs=1e-12)
+
+
+def test_exact_gap_refuses_a_pair_off_the_minimum_circle():
+    family = SequenceFamily("cinched-torus")
+    limit = family.naive_limit()
+    on = (SurfacePoint(0.0, 0.0), SurfacePoint(0.0, math.pi))
+    assert exact_gap(family, 2, limit, [on]) == pytest.approx(math.pi / 2)
+    # the special pair on the circle r = 1/(2j), inside the cinch
+    off = family.special_pairs(2)[2]
+    assert off[0].r == off[1].r == 0.25
+    for pair in (off, (SurfacePoint(0.0, 0.0), SurfacePoint(0.25, 1.0))):
+        with pytest.raises(HypothesisError):
+            exact_gap(family, 2, limit, [on, pair])
+    # ridge families have no special pair on a minimum circle: no bound
+    assert exact_gap(SequenceFamily("single-ridge", depth=1.5), 2,
+                     LimitMetric("product")) == 0.0

@@ -177,7 +177,15 @@ def test_memory_guard_keeps_int32_indices():
     # the kernel numbers folded nodes, at most 5/8 of the nodes (m >= 8)
     assert MAX_NODES_2D * 5 // 8 < 2 ** 31
     # a stencil whose folded nodes overflow int32 is refused before any
-    # array is allocated
+    # array is allocated: 2**28 cells x 8 folded positions (m = 14) are
+    # 2**31 nodes, one cell fewer fits.  The kernel keeps nothing per node
+    # beyond the row, so the edge is int32 itself; the smaller stencil is
+    # let through to the step check, which refuses it before allocating
+    with pytest.raises(GridSizeError):
+        fibered_stencil(2 ** 28, 14, [])
+    with pytest.raises(ValueError, match="fiber step"):
+        fibered_stencil(2 ** 28 - 1, 14,
+                        [(np.arange(4), np.arange(4), 14, np.ones(4))])
     with pytest.raises(GridSizeError):
         fibered_stencil(2 ** 29, 8, [])
     with pytest.raises(GridSizeError):

@@ -39,7 +39,7 @@ from warpconv import (
     interval_base,
     run_family_experiment,
 )
-from warpconv import geodesy
+from warpconv import _sweep, geodesy
 from warpconv.torus3 import (
     BumpField,
     ConstantField,
@@ -373,7 +373,7 @@ def record_cells(monkeypatch, slow_cell=None, delay=0.0, threads=None):
     def no_move(pid, cpus):
         raise AssertionError("a sweep changed its thread's CPU affinity")
 
-    def recording(stencil, cell, row, succ, pred):
+    def recording(stencil, cell, row):
         me = threading.get_ident()
         if me not in seen:
             seen.add(me)
@@ -384,7 +384,7 @@ def record_cells(monkeypatch, slow_cell=None, delay=0.0, threads=None):
         if me in slow:
             time.sleep(delay)
         log.append((me, cell))
-        sweep(stencil, cell, row, succ, pred)
+        sweep(stencil, cell, row)
 
     monkeypatch.setattr(os, "sched_setaffinity", no_move, raising=False)
     monkeypatch.setattr(geodesy, "_sweep_cell", recording)
@@ -475,24 +475,26 @@ def test_cells_outside_the_base_are_refused(fanned):
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("kind", sorted(FANNED))
 def test_columns_are_read_from_each_row(kind, cpus, fanned, monkeypatch):
-    # each sweeping thread allocates one row buffer and one pair of work
-    # arrays, at its first cell, and copies the asked columns out of it
+    # each sweeping thread allocates one row buffer, at its first cell,
+    # sweeps every later cell into it and copies the asked columns out
     graph, folded = fanned(kind)
     cells = [5, 0, 17, 3, 9, 11]
     columns = [7, 0, folded.shape[0] - 1, 7, 123]  # unsorted, one repeated
-    allocations = []
-    make = geodesy.work_arrays
-
-    def allocating(n_nodes):
-        allocations.append(threading.get_ident())
-        return make(n_nodes)
-
-    monkeypatch.setattr(geodesy, "work_arrays", allocating)
     fake_cpus(monkeypatch, cpus)
     log = record_cells(monkeypatch, threads=cpus if cpus > 1 else None)
+    rows = []  # (thread ident, row): keeping the rows keeps their ids apart
+    recording = geodesy._sweep_cell
+
+    def keeping(stencil, cell, row):
+        rows.append((threading.get_ident(), row))
+        recording(stencil, cell, row)
+
+    monkeypatch.setattr(geodesy, "_sweep_cell", keeping)
     table = graph.distances_from(cells, columns)
-    assert sorted(allocations) == sorted(sweeping_threads(log))
-    assert len(allocations) == cpus
+    buffers = {(ident, id(row)) for ident, row in rows}
+    assert sorted(ident for ident, _ in buffers) == sorted(sweeping_threads(log))
+    assert len(buffers) == cpus
+    assert all(row.shape == folded.shape[:1] for _, row in rows)
     want = oracle_sweeps(folded, graph._stencil.m, cells)
     assert np.array_equal(table, want[:, columns])
     assert graph.distances_from(cells, []).shape == (len(cells), 0)
@@ -506,10 +508,10 @@ def test_failed_worker_raises_and_caches_no_row(failing, fanned, monkeypatch,
     pairs = [(cell * m, 5) for cell in (40, 41, 42, 43)]
     sweep = geodesy._sweep_cell
 
-    def broken(stencil, cell, row, succ, pred):
+    def broken(stencil, cell, row):
         if failing == "every" or cell == 40:
             raise MemoryError("sweep failed")
-        sweep(stencil, cell, row, succ, pred)
+        sweep(stencil, cell, row)
 
     fake_cpus(monkeypatch, 2)
     monkeypatch.setattr(geodesy, "_sweep_cell", broken)
@@ -519,6 +521,36 @@ def test_failed_worker_raises_and_caches_no_row(failing, fanned, monkeypatch,
     assert len(sweeping_threads(log)) == 2
     assert held_rows(graph) == []
     monkeypatch.setattr(geodesy, "_sweep_cell", sweep)
+    assert len(graph.pair_distances(pairs)) == 4
+    assert held_rows(graph) == []
+
+
+@pytest.mark.parametrize("failing", ["first", "every"])
+def test_a_kernel_out_of_memory_raises_and_holds_no_row(failing, fanned,
+                                                       monkeypatch, held_rows):
+    # a stand-in kernel that returns the status the real one returns when
+    # it cannot allocate or grow its queue
+    graph, _ = fanned("surface")
+    m = graph._stencil.m
+    pairs = [(cell * m, 5) for cell in (40, 41, 42, 43)]
+    kernel = geodesy._kernel_sweep
+
+    def no_memory(n_cells, m, start, target, step, weight, cell, row, pool):
+        if failing == "every" or cell == 40:
+            return _sweep.NO_MEMORY
+        return kernel(n_cells, m, start, target, step, weight, cell, row, pool)
+
+    fake_cpus(monkeypatch, 2)
+    monkeypatch.setattr(geodesy, "_kernel_sweep", no_memory)
+    log = record_cells(monkeypatch, threads=2)
+    with pytest.raises(MemoryError, match="from cell 40 could not allocate"):
+        graph.pair_distances(pairs)
+    assert len(sweeping_threads(log)) == 2
+    assert held_rows(graph) == []
+    # without the barrier, which a new thread reusing an old ident would
+    # leave waiting
+    monkeypatch.undo()
+    fake_cpus(monkeypatch, 2)
     assert len(graph.pair_distances(pairs)) == 4
     assert held_rows(graph) == []
 

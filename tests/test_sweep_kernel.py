@@ -6,7 +6,8 @@ missing or failing compiler is an error that shows what went wrong.  The
 kernel's sweeps must equal scipy's Dijkstra on the folded graph bit for
 bit: where its wrap-free band of fiber positions is empty or one position
 wide, where the weights spread wider than its bucket cap allows (so nodes
-are queued again), and where a weight vanishes in the sum it is added to.
+are queued again), where its queue's entry pool starts at one entry and
+grows many times, and where a weight vanishes in the sum it is added to.
 """
 
 import subprocess
@@ -105,11 +106,11 @@ def path_stencil(m):
     ])
 
 
-def sweep_with(kernel, stencil: FiberStencil, cell):
+def sweep_with(kernel, stencil: FiberStencil, cell, pool=_sweep.INITIAL_POOL):
     m, start, target, step, weight = stencil
     row = np.empty((len(start) - 1) * (m // 2 + 1))
-    kernel(len(start) - 1, m, start, target, step, weight, cell, row,
-           *_sweep.work_arrays(len(row)))
+    assert kernel(len(start) - 1, m, start, target, step, weight, cell, row,
+                  pool) == 0
     return row
 
 
@@ -130,13 +131,18 @@ def folded_csr(stencil: FiberStencil):
     return csr_matrix((w, (r, c)), shape=(n_cells * h,) * 2)
 
 
-def assert_sweeps_like_scipy(stencil: FiberStencil, cells):
+def assert_sweeps_like_scipy(stencil: FiberStencil, cells, pool=None):
+    """Each cell's sweep, through `_sweep_cell` or, with `pool` given, the
+    kernel with a queue pool of that many entries at first, equals scipy's
+    Dijkstra on the folded graph."""
     folded = folded_csr(stencil)
     h = stencil.m // 2 + 1
-    succ, pred = _sweep.work_arrays(folded.shape[0])
     for cell in cells:
-        row = np.empty(folded.shape[0])
-        _sweep_cell(stencil, cell, row, succ, pred)
+        if pool is None:
+            row = np.empty(folded.shape[0])
+            _sweep_cell(stencil, cell, row)
+        else:
+            row = sweep_with(_sweep.sweep, stencil, cell, pool)
         assert np.array_equal(row, dijkstra(folded, indices=cell * h))
 
 
@@ -172,6 +178,23 @@ def test_weights_spread_wider_than_the_bucket_cap(m, seed):
     stencil = spread_stencil(24, m, 1e-4, 10.0, seed)
     assert 2 * stencil.weight.max() / stencil.weight.min() > _sweep.BUCKET_CAP
     assert_sweeps_like_scipy(stencil, [0, 7, 23])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m", [8, 13])
+def test_a_one_entry_pool_grows_in_the_capped_case(m, seed):
+    # each source queues an entry for each node its slots reach, so a pool
+    # of one entry doubles at least three times before the source is done,
+    # and every node taken off and improved again queues one more
+    stencil = spread_stencil(24, m, 1e-4, 10.0, seed)
+    assert 2 * stencil.weight.max() / stencil.weight.min() > _sweep.BUCKET_CAP
+    cells = [0, 7, 23]
+    for cell in cells:
+        slots = slice(stencil.start[cell], stencil.start[cell + 1])
+        z = np.mod(stencil.step[slots], m)
+        reached = set(stencil.target[slots] * m + np.minimum(z, m - z))
+        assert len(reached) >= 8
+    assert_sweeps_like_scipy(stencil, cells, pool=1)
 
 
 @pytest.mark.parametrize("m", [8, 9])
