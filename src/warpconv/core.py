@@ -176,6 +176,19 @@ class WarpingProfile:
 
     level: float
 
+    mirror_weights = False
+    """Whether a surface grid over a base symmetric about r = 0 builds its
+    edge weights mirror symmetric: `GridGraph` then computes the weights of
+    one half of each r -> -r pair of edges and copies them onto the other,
+    so the graph is exactly symmetric and one row of each mirror pair needs
+    a sweep.  Only for profiles even in r.  The copied weights differ from
+    their own quadrature in the last bits, so a report may move where a
+    sampled maximum is a near tie.  `BumpProfile` at center 0 is even, but
+    it keeps its own-row weights: in the cinch-audit benchmark's report seed
+    1, cinched-torus stage j=8 on 256^2 has two candidate worst pairs whose
+    discrepancies agree to 12 digits (eps 0.0761365855145), and copied
+    weights swap them, so its reports would change."""
+
     def __call__(self, r):
         raise NotImplementedError
 
@@ -286,13 +299,16 @@ class BumpLatticeProfile(WarpingProfile):
 
     Evaluation is O(1) via nearest-lattice-point lookup, so the profile scales
     to billions of bumps.  Only the interior points i = 1 .. cells-1 carry a
-    bump (the seam at +-pi stays at the base level).
+    bump (the seam at +-pi stays at the base level).  The lattice points are
+    symmetric about 0 and the seam holds no bump, so the profile is even.
     """
 
     level: float
     peak: float
     cells: int
     half_width: float
+
+    mirror_weights = True
 
     def __post_init__(self):
         if not (self.level > 0 and self.peak > 0):

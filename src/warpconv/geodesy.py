@@ -4,9 +4,12 @@ Three independent routes to the same quantity:
 
 * a weighted-graph oracle on a regular (r, theta) grid (Dijkstra over a
   k-neighborhood with quadrature edge weights, run by the C kernel of
-  `_sweep.c`, a bucket queue with lazy deletion, on the per-row stencil; the
-  sweeps of several rows are mapped over a thread pool of at most one
-  thread per usable CPU),
+  `_sweep.c`, a bucket queue with lazy deletion, on the per-row stencil; one
+  row is swept per orbit of the graph's symmetries, the fiber's rolls and
+  mirror and, where the weights bear them out bit for bit, base
+  translations or the base mirror r -> -r, whose rows pair up as
+  {i, mirror[i]}; the sweeps of several rows are mapped over a thread pool
+  of at most one thread per usable CPU),
 * Clairaut geodesic shooting using the conserved quantity c = f(r)^2 theta',
 * closed forms (level-set, flat product, the cinch limit).
 
@@ -140,6 +143,23 @@ def _is_translation(shape: Tuple[int, ...], src, dst, weights) -> bool:
                 and np.all(weights == weights.flat[0]))
 
 
+def _is_mirrored(mirror: np.ndarray, src, dst, weights) -> bool:
+    """Whether one stencil direction maps onto itself under the involution
+    `mirror` of base cells: the image {mirror[c], mirror[d]} of each of its
+    edges {c, d} is one of its edges, with a bitwise equal weight.  An edge
+    stands for both fiber signs, so its orientation does not matter."""
+    src, dst, weights = (a.ravel() for a in np.broadcast_arrays(src, dst, weights))
+
+    def by_edge(a, b):
+        key = np.minimum(a, b) * mirror.size + np.maximum(a, b)
+        order = np.argsort(key, kind="stable")
+        return key[order], weights[order]
+
+    key, w = by_edge(src, dst)
+    image, w_image = by_edge(mirror[src], mirror[dst])
+    return bool(np.array_equal(key, image) and np.array_equal(w, w_image))
+
+
 def _sweep_cell(stencil: FiberStencil, cell: int, row: np.ndarray) -> None:
     """Fill `row` with the folded sweep from node (cell, 0): the C kernel
     of `_sweep.c`, run without the GIL.  Raises MemoryError when the
@@ -158,22 +178,30 @@ class OrbitSweepCache:
     Node cell * m + z sits over base cell `cell` at fiber position z.  Rolls
     of the fiber map the graph onto itself, and so does the mirror
     z -> -z (mod m), because every edge weight is even in the fiber step;
-    a graph whose built weights are invariant under base translations too
-    has more such maps.  Distances are then invariant: d(a, b) = d(T a, T b),
-    and a sweep from a node at z = 0, which the mirror fixes, is mirror
-    symmetric.  So each sweep runs on the quotient of the graph by the
-    mirror (fiber positions 0..m//2, see `fibered_stencil`) from a (cell, 0)
-    node, and d(a, b) is read from the folded sweep of a's orbit
-    representative.
+    a graph whose built weights are invariant under base translations or a
+    base mirror too has more such maps.  Distances are then invariant:
+    d(a, b) = d(T a, T b), and a sweep from a node at z = 0, which the
+    fiber mirror fixes, is mirror symmetric.  So each sweep runs on the
+    quotient of the graph by the fiber mirror (fiber positions 0..m//2, see
+    `fibered_stencil`) from a (cell, 0) node, and d(a, b) is read from the
+    folded sweep of a's orbit representative.
 
     A subclass passes the base lattice's shape (cells in C order), the
-    fiber length m, its `fibered_stencil` directions and whether the
-    lattice wraps.  `base_invariant` is set when it wraps and every
-    direction is one translation of the lattice (`_is_translation`): every
-    translation is then an automorphism, so cell 0 represents every
-    source.  The graph keeps no swept row: a row lives only while its
-    sweep runs, and `pair_distances` keeps just the entries its pairs
-    read, so a caller reads each graph once, with all of its pairs.
+    fiber length m, its `fibered_stencil` directions, whether the lattice
+    wraps and, optionally, a base mirror: an involution of the base cells,
+    given as the array of each cell's image.  `base_invariant` is set when
+    the lattice wraps and every direction is one translation of it
+    (`_is_translation`): every translation is then an automorphism, so
+    cell 0 represents every source.  Otherwise `base_mirror` keeps the
+    mirror when the built stencil is bitwise invariant under it, every
+    direction mapping each of its edges onto one of its edges of equal
+    weight (`_is_mirrored`); it is None when there is no mirror or the
+    weights do not bear it out.  (cell, z) -> (mirror[cell], z) is then an
+    automorphism, so a source's orbit is represented by the smaller of its
+    cell and the cell's image, and one cell of each mirror pair is swept.
+    The graph keeps no swept row: a row lives only while its sweep runs,
+    and `pair_distances` keeps just the entries its pairs read, so a
+    caller reads each graph once, with all of its pairs.
 
     Every sweep goes through `distances_from`, which runs the C kernel of
     `_sweep.c` on the stencil itself; a call with several cells maps them
@@ -185,13 +213,27 @@ class OrbitSweepCache:
     """
 
     def __init__(self, base_shape: Tuple[int, ...], m: int, directions,
-                 wraps: bool):
+                 wraps: bool, mirror: Optional[Sequence[int]] = None):
         directions = list(directions)
         self._base_shape = tuple(base_shape)
-        self._stencil = fibered_stencil(math.prod(base_shape), m, directions)
+        n_cells = math.prod(base_shape)
+        self._stencil = fibered_stencil(n_cells, m, directions)
         self.base_invariant = wraps and all(
             _is_translation(self._base_shape, src, dst, w)
             for src, dst, _, w in directions)
+        self.base_mirror = None
+        if mirror is not None:
+            mirror = np.asarray(mirror, dtype=np.int64)
+            cells = np.arange(n_cells)
+            if mirror.shape != cells.shape or np.any(
+                    (mirror < 0) | (mirror >= n_cells)) or np.any(
+                    mirror[mirror] != cells):
+                raise ValueError("a base mirror must be an involution of the "
+                                 f"{n_cells} base cells")
+            if not self.base_invariant and all(
+                    _is_mirrored(mirror, src, dst, w)
+                    for src, dst, _, w in directions):
+                self.base_mirror = mirror
 
     def distances_from(self, cells: Sequence[int],
                        columns: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -260,12 +302,20 @@ class OrbitSweepCache:
                                 np.unravel_index(cell_a, shape))
             cell_a = np.zeros_like(cell_a)
             cell_b = np.ravel_multi_index(moved, shape, mode="wrap")
+        elif self.base_mirror is not None:
+            flip = self.base_mirror[cell_a] < cell_a
+            cell_a = np.where(flip, self.base_mirror[cell_a], cell_a)
+            cell_b = np.where(flip, self.base_mirror[cell_b], cell_b)
         return cell_a, cell_b, _fold(b - a, m)
 
     def pair_distances(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
         """Distances between (source node, target node) pairs: one
         `distances_from` call, one sweep per distinct source orbit, read at
-        the distinct folded columns the pairs need."""
+        the distinct folded columns the pairs need.  An orbit is a source
+        cell's under the fiber's rolls and mirror, and also under every
+        base translation (`base_invariant`) or under the base mirror
+        (`base_mirror`), whose pairs {cell, mirror[cell]} share the sweep
+        of the smaller cell, the target moved through the mirror with it."""
         a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
         if a.size == 0:
             return []
@@ -438,12 +488,22 @@ class GridGraph(OrbitSweepCache):
     include both endpoints) and theta = l*htheta.  Edges join nodes within
     Chebyshev radius k using co-prime offsets only; each edge weight is the
     `segment_length` of the straight parameter-space segment, the 4-point
-    midpoint rule with forced splits at the profile's breakpoints, bit for
-    bit what a scalar call from the edge's start row gives while the base
-    holds no more bumps than `breakpoints_in` refines.  Weights are
-    computed once per undirected edge and its mirror image (di, -dj), so
-    the graph is bitwise symmetric and its weights are even in the theta
+    midpoint rule with forced splits at the profile's breakpoints.  Weights
+    are computed once per undirected edge and its mirror image (di, -dj),
+    so the graph is bitwise symmetric and its weights are even in the theta
     step.
+
+    The base mirror r -> -r takes row i to row (n_r - i) mod n_r on a
+    circle base and to row n_r - i on an interval base symmetric about 0
+    (`_row_mirror`), and the edge from row i in direction (di, dj) to the
+    one from row mirror[i + di].  Where the profile is even and marks
+    itself so (`WarpingProfile.mirror_weights`), each such pair of edges
+    takes the weight of its canonical edge, the one from the smaller start
+    row: bit for bit what a scalar call from the canonical start row gives
+    while the base holds no more bumps than `breakpoints_in` refines.  The
+    graph is then exactly mirror symmetric, and `OrbitSweepCache` sweeps
+    one row of each mirror pair.  Every other profile's weights are, bit
+    for bit, a scalar call from the edge's own start row.
 
     Weights depend on the start row only: `_direction_weights` gives one
     weight per row and direction, and `_directions` hands them to
@@ -453,7 +513,8 @@ class GridGraph(OrbitSweepCache):
     nodes.  Grids over MAX_NODES_2D nodes raise GridSizeError before
     anything is allocated.  Rolling the fiber is a graph automorphism, so
     one sweep per source row, run on the folded graph from the row's
-    column 0, answers every pair of a `pair_distances` call; one sweep
+    column 0, answers every pair of a `pair_distances` call; one sweep per
+    mirror pair of source rows does on mirrored weights, and one sweep
     answers all when the weights are also equal across rows of a circle
     base.  No swept row is kept on the graph.  Sweeps of several rows are
     mapped over a thread pool (see `OrbitSweepCache.distances_from`).
@@ -478,24 +539,49 @@ class GridGraph(OrbitSweepCache):
         self.aniso_bound = stencil_anisotropy(
             spec.k, space.profile_min() * ratio, space.profile_max() * ratio)
         super().__init__((self.n_rows,), spec.n_theta, self._directions(),
-                         base.is_circle)
+                         base.is_circle, self._row_mirror())
 
     # -- construction -------------------------------------------------
+
+    def _row_mirror(self) -> Optional[np.ndarray]:
+        """Each row's image under r -> -r when the profile builds mirrored
+        weights and the base is a circle or an interval symmetric about 0;
+        None otherwise."""
+        base = self.space.base
+        if not self.space.profile.mirror_weights:
+            return None
+        rows = np.arange(self.n_rows)
+        if base.is_circle:
+            return -rows % self.n_rows
+        return self.n_rows - 1 - rows if base.r_min == -base.r_max else None
 
     def _direction_weights(self, di: int, dj: int) -> Tuple[np.ndarray, np.ndarray]:
         """Edge weights for one offset direction, per start row.
 
         Returns (start_row_indices, weights): the rows whose edge stays on
-        the base, and one `segment_length` call over all of them, at its
-        default 4 midpoints per piece.  Weight depends only on the start
-        row because the profile is a function of r alone.
+        the base, and one `segment_length` call, at its default 4 midpoints
+        per piece.  Weight depends only on the start row because the
+        profile is a function of r alone.  With a row mirror the call covers
+        the canonical rows alone, those no larger than mirror[i + di], the
+        start row of their edge's mirror image, and every other row copies
+        its image's weight.
         """
         if self.space.base.is_circle:
             idx = np.arange(self.n_rows)
         else:
             idx = np.arange(max(0, -di), self.n_rows - max(0, di))
-        return idx, segment_length(self.space, self.rows[idx], di * self.hr,
-                                   dj * self.htheta)
+        dr, dtheta = di * self.hr, dj * self.htheta
+        mirror = self._row_mirror()
+        if mirror is None:
+            return idx, segment_length(self.space, self.rows[idx], dr, dtheta)
+        image = mirror[(idx + di) % self.n_rows]
+        canonical = idx <= image
+        w = np.empty(idx.size)
+        w[canonical] = segment_length(self.space, self.rows[idx[canonical]],
+                                      dr, dtheta)
+        # idx runs up from idx[0] by ones, and every image is a start row
+        w[~canonical] = w[image[~canonical] - idx[0]]
+        return idx, w
 
     def _directions(self):
         """One (start rows, end rows, theta step, weights) direction per

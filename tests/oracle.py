@@ -5,7 +5,8 @@ both orientations of every canonical direction, each direction's weights
 computed on their own, converted with `tocsr()`.  `reference_fold` folds it
 independently (keep z <= m//2, fold every column, keep the minimum of each
 duplicate), and `oracle_sweeps` runs scipy's Dijkstra on that fold: the
-values the sweep kernel must return bit for bit.
+values the sweep kernel must return bit for bit.  `mirror_start_rows` gives
+the start row of each edge's r -> -r image from the grid's own geometry.
 
 Profiles and metrics: `SumOfBumpsProfile`, finitely many explicit cosine
 bumps, against which the bump lattice is checked, and
@@ -60,6 +61,23 @@ def surface_reference(graph):
         v = (idx2[:, None] * nt + ((cols_theta + dj) % nt)[None, :]).ravel()
         edges.append((u, v, np.repeat(w, nt)))
     return triplet_csr(edges, graph.n_nodes), row_invariant
+
+
+def mirror_start_rows(graph, idx, di):
+    """Start rows of the mirror images of a surface grid's edges from rows
+    `idx` in direction (di, .), or None where the graph builds no mirrored
+    weights.  r -> -r takes the row at r_min + i * hr to the one at
+    r_min + (n_r - i) * hr, wrapped on a circle base; an interval base
+    must be symmetric about 0.  The edge from row i ends in row i + di, so
+    its image starts in row n_r - i - di."""
+    base = graph.space.base
+    if not graph.space.profile.mirror_weights:
+        return None
+    if base.is_circle:
+        return (graph.spec.n_r - idx - di) % graph.spec.n_r
+    if base.r_min != -base.r_max:
+        return None
+    return graph.spec.n_r - idx - di
 
 
 def torus3_reference(fld, n):

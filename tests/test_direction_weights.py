@@ -3,15 +3,19 @@
 `GridGraph._direction_weights` makes one `segment_length` call over all the
 start rows of a direction.  That array call queries the breakpoints once per
 chunk of starts whose hull the profile refines in full (`refined_span`), and
-pads the rows that cross fewer of them with empty pieces at t = 1.  The reference below is the per-row loop: one
-scalar `segment_length(points_per_piece=4)` call per start row.  Every
-weight must equal it bit for bit, on cinched, ridge, bump-lattice (the
-stretched-mix reference grid among them), interval-base and seam-crossing
-spaces, for every stencil radius, with rows that cross breakpoints among
-them.  Array calls must also equal per-start scalar calls on segments the
-grid never builds: run backwards (dr < 0) and off the grid rows, at 4, 16
-and 128 midpoints per piece.  Scalar calls in turn must equal
-`loop_length`, the rule written out one piece at a time.
+pads the rows that cross fewer of them with empty pieces at t = 1.  The
+reference below is the per-row loop: one scalar
+`segment_length(points_per_piece=4)` call per start row.  Every weight must
+equal it bit for bit, on cinched, ridge, bump-lattice (the stretched-mix
+reference grid among them), interval-base and seam-crossing spaces, for
+every stencil radius, with rows that cross breakpoints among them.  Bump
+lattices build mirrored weights (`mirror_weights`): there the rule holds on
+the canonical rows, each edge no later than its r -> -r image, and every
+other row must equal its image's weight bit for bit and its own call
+within MIRROR_GAP.  Array calls must also equal per-start scalar calls on
+segments the grid never builds: run backwards (dr < 0) and off the grid
+rows, at 4, 16 and 128 midpoints per piece.  Scalar calls in turn must
+equal `loop_length`, the rule written out one piece at a time.
 """
 
 import math
@@ -19,7 +23,7 @@ import math
 import numpy as np
 import pytest
 
-from oracle import SumOfBumpsProfile
+from oracle import SumOfBumpsProfile, mirror_start_rows
 from warpconv import (
     FiberSpace,
     GridGraph,
@@ -90,22 +94,43 @@ SPACES = {
 }
 
 
+MIRRORED = {"many-ridges", "ret-cinches-j1", "stretched-mix-reference"}
+
+
 def graph_directions(k):
     """The offsets `GridGraph._directions` builds weights for."""
     return [(di, dj) for di, dj in neighborhood_offsets(k) if di >= 0 and dj >= 0]
 
 
+# Largest relative gap allowed between a copied weight and the scalar call
+# from its own start row.  The two differ only through the rounding of the
+# mirrored rows' r, which the bump slopes amplify; measured at most 1.4e-13
+# (the 1024^2 stretched-mix reference, whose dips are half a row wide).
+MIRROR_GAP = 1e-12
+
+
 def assert_weights_equal_the_loop(graph, k):
-    """Every direction's weights equal the per-row loop; returns the
-    starts of the edges that cross a breakpoint, over all directions, and
-    those of the edges that also cross the base's upper end."""
+    """Every direction's weights equal the per-row loop, on the canonical
+    rows where the profile builds mirrored weights, and every other row
+    equals its mirror image's weight and its own call within MIRROR_GAP;
+    returns the starts of the edges that cross a breakpoint, over all
+    directions, and those of the edges that also cross the base's upper
+    end."""
     crossed, over_end = [], []
     for di, dj in graph_directions(k):
         idx, w = graph._direction_weights(di, dj)
         ref_idx, ref_w, starts = loop_weights(graph, di, dj)
         assert np.array_equal(idx, ref_idx)
         assert w.dtype == ref_w.dtype == np.float64
-        assert np.array_equal(w, ref_w), (di, dj)
+        image = mirror_start_rows(graph, idx, di)
+        assert (image is None) == (graph.base_mirror is None)
+        if image is None:
+            assert np.array_equal(w, ref_w), (di, dj)
+        else:
+            canonical = idx <= image
+            assert np.array_equal(w[canonical], ref_w[canonical]), (di, dj)
+            assert np.array_equal(w, w[image - idx[0]]), (di, dj)
+            assert np.all(np.abs(w - ref_w) <= MIRROR_GAP * ref_w), (di, dj)
         crossed += starts.tolist()
         over_end += starts[starts + di * graph.hr > graph.space.base.r_max].tolist()
     return crossed, over_end
@@ -115,8 +140,10 @@ def assert_weights_equal_the_loop(graph, k):
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_crossing_rows_equal_the_per_row_loop(name, k):
     space, n = SPACES[name]
-    crossed, over_seam = assert_weights_equal_the_loop(
-        GridGraph(space, GridSpec(n, n, k)), k)
+    graph = GridGraph(space, GridSpec(n, n, k))
+    # the bump lattices, and none of the others, mirror their weights
+    assert (graph.base_mirror is not None) == (name in MIRRORED)
+    crossed, over_seam = assert_weights_equal_the_loop(graph, k)
     assert crossed
     if name == "seam" and k > 1:
         # edges from the last rows cross r = pi into the shifted bumps
@@ -126,8 +153,9 @@ def test_crossing_rows_equal_the_per_row_loop(name, k):
 def test_stretched_mix_reference_of_the_large_workload():
     # the 1024^2 k=2 reference grid: a dip every fourth row
     space = stretched_mix_reference(1024, 2)
-    crossed, _ = assert_weights_equal_the_loop(
-        GridGraph(space, GridSpec(1024, 1024, 2)), 2)
+    graph = GridGraph(space, GridSpec(1024, 1024, 2))
+    assert graph.base_mirror is not None
+    crossed, _ = assert_weights_equal_the_loop(graph, 2)
     assert len(crossed) > 1000
 
 
@@ -142,6 +170,7 @@ def test_lattice_weights_equal_the_loop_beyond_the_breakpoint_cap(kind, depth,
     # rule would alias with the lattice
     space = SequenceFamily(kind, depth=depth).space(j)
     graph = GridGraph(space, GridSpec(256, 256, 2))
+    assert graph.base_mirror is not None
     assert (space.profile.refined_span() < space.base.length) == (j == 11)
     crossed, _ = assert_weights_equal_the_loop(graph, 2)
     assert len(crossed) > 256

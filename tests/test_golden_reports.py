@@ -10,11 +10,17 @@ The fixtures under tests/golden/ hold the JSON and CSV emitted for
   wrong limit,
 * moving-bump3 stage 2 on the 32^3 grid, with its audits.
 
+Beside them, every benchmark workload runs in-process on every report seed
+of its pool and must give the bytes of its report under perfbench/golden/,
+which this only reads: a near tie in a sampled maximum can move one seed's
+report and no other's.
+
 A change to the grid oracle, the sample plans, the limit metrics, the
 audits or the report formatting that moves any printed digit fails here.
 Regenerate the fixtures only for a change meant to alter reports.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +30,9 @@ from warpconv.reporting import csv_report, json_report
 from warpconv.torus3 import Grid3Spec, Torus3Family, run_torus3_experiment
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+import child  # noqa: E402  (perfbench/child.py: the benchmark's workloads)
 
 RUNS = {
     "cinched-torus-64": lambda: run_family_experiment(
@@ -45,3 +54,12 @@ def test_report_bytes_match_golden(name):
     report = RUNS[name]()
     assert json_report(report) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert csv_report(report) == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("seed", range(child.SEED_POOL))
+@pytest.mark.parametrize("workload", sorted(child.WORKLOADS))
+def test_benchmark_report_bytes_match_golden(workload, seed):
+    report = child.prepare(workload, seed)()
+    stem = PERFBENCH / "golden" / workload / f"seed{seed}"
+    assert json_report(report).encode("utf-8") == stem.with_suffix(".json").read_bytes()
+    assert csv_report(report).encode("utf-8") == stem.with_suffix(".csv").read_bytes()

@@ -3,11 +3,14 @@
 Edge weights of the surface grid depend only on the start row, and those of
 the 3-torus grid only on (x, y), so translations along the fiber (z) map
 each graph onto itself; a graph whose every direction is one translation of
-a wrapped base lattice with one weight is invariant along every axis.
-`pair_distances` answers a pair from one sweep per source orbit, which must
-give bit for bit the value a direct sweep from the pair's own source gives,
-and keeps no row: an experiment reads each graph once, so each source orbit
-is swept once per graph.  Sweeps
+a wrapped base lattice with one weight is invariant along every axis.  A
+bump lattice on a circle or on an interval symmetric about 0 builds weights
+that the base mirror r -> -r maps onto themselves bit for bit, so a row and
+its mirror image share one orbit; one weight off by an ulp must refuse the
+mirror.  `pair_distances` answers a pair from one sweep per source orbit,
+which must give bit for bit the value a direct sweep from the pair's own
+source (and scipy's) gives, and keeps no row: an experiment reads each
+graph once, so each source orbit is swept once per graph.  Sweeps
 of several cells are mapped over a thread pool of at most one thread per
 usable CPU, whose threads take the cells one at a time; their table must
 equal a one-thread call and scipy's sweeps on the folded triplet oracle bit
@@ -26,8 +29,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import graph_reference, oracle_sweeps, reference_fold
+from oracle import (
+    graph_reference,
+    mirror_start_rows,
+    oracle_sweeps,
+    reference_fold,
+)
 from warpconv import (
+    TAU,
+    BumpLatticeProfile,
     ConstantProfile,
     FiberSpace,
     GridGraph,
@@ -591,3 +601,144 @@ def test_many_workers_sweep_every_cell_once(fanned, monkeypatch):
     assert sorted(cell for _, cell in log) == cells
     assert len(sweeping_threads(log)) > 1
     assert np.array_equal(table, want)
+
+
+# ---------------------------------------------------------------------------
+# The base mirror r -> -r pairs the rows of a bump lattice's graph
+
+
+def oracle_pair_distances(graph, pairs):
+    """Each pair's distance read from scipy's sweep of the pair's own source
+    cell on the graph's folded triplet oracle."""
+    m = graph._stencil.m
+    folded = reference_fold(graph_reference(graph)[0], m)
+    a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    sources = sorted(set((a // m).tolist()))
+    table = oracle_sweeps(folded, m, sources)
+    columns = (b // m) * (m // 2 + 1) + np.abs((b - a + m // 2) % m - m // 2)
+    return [float(table[sources.index(ca), col])
+            for ca, col in zip((a // m).tolist(), columns.tolist())]
+
+
+@st.composite
+def mirrored_lattice_graphs(draw):
+    """A surface grid of a random bump lattice, its peak above or below its
+    level, on a circle or on an interval symmetric about 0, with an even or
+    odd number of subdivisions per axis and k = 1, 2 or 3."""
+    cells = draw(st.integers(2, 9))
+    level = draw(st.floats(0.5, 2.0))
+    peak = level * draw(st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 3.0)))
+    half_width = draw(st.floats(0.05, 0.5)) * (TAU / cells)
+    if draw(st.booleans()):
+        base = circle_base()
+    else:
+        a = draw(st.floats(1.0, 4.0))
+        base = interval_base(-a, a)
+    space = WarpedSpace(base, FiberSpace(),
+                        BumpLatticeProfile(level, peak, cells, half_width))
+    spec = GridSpec(draw(st.integers(8, 21)), draw(st.integers(8, 13)),
+                    draw(st.integers(1, 3)))
+    return GridGraph(space, spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mirrored_lattice_graphs(), st.integers(0, 2 ** 32 - 1))
+def test_mirrored_lattice_sweeps_equal_unmirrored_ones_and_scipy(graph, seed):
+    rows = np.arange(graph.n_rows)
+    mirror = mirror_start_rows(graph, rows, 0)
+    assert graph.base_invariant or np.array_equal(graph.base_mirror, mirror)
+    # sources in some rows and in their mirror images, any targets
+    rng = np.random.default_rng(seed)
+    some = rng.choice(rows, size=min(4, rows.size), replace=False)
+    sources = np.concatenate((some, mirror[some], rng.choice(rows, 2)))
+    m = graph.n_theta
+    pairs = [(int(row * m + rng.integers(m)), int(rng.integers(graph.n_nodes)))
+             for row in sources for _ in range(5)]
+    got = graph.pair_distances(pairs)
+    # the graph's own weights, given no base mirror
+    unmirrored = geodesy.OrbitSweepCache((graph.n_rows,), m, graph._directions(),
+                                         graph.space.base.is_circle)
+    assert unmirrored.base_mirror is None
+    assert got == unmirrored.pair_distances(pairs)
+    assert got == oracle_pair_distances(graph, pairs)
+    if not graph.base_invariant:
+        # one sweep per mirror pair of source rows
+        a, b = np.asarray(pairs).T
+        reps = graph._orbit(a, b)[0]
+        assert set(reps.tolist()) == set(np.minimum(sources, mirror[sources]).tolist())
+
+
+def test_a_base_mirror_must_be_an_involution():
+    cells = np.arange(6)
+    axes = [(cells, (cells + 1) % 6, 0, np.ones(6)), (cells, cells, 1, np.ones(6))]
+    assert np.array_equal(geodesy.OrbitSweepCache(
+        (6,), 8, axes, False, -cells % 6).base_mirror, -cells % 6)
+    for mirror in ([1, 2, 0, 3, 4, 5], [0, 5, 4, 3, 2], [0, 5, 4, 3, 2, 7]):
+        with pytest.raises(ValueError, match="involution"):
+            geodesy.OrbitSweepCache((6,), 8, axes, False, mirror)
+
+
+def test_one_weight_off_by_an_ulp_refuses_the_mirror(monkeypatch):
+    graph = GridGraph(SequenceFamily("ret-cinches").space(1), GridSpec(48, 48, 2))
+    m = graph.n_theta
+    # rows 3 and 45, 10 and 38 are mirror pairs; 0 and 24 are fixed
+    rows = [3, 45, 10, 38, 0, 24, 7]
+    pairs = [(r * m + 5 * r % m, t) for r in rows for t in range(0, graph.n_nodes, 97)]
+    assert np.array_equal(graph.base_mirror, -np.arange(48) % 48)
+    log = record_cells(monkeypatch)
+    graph.pair_distances(pairs)
+    assert sorted(cell for _, cell in log) == [0, 3, 7, 10, 24]
+    weights = graph._direction_weights
+
+    def nudged(di, dj):
+        # the (1, +-1) edge from row 5, whose image starts in row 42
+        idx, w = weights(di, dj)
+        if (di, abs(dj)) == (1, 1):
+            w = w.copy()
+            w[5] = np.nextafter(w[5], np.inf)
+        return idx, w
+
+    monkeypatch.setattr(graph, "_direction_weights", nudged)
+    cache = geodesy.OrbitSweepCache((48,), m, graph._directions(), True,
+                                    graph.base_mirror)
+    assert cache.base_mirror is None and not cache.base_invariant
+    log.clear()
+    got = cache.pair_distances(pairs)
+    assert sorted(cell for _, cell in log) == sorted(rows)
+    assert got == direct_pair_distances(cache, pairs)
+    assert got == oracle_pair_distances(graph, pairs)
+
+
+def record_pairs(monkeypatch):
+    """Log the pairs of every `pair_distances` call by graph."""
+    calls = {}
+    read = geodesy.OrbitSweepCache.pair_distances
+
+    def recording(self, pairs):
+        calls.setdefault(id(self), (self, []))[1].extend(pairs)
+        return read(self, pairs)
+
+    monkeypatch.setattr(geodesy.OrbitSweepCache, "pair_distances", recording)
+    return calls
+
+
+@pytest.mark.parametrize("kind, j, rows, sweeps", [
+    # ret-large's seed-0 plan: stage and stretched-mix reference, 1024^2
+    ("ret-cinches", 1, [9, 9], [6, 6]),
+    # cinch-audit's j=8 stage; `BumpProfile` builds its own-row weights
+    ("cinched-torus", 8, [10, 10], [10, 10]),
+])
+def test_mirror_sweeps_one_row_of_each_pair(kind, j, rows, sweeps, monkeypatch):
+    pairs = record_pairs(monkeypatch)
+    calls = record_sweeps(monkeypatch, GridGraph)
+    log = record_cells(monkeypatch)
+    run_family_experiment(SequenceFamily(kind), [j], seed=0)
+    per_graph = sources_by_graph(calls)
+    graphs = [graph for graph, _ in per_graph]
+    source_rows = [len({a // graph.n_theta for a, _ in pairs[id(graph)][1]})
+                   for graph in graphs]
+    swept = [len(sources) for _, sources in per_graph]
+    assert (source_rows, swept) == (rows, sweeps)
+    assert len(log) == sum(sweeps)
+    assert [graph.base_mirror is not None for graph in graphs] == [
+        kind == "ret-cinches"] * 2
