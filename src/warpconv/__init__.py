@@ -30,7 +30,7 @@ from .convergence import (
     AuditRow,
     ConvergenceReport,
     DiscrepancyResult,
-    PairProbe,
+    PlanValues,
     StageRow,
     audit_theorem_bounds,
     default_grid,
@@ -54,7 +54,7 @@ from .geodesy import (
     neighborhood_offsets,
     stencil_anisotropy,
 )
-from .ret import ret_distance, ret_point_distance
+from .ret import ret_distance
 from .sampling import (
     SamplePlan,
     default_plan,

@@ -21,12 +21,15 @@ warped 3-tori (`torus3.run_torus3_experiment`) run it through
   once and releases it before any reference is built or swept, builds and
   reads each (limit, grid) reference once, at the first stage on its
   grid, for every stage on that grid, and joins the stage's values with
-  each limit (`limit_probes`: the limit in closed form at the snapped
-  endpoints, and its reference values),
-* `stage_row` turns the probes and the stage's closed-form data (L2 norm,
-  bi-Lipschitz constant, volume) into one report row with its GH and
-  intrinsic-flat bounds, and an audit reads that row and the headline
-  result, never a graph of its own.
+  each limit in a `DiscrepancyResult`: the limit in closed form at the
+  snapped endpoints, one array call per (stage, limit), and its
+  reference values,
+* `stage_row` turns a result's columns and the stage's closed-form data
+  (L2 norm, bi-Lipschitz constant, volume) into one report row with its
+  GH and intrinsic-flat bounds, and an audit reads that row and the
+  headline result, never a graph of its own; each pair check is one
+  array expression over the columns and one argmin, which picks the
+  first pair of the smallest slack.
 
 Every estimate is a max over finitely many pairs, hence a lower estimate of
 the true uniform discrepancy; reports carry that caveat in their field names
@@ -151,72 +154,72 @@ def reference_space(limit: LimitMetric, base, fiber, grid: GridSpec) -> WarpedSp
     return WarpedSpace(base, fiber, profile)
 
 
-@dataclass(frozen=True)
-class PairProbe:
-    """One probed pair: grid value on the stage space, exact limit value at
-    the snapped endpoints, and the reference run's value on the same nodes.
-    The endpoints are surface points or 3-torus points."""
+def point_columns(points: Sequence):
+    """Points of one type (surface or 3-torus points) as one point whose
+    coordinates are arrays, one entry per point."""
+    return type(points[0])(*np.array(points, dtype=float).T)
+
+
+class PlanValues(NamedTuple):
+    """A grid graph's values on a sample plan, one entry per pair: the
+    snapped ends `p` and `q`, each one point (surface or 3-torus) whose
+    coordinates are arrays, the graph distances between them and their
+    error bars."""
 
     p: SurfacePoint
     q: SurfacePoint
-    grid_value: float
-    grid_error: float
-    limit_value: float
-    reference_value: float
+    values: np.ndarray
+    errors: np.ndarray
 
-    @property
-    def raw_gap(self) -> float:
-        return abs(self.grid_value - self.limit_value)
-
-    @property
-    def corrected_gap(self) -> float:
-        """Stage-vs-reference gap on identical nodes; the grid's systematic
-        error is common to both runs and cancels to first order."""
-        return abs(self.grid_value - self.reference_value)
+    def pair(self, i: int):
+        """The i-th snapped pair, as two points of floats."""
+        return tuple(type(pt)(*(float(c[i]) for c in pt))
+                     for pt in (self.p, self.q))
 
 
 @dataclass(frozen=True)
 class DiscrepancyResult:
-    """Probes of one stage against one limit; `grid` is the stage's
-    `GridSpec` or `torus3.Grid3Spec`."""
+    """One stage against one limit: the stage's `PlanValues`, and on its
+    snapped pairs the limit's closed-form distances (`limit_values`) and
+    the limit's reference graph's values (`reference_values`).  `grid` is
+    the stage's `GridSpec` or `torus3.Grid3Spec`."""
 
     j: int
     limit: str
     grid: GridSpec
-    probes: Tuple[PairProbe, ...]
+    stage: PlanValues
+    limit_values: np.ndarray
+    reference_values: np.ndarray
 
     @property
     def eps_raw(self) -> float:
-        return max(pr.raw_gap for pr in self.probes)
+        return float(np.max(np.abs(self.stage.values - self.limit_values)))
+
+    @property
+    def corrected_gaps(self) -> np.ndarray:
+        """Stage-vs-reference gaps on identical nodes; the grid's systematic
+        error is common to both runs and cancels to first order."""
+        return np.abs(self.stage.values - self.reference_values)
 
     @property
     def eps_corrected(self) -> float:
-        return max(pr.corrected_gap for pr in self.probes)
+        return float(np.max(self.corrected_gaps))
 
     @property
     def max_grid_error(self) -> float:
-        return max(pr.grid_error for pr in self.probes)
+        return float(np.max(self.stage.errors))
 
     @property
-    def worst_probe(self) -> PairProbe:
-        return max(self.probes, key=lambda pr: pr.corrected_gap)
+    def worst_pair(self):
+        """The first pair of the largest corrected gap."""
+        return self.stage.pair(int(np.argmax(self.corrected_gaps)))
 
 
-class PlanValues(NamedTuple):
-    """A grid graph's values on a sample plan: the snapped endpoints of
-    every pair (surface or 3-torus points), the graph distance between
-    them and its error bar."""
-
-    pairs: List[Tuple[SurfacePoint, SurfacePoint]]
-    values: List[float]
-    errors: List[float]
-
-
-def _read_plans(graph, plans: Sequence[SamplePlan]):
+def _read_plans(graph, plans: Sequence[SamplePlan]) -> List[PlanValues]:
     """Snap every plan onto a grid graph (`GridGraph` or
     `torus3.Grid3Graph`), each distinct point once, and read all their
     pairs in one `pair_distances` call, one sweep per source orbit.
-    Returns the snapped pairs and the distances of each plan."""
+    Returns the `PlanValues` of each plan."""
     snap_cache = {}
 
     def snap(pt):
@@ -224,53 +227,38 @@ def _read_plans(graph, plans: Sequence[SamplePlan]):
             snap_cache[pt] = graph.snap(pt)
         return snap_cache[pt]
 
-    pairs, nodes = [], []
-    for plan in plans:
-        pairs.append([])
-        for a, b in plan.pairs():
-            ia, pa = snap(a)
-            ib, pb = snap(b)
-            pairs[-1].append((pa, pb))
-            nodes.append((ia, ib))
-    values = iter(graph.pair_distances(nodes))
-    return pairs, [[next(values) for _ in plan_pairs] for plan_pairs in pairs]
+    snapped = [[(snap(a), snap(b)) for a, b in plan.pairs()] for plan in plans]
+    values = np.asarray(graph.pair_distances(
+        [(ia, ib) for pairs in snapped for (ia, _), (ib, _) in pairs]))
+    ends = np.cumsum([len(pairs) for pairs in snapped])[:-1]
+    return [PlanValues(point_columns([pa for (_, pa), _ in pairs]),
+                       point_columns([pb for _, (_, pb) in pairs]),
+                       d, graph.error_bound(d))
+            for pairs, d in zip(snapped, np.split(values, ends))]
 
 
 def plan_values(graph, plan: SamplePlan) -> PlanValues:
     """A grid graph's snapped pairs, distances and error bars on the plan,
     read in one `pair_distances` call."""
-    (pairs,), (values,) = _read_plans(graph, [plan])
-    return PlanValues(pairs, values, [graph.error_bound(d) for d in values])
-
-
-def limit_probes(stage: PlanValues,
-                 limit_distance: Callable[[object, object], float],
-                 reference_values: Sequence[float]) -> Tuple[PairProbe, ...]:
-    """Probes of one limit from a stage's plan values: the stage's value
-    and error, `limit_distance` at the snapped endpoints, and the
-    reference graph's value on the same nodes, from `reference_values`
-    (that graph's `plan_values(...).values` on the same plan)."""
-    return tuple(
-        PairProbe(pa, pb, val, err, limit_distance(pa, pb), ref)
-        for (pa, pb), val, err, ref in zip(stage.pairs, stage.values,
-                                           stage.errors, reference_values))
+    return _read_plans(graph, [plan])[0]
 
 
 class Limit(NamedTuple):
     """A limit as experiments probe it: report name, distance between
-    snapped endpoints, and builder of its reference graph on a grid."""
+    snapped endpoints (points whose coordinates are arrays), and builder of
+    its reference graph on a grid."""
 
     name: str
-    distance: Callable[[object, object], float]
+    distance: Callable[[object, object], np.ndarray]
     reference: Callable[[object], object]
 
 
 def reference_values(limit: Limit, grid,
-                     plans: Sequence[SamplePlan]) -> List[List[float]]:
+                     plans: Sequence[SamplePlan]) -> List[np.ndarray]:
     """The values of `limit`'s reference graph on `grid` on each of
     `plans`: the graph is built, read once on all the plans (one sweep per
     source orbit of their union) and dropped before this returns."""
-    return _read_plans(limit.reference(grid), plans)[1]
+    return [pv.values for pv in _read_plans(limit.reference(grid), plans)]
 
 
 def _surface_limit(family: SequenceFamily, limit: LimitMetric) -> Limit:
@@ -296,20 +284,23 @@ def exact_gap(family: SequenceFamily, j: int, limit: LimitMetric,
     HypothesisError.
     """
     space = family.space(j)
-    gaps = []
+    ends, exact = [], []
     for p, q in family.special_pairs(j) if pairs is None else pairs:
         try:
             if p.r != q.r:
                 raise HypothesisError("an exact pair needs both ends on one "
                                       "level circle")
-            exact = level_set_distance(space, p.r, p.theta, q.theta)
+            exact.append(level_set_distance(space, p.r, p.theta, q.theta))
         except HypothesisError:
             if pairs is None:
                 continue
             raise
-        gaps.append(abs(exact - limit.distance(family.base, family.fiber,
-                                               p, q)))
-    return max(gaps, default=0.0)
+        ends.append((p, q))
+    if not ends:
+        return 0.0
+    p, q = (point_columns(side) for side in zip(*ends))
+    return float(np.max(np.abs(
+        np.array(exact) - limit.distance(family.base, family.fiber, p, q))))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +335,7 @@ class AuditRow:
         }
 
 
-def lower_bound_row(probes: Sequence[PairProbe], flat: Sequence[float],
+def lower_bound_row(stage: PlanValues, flat: np.ndarray,
                     level: float, fmin: float, j: int,
                     diameter: float) -> AuditRow:
     """Stage distances undershoot the flat product at `level` (distances
@@ -356,35 +347,31 @@ def lower_bound_row(probes: Sequence[PairProbe], flat: Sequence[float],
                         reason=f"profile min {fmin:g} dips below "
                                f"level - 1/j = {level - 1.0 / j:g}")
     rhs = -math.sqrt(2.0) * math.sqrt(level) * diameter / (fmin * math.sqrt(j))
-    observed, tol = math.inf, 0.0
-    for pr, d in zip(probes, flat):
-        gap = pr.grid_value - d
-        if gap < observed:
-            observed, tol = gap, pr.grid_error
-    return AuditRow(name, slack=observed - rhs, tolerance=tol + 1e-9,
-                    bound=rhs, observed=observed, n_samples=len(probes))
+    gap = stage.values - flat
+    i = int(np.argmin(gap))
+    observed = float(gap[i])
+    return AuditRow(name, slack=observed - rhs,
+                    tolerance=float(stage.errors[i]) + 1e-9, bound=rhs,
+                    observed=observed, n_samples=len(gap))
 
 
-def diameter_row(probes: Sequence[PairProbe], bound: float) -> AuditRow:
+def diameter_row(stage: PlanValues, bound: float) -> AuditRow:
     """No probed stage distance exceeds the diameter bound."""
-    observed = max(pr.grid_value for pr in probes)
+    observed = float(np.max(stage.values))
     return AuditRow("diameter", slack=bound - observed,
-                    tolerance=max(pr.grid_error for pr in probes),
-                    bound=bound, observed=observed, n_samples=len(probes))
+                    tolerance=float(np.max(stage.errors)),
+                    bound=bound, observed=observed,
+                    n_samples=len(stage.values))
 
 
-def sandwich_row(probes: Sequence[PairProbe], unit: Sequence[float],
-                 lam: float) -> AuditRow:
+def sandwich_row(stage: PlanValues, unit: np.ndarray, lam: float) -> AuditRow:
     """d_unit / lam <= stage distance <= lam * d_unit, for the distances
     `unit` with profile (or field) 1."""
-    worst_slack, worst_tol = math.inf, 0.0
-    for pr, d1 in zip(probes, unit):
-        slack = min(lam * d1 - pr.grid_value, pr.grid_value - d1 / lam)
-        if slack < worst_slack:
-            worst_slack, worst_tol = slack, pr.grid_error
-    return AuditRow("bilip-sandwich", slack=worst_slack,
-                    tolerance=worst_tol + 1e-9, bound=lam,
-                    observed=worst_slack, n_samples=len(probes))
+    slack = np.minimum(lam * unit - stage.values, stage.values - unit / lam)
+    i = int(np.argmin(slack))
+    return AuditRow("bilip-sandwich", slack=float(slack[i]),
+                    tolerance=float(stage.errors[i]) + 1e-9, bound=lam,
+                    observed=float(slack[i]), n_samples=len(slack))
 
 
 # 12-point Gauss-Legendre rule for the turning integrals, built once
@@ -456,7 +443,7 @@ def audit_theorem_bounds(family: SequenceFamily, result: DiscrepancyResult,
                          row: "StageRow") -> List[AuditRow]:
     """Evaluate every quantitative inequality on one stage of the family.
 
-    The pair checks read the probes of `result`, the stage's headline
+    The pair checks read the plan values of `result`, the stage's headline
     result in `run_stages`; only their endpoints, grid values and error
     bars enter, so any limit's result gives the same rows.  delta, the
     profile's L2 distance to the limit level, and the bi-Lipschitz
@@ -469,13 +456,13 @@ def audit_theorem_bounds(family: SequenceFamily, result: DiscrepancyResult,
     delta = row.l2_norm
     limit_space = WarpedSpace(base, fiber, ConstantProfile(level))
     norm_inf_sq = level * level * base.length  # squared L2 norm of the level
-    probes = result.probes
-    flat = [flat_product_distance(base, fiber, level, pr.p, pr.q)
-            for pr in probes]
+    stage = result.stage
+    p, q, values, errors = stage
+    flat = flat_product_distance(base, fiber, level, p, q)
     rows: List[AuditRow] = [
-        lower_bound_row(probes, flat, level, space.profile_min(), j,
+        lower_bound_row(stage, flat, level, space.profile_min(), j,
                         diameter_upper_bound(space).value),
-        diameter_row(probes,
+        diameter_row(stage,
                      diameter_upper_bound(limit_space, delta_l2=delta).value)]
 
     # -- length comparison on monotone curves -----------------------------
@@ -508,13 +495,14 @@ def audit_theorem_bounds(family: SequenceFamily, result: DiscrepancyResult,
     # turning energy does obey the bound (|dtheta/ds| <= 1/f pointwise),
     # and is audited as the companion row.
     stats = []
-    for pr in probes:
-        if abs(pr.p.r - pr.q.r) < 0.1:
+    for pr, qr, pth, qth in zip(p.r.tolist(), q.r.tolist(), p.theta.tolist(),
+                                q.theta.tolist()):
+        if abs(pr - qr) < 0.1:
             continue
-        got = _monotone_geodesic_stats(space, pr.p, pr.q)
+        got = _monotone_geodesic_stats(space, SurfacePoint(pr, pth),
+                                       SurfacePoint(qr, qth))
         if got is not None:
-            lo, hi = min(pr.p.r, pr.q.r), max(pr.p.r, pr.q.r)
-            stats.append(got + (space.warp_min_on(lo, hi),))
+            stats.append(got + (space.warp_min_on(min(pr, qr), max(pr, qr)),))
         if len(stats) >= 12:
             break
     if not stats:
@@ -535,52 +523,43 @@ def audit_theorem_bounds(family: SequenceFamily, result: DiscrepancyResult,
 
     # -- constant-level detour bound --------------------------------------
     name = "level-detour"
-    worst_slack, worst_tol, worst_bound, worst_obs = math.inf, 0.0, math.nan, math.nan
-    n_level = 0
-    for pr in probes:
-        if abs(pr.p.r - pr.q.r) > 1e-12:
-            continue
-        dsig = fiber.distance(pr.p.theta, pr.q.theta)
-        if dsig <= 0:
-            continue
-        n_level += 1
-        flat_d = level * dsig
-        bound = min(4.0 * delta * delta / (e * e) + flat_d + e * dsig
-                    for e in (0.05, 0.1, 0.2, 0.4, 0.8, 1.6))
-        slack = bound - pr.grid_value
-        if slack < worst_slack:
-            worst_slack, worst_tol = slack, pr.grid_error
-            worst_bound, worst_obs = bound, pr.grid_value
-    if n_level == 0:
+    dsig = fiber.distance(p.theta, q.theta)
+    use = (np.abs(p.r - q.r) <= 1e-12) & (dsig > 0)
+    if not use.any():
         rows.append(AuditRow(name, skipped=True,
                              reason="no same-level pairs among the probes"))
     else:
-        rows.append(AuditRow(name, slack=worst_slack, tolerance=worst_tol,
-                             bound=worst_bound, observed=worst_obs,
-                             n_samples=n_level))
+        flat_d = level * dsig[use]
+        bound = np.min([4.0 * delta * delta / (e * e) + flat_d + e * dsig[use]
+                        for e in (0.05, 0.1, 0.2, 0.4, 0.8, 1.6)], axis=0)
+        slack = bound - values[use]
+        i = int(np.argmin(slack))
+        rows.append(AuditRow(name, slack=float(slack[i]),
+                             tolerance=float(errors[use][i]),
+                             bound=float(bound[i]),
+                             observed=float(values[use][i]),
+                             n_samples=int(use.sum())))
 
     # -- bi-Lipschitz sandwich against the unit product -------------------
-    rows.append(sandwich_row(
-        probes, [flat_product_distance(base, fiber, 1.0, pr.p, pr.q)
-                 for pr in probes],
-        row.lam))
+    rows.append(sandwich_row(stage, flat_product_distance(base, fiber, 1.0, p, q),
+                             row.lam))
 
     # -- uniform upper estimate via monotone limit geodesics --------------
-    name = "monotone-uniform"
     mlim = limit_space.profile_min()
     diam_inf = diameter_upper_bound(limit_space).value
     cap = ((delta * delta + 4.0 * norm_inf_sq) * math.sqrt(delta)
            * math.sqrt(SURFACE_DIM) * diam_inf / mlim)
-    worst_slack, worst_tol, worst_obs, n_used = math.inf, 0.0, math.nan, 0
-    for pr, flat_d in zip(probes, flat):
-        if abs(pr.p.r - pr.q.r) < 1e-12:
-            continue  # limit geodesic not monotone in r
-        n_used += 1
-        slack = cap - (pr.grid_value - flat_d)
-        if slack < worst_slack:
-            worst_slack, worst_tol, worst_obs = slack, pr.grid_error, pr.grid_value - flat_d
-    rows.append(AuditRow(name, slack=worst_slack, tolerance=worst_tol,
-                         bound=cap, observed=worst_obs, n_samples=n_used))
+    # limit geodesics between pairs on one level are not monotone in r
+    use = ~(np.abs(p.r - q.r) < 1e-12)
+    excess = values[use] - flat[use]
+    slack = cap - excess
+    if slack.size == 0:
+        rows.append(AuditRow("monotone-uniform", bound=cap))
+    else:
+        i = int(np.argmin(slack))
+        rows.append(AuditRow("monotone-uniform", slack=float(slack[i]),
+                             tolerance=float(errors[use][i]), bound=cap,
+                             observed=float(excess[i]), n_samples=slack.size))
     return rows
 
 
@@ -655,14 +634,13 @@ def stage_row(result: DiscrepancyResult, l2_norm: float, l2_bound: float,
     the GH and intrinsic-flat bounds they imply for a stage of the given
     bi-Lipschitz constant, dimension and volume."""
     eps = result.eps_corrected
-    worst = result.worst_probe
     return StageRow(
-        j=result.j, grid=result.grid, n_pairs=len(result.probes),
+        j=result.j, grid=result.grid, n_pairs=len(result.stage.values),
         eps_raw=result.eps_raw, eps_corrected=eps,
         grid_error=result.max_grid_error, l2_norm=l2_norm, l2_bound=l2_bound,
         lam=lam, mass=mass, gh_bound=gh_upper_bound(eps),
         flat_bound=flat_upper_bound(eps, lam, dimension, mass),
-        worst_pair=(worst.p, worst.q), alt_eps=dict(alt_eps or {}))
+        worst_pair=result.worst_pair, alt_eps=dict(alt_eps or {}))
 
 
 class Stage(NamedTuple):
@@ -713,8 +691,8 @@ def run_stages(family, dimension: int, stages: Sequence[Stage],
                     reference_values(lim, st.grid,
                                      [stages[k].plan for k in same])))
             results.append(DiscrepancyResult(
-                st.j, lim.name, st.grid,
-                limit_probes(values, lim.distance, waiting.pop((lim.name, i)))))
+                st.j, lim.name, st.grid, values,
+                lim.distance(values.p, values.q), waiting.pop((lim.name, i))))
         head, *alt = results
         row = stage_row(head, *st.closed_forms, dimension,
                         {res.limit: res.eps_corrected for res in alt})

@@ -35,6 +35,21 @@ class InvalidDescriptor(ValueError):
     """Profile, family or field parameters outside their valid range."""
 
 
+def float_or_array(values):
+    """`values` as a float array, or as a float when it is 0-d: the return
+    rule of the closed-form distances, whose one-pair call gives a float."""
+    out = np.asarray(values, dtype=float)
+    return out if out.ndim else float(out)
+
+
+def minor_arc(delta, period: float):
+    """Minor-arc length of a coordinate difference on a circle of length
+    `period`, elementwise over arrays.  The absolute value comes first, so
+    the result is bit-exact symmetric in the sign of `delta`."""
+    d = abs(delta) % period
+    return float_or_array(np.minimum(d, period - d))
+
+
 def sorted_distinct(values) -> np.ndarray:
     """The distinct values, ascending: np.unique's result on NaN-free input.
 
@@ -68,10 +83,10 @@ class FiberSpace:
     def wrap(self, theta: float) -> float:
         return theta % self.circumference
 
-    def distance(self, a: float, b: float) -> float:
-        """Arc distance on the fiber (never exceeds half the circumference)."""
-        d = abs(a - b) % self.circumference
-        return min(d, self.circumference - d)
+    def distance(self, a, b):
+        """Arc distance on the fiber (never exceeds half the circumference),
+        elementwise over arrays."""
+        return minor_arc(a - b, self.circumference)
 
     def signed_minor(self, a: float, b: float) -> float:
         """Signed displacement a->b along the minor arc."""
@@ -121,11 +136,11 @@ class BaseSpace:
             return (np.asarray(r) - self.r_min) % self.length + self.r_min
         return r
 
-    def distance(self, a: float, b: float) -> float:
+    def distance(self, a, b):
+        """Base distance, elementwise over arrays."""
         if self.is_circle:
-            d = abs(a - b) % self.length
-            return min(d, self.length - d)
-        return abs(a - b)
+            return minor_arc(a - b, self.length)
+        return float_or_array(abs(a - b))
 
     def signed_minor(self, a: float, b: float) -> float:
         if not self.is_circle:

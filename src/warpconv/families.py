@@ -42,7 +42,7 @@ from .core import (
     interval_base,
 )
 from .geodesy import cinch_limit_distance, flat_product_distance
-from .ret import ret_point_distance
+from .ret import ret_distance
 from .sampling import Pair, SamplePlan, default_plan
 
 CINCH_KINDS = ("cinched-torus", "moving-cinch")
@@ -81,6 +81,11 @@ class LimitMetric:
     kind ``product``: flat product at a constant profile level.
     kind ``cinched-product``: flat product with one shrunk circle.
     kind ``stretched-mix``: the euclidean/taxi mix metric.
+
+    Every parameter is checked when the metric is built, whatever its kind:
+    level finite and > 0, depth in (0, 1], stretch finite and >= 1, cinch_r
+    finite.  That cinch_r lies in the base is checked by `distance`, which
+    knows the base.
     """
 
     kind: str
@@ -92,14 +97,26 @@ class LimitMetric:
     def __post_init__(self):
         if self.kind not in ("product", "cinched-product", "stretched-mix"):
             raise InvalidDescriptor(f"unknown limit kind {self.kind!r}")
+        if not (math.isfinite(self.level) and self.level > 0.0):
+            raise InvalidDescriptor("limit level must be finite and positive")
+        if not (0.0 < self.depth <= 1.0):
+            raise InvalidDescriptor("cinch depth must lie in (0, 1]")
+        if not (math.isfinite(self.stretch) and self.stretch >= 1.0):
+            raise InvalidDescriptor("stretch ratio must be finite and >= 1")
+        if not math.isfinite(self.cinch_r):
+            raise InvalidDescriptor("cinch level must be finite")
 
     def distance(self, base: BaseSpace, fiber: FiberSpace,
-                 p: SurfacePoint, q: SurfacePoint) -> float:
+                 p: SurfacePoint, q: SurfacePoint):
+        """Limit distance between p and q.  Their coordinates may be arrays,
+        broadcast together, for one distance per element; float
+        coordinates give a float."""
         if self.kind == "product":
             return flat_product_distance(base, fiber, self.level, p, q)
         if self.kind == "cinched-product":
             return cinch_limit_distance(self.depth, self.cinch_r, base, fiber, p, q)
-        return ret_point_distance(p, q, self.stretch, base=base, fiber=fiber)
+        return ret_distance(base.distance(p.r, q.r),
+                            fiber.distance(p.theta, q.theta), self.stretch)
 
     def describe(self) -> str:
         if self.kind == "product":

@@ -41,6 +41,7 @@ from .core import (
     InvalidDescriptor,
     SurfacePoint,
     WarpedSpace,
+    float_or_array,
     segment_length,
     sorted_distinct,
 )
@@ -626,12 +627,15 @@ class GridGraph(OrbitSweepCache):
 
 
 def flat_product_distance(base: BaseSpace, fiber: FiberSpace, level: float,
-                          p: SurfacePoint, q: SurfacePoint) -> float:
+                          p: SurfacePoint, q: SurfacePoint):
     """Distance in the unwarped product with constant profile `level`:
-    minimum over seam wraps of sqrt(dr^2 + level^2 dtheta^2)."""
+    minimum over seam wraps of sqrt(dr^2 + level^2 dtheta^2).
+
+    The coordinates of p and q may be arrays, broadcast together; the
+    result is then an array, and a float for float coordinates."""
     dr = base.distance(p.r, q.r)
     dth = fiber.distance(p.theta, q.theta)
-    return math.hypot(dr, level * dth)
+    return float_or_array(np.hypot(dr, level * dth))
 
 
 def level_set_distance(space: WarpedSpace, r0: float,
@@ -650,7 +654,7 @@ def level_set_distance(space: WarpedSpace, r0: float,
 
 def cinch_limit_distance(depth: float, cinch_r: float, base: BaseSpace,
                          fiber: FiberSpace, p: SurfacePoint,
-                         q: SurfacePoint) -> float:
+                         q: SurfacePoint):
     """Distance in the singular limit space that is a flat product everywhere
     except on one shrunk circle {r = cinch_r} whose fiber metric is scaled by
     `depth`.
@@ -663,7 +667,8 @@ def cinch_limit_distance(depth: float, cinch_r: float, base: BaseSpace,
     collapses the inner minimization to a closed form.  When the two optimal
     leg advances no longer fit inside A the route degenerates to a two-leg
     path through a single circle point, never better than the flat route.
-    Both fiber windings are tried.
+    Both fiber windings are tried.  Coordinates may be arrays, as in
+    `flat_product_distance`.
     """
     if not (0.0 < depth <= 1.0):
         raise InvalidDescriptor("cinch depth must lie in (0, 1]")
@@ -680,9 +685,9 @@ def cinch_limit_distance(depth: float, cinch_r: float, base: BaseSpace,
     minor = fiber.distance(p.theta, q.theta)
     best = flat
     for advance in (minor, fiber.circumference - minor):
-        if feasible_above <= advance:
-            best = min(best, depth * advance + legs)
-    return best
+        best = np.where(feasible_above <= advance,
+                        np.minimum(best, depth * advance + legs), best)
+    return float_or_array(best)
 
 
 def _three_segment_candidate(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,

@@ -22,15 +22,13 @@ the ellipse ds^2 + 4 dsigma^2 = r^2.
 """
 
 import math
-from typing import Optional
 
 import numpy as np
 
-from .core import BaseSpace, FiberSpace, InvalidDescriptor, SurfacePoint
+from .core import InvalidDescriptor, float_or_array
 
 __all__ = [
     "ret_distance",
-    "ret_point_distance",
 ]
 
 
@@ -42,7 +40,7 @@ def _check_stretch(stretch: float) -> None:
 def ret_distance(ds, dsigma, stretch: float):
     """Closed-form mixed distance for displacement (ds, dsigma), both >= 0.
 
-    Vectorized over ds/dsigma (broadcast together).
+    Vectorized over ds/dsigma (broadcast together); a float for floats.
     """
     _check_stretch(stretch)
     ds = np.asarray(ds, dtype=float)
@@ -51,27 +49,9 @@ def ret_distance(ds, dsigma, stretch: float):
         raise ValueError("displacements must be nonnegative")
     R = stretch
     if R == 1.0:
-        out = np.hypot(ds, dsigma)
-        return out if out.ndim else float(out)
+        return float_or_array(np.hypot(ds, dsigma))
     root = math.sqrt(R * R - 1.0)
     thresh = ds / (R * root)
     euclid = np.sqrt(ds * ds + (R * dsigma) ** 2)
     taxi = ds * root / R + dsigma
-    out = np.where(dsigma <= thresh, euclid, taxi)
-    return out if out.ndim else float(out)
-
-
-def ret_point_distance(p: SurfacePoint, q: SurfacePoint, stretch: float,
-                       base: Optional[BaseSpace] = None,
-                       fiber: Optional[FiberSpace] = None) -> float:
-    """Mixed distance between two surface points.
-
-    Base displacement is |p.r - q.r| (or the base geodesic arc when a base
-    space is given); fiber displacement is |p.theta - q.theta| (or the minor
-    arc when a fiber is given).
-    """
-    ds = base.distance(p.r, q.r) if base is not None else abs(p.r - q.r)
-    dsig = (fiber.distance(p.theta, q.theta) if fiber is not None
-            else abs(p.theta - q.theta))
-    return float(ret_distance(ds, dsig, stretch))
-
+    return float_or_array(np.where(dsigma <= thresh, euclid, taxi))

@@ -18,7 +18,7 @@ Pieces:
 * a stage family (one bump walking the dyadic rationals of the diagonal
   while it narrows) and the convergence experiment, run by the surface
   pipeline's `convergence.run_stages` with its stage loop, reference
-  reads, probes, rows and audit rows; this module supplies the fields, the
+  reads, plan values, rows and audit rows; this module supplies the fields, the
   graph, the flat limit and the diameter bound.  Its audit takes a stage's
   headline result and row, as the surface audit does.
 
@@ -39,7 +39,14 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .core import TAU, HypothesisError, InvalidDescriptor, _bump_shape
+from .core import (
+    TAU,
+    HypothesisError,
+    InvalidDescriptor,
+    _bump_shape,
+    float_or_array,
+    minor_arc,
+)
 from .convergence import (
     ConvergenceReport,
     DiscrepancyResult,
@@ -70,15 +77,6 @@ _BUMP_DISC_SQUARE = 2.0 * math.pi * (3.0 / 16.0 - 1.0 / math.pi ** 2)
 def wrap_cube(v: float) -> float:
     """Wrap a coordinate to [-pi, pi)."""
     return (v + math.pi) % TAU - math.pi
-
-
-def _minor(delta):
-    """Minor-arc magnitude of a coordinate difference on the 2*pi circle.
-
-    The absolute value comes first so the result is bit-exact symmetric
-    in the sign of `delta`."""
-    d = np.mod(np.abs(delta), TAU)
-    return np.minimum(d, TAU - d)
 
 
 class Point3(NamedTuple):
@@ -163,8 +161,8 @@ class BumpField(ScalarField2D):
             raise InvalidDescriptor("half_width must lie in (0, pi]")
 
     def __call__(self, x, y):
-        dx = _minor(np.asarray(x, dtype=float) - self.center[0])
-        dy = _minor(np.asarray(y, dtype=float) - self.center[1])
+        dx = minor_arc(np.asarray(x, dtype=float) - self.center[0], TAU)
+        dy = minor_arc(np.asarray(y, dtype=float) - self.center[1], TAU)
         t = np.hypot(dx, dy) / self.half_width
         return self.level + (self.peak - self.level) * _bump_shape(t)
 
@@ -193,15 +191,18 @@ class BumpField(ScalarField2D):
 # ---------------------------------------------------------------------------
 
 
-def limit3_distance(c: float, p: Point3, q: Point3) -> float:
+def limit3_distance(c: float, p: Point3, q: Point3):
     """Flat distance with the z axis stretched by c: per-coordinate minor
-    arcs (each coordinate enters monotonically, so wrapping separates)."""
+    arcs (each coordinate enters monotonically, so wrapping separates).
+
+    The coordinates of p and q may be arrays, broadcast together; the
+    result is then an array, and a float for float coordinates."""
     if not (c > 0):
         raise InvalidDescriptor("limit level must be positive")
-    dx = float(_minor(p.x - q.x))
-    dy = float(_minor(p.y - q.y))
-    dz = float(_minor(p.z - q.z))
-    return math.sqrt(dx * dx + dy * dy + c * c * dz * dz)
+    dx = minor_arc(p.x - q.x, TAU)
+    dy = minor_arc(p.y - q.y, TAU)
+    dz = minor_arc(p.z - q.z, TAU)
+    return float_or_array(np.sqrt(dx * dx + dy * dy + c * c * dz * dz))
 
 
 def diameter3_upper_bound(delta_l2: float, c_sup: float) -> float:
@@ -552,12 +553,11 @@ def _audit_rows3(family: Torus3Family, result: DiscrepancyResult,
     against the flat limit, the diameter bound and the sandwich against
     the unit flat 3-torus."""
     c = family.level
-    probes = result.probes
+    stage = result.stage
     diameter = diameter3_upper_bound(row.l2_norm, c)
     return [
-        lower_bound_row(probes, [pr.limit_value for pr in probes], c,
+        lower_bound_row(stage, result.limit_values, c,
                         family.field(result.j).min_value(), result.j, diameter),
-        diameter_row(probes, diameter),
-        sandwich_row(probes, [limit3_distance(1.0, pr.p, pr.q) for pr in probes],
-                     row.lam),
+        diameter_row(stage, diameter),
+        sandwich_row(stage, limit3_distance(1.0, stage.p, stage.q), row.lam),
     ]

@@ -21,6 +21,7 @@ sides of that behavior.
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from warpconv import (
@@ -42,9 +43,14 @@ from warpconv import (
 )
 from warpconv import convergence
 from warpconv.convergence import (
-    PairProbe,
+    DiscrepancyResult,
+    PlanValues,
     StageRow,
     _monotone_geodesic_stats,
+    audit_theorem_bounds,
+    lower_bound_row,
+    point_columns,
+    sandwich_row,
 )
 from warpconv.torus3 import Grid3Spec, Point3
 
@@ -131,12 +137,36 @@ def test_reference_space_mix_needs_divisible_rows():
         reference_space(lim, base, fiber, GridSpec(250, 250, 2))
 
 
-def test_pair_probe_gaps():
+def plan(pairs, values, errors):
+    """`PlanValues` of the given snapped pairs, grid values and error bars."""
+    return PlanValues(point_columns([p for p, _ in pairs]),
+                      point_columns([q for _, q in pairs]),
+                      np.array(values, dtype=float),
+                      np.array(errors, dtype=float))
+
+
+def test_discrepancy_result_gaps():
     p, q = SurfacePoint(0.0, 0.0), SurfacePoint(1.0, 1.0)
-    probe = PairProbe(p, q, grid_value=1.5, grid_error=0.1,
-                      limit_value=1.2, reference_value=1.45)
-    assert probe.raw_gap == pytest.approx(0.3)
-    assert probe.corrected_gap == pytest.approx(0.05)
+    one = DiscrepancyResult(2, "x", GridSpec(32, 32, 2),
+                            plan([(p, q)], [1.5], [0.1]),
+                            limit_values=np.array([1.2]),
+                            reference_values=np.array([1.45]))
+    assert one.eps_raw == pytest.approx(0.3)
+    assert one.eps_corrected == pytest.approx(0.05)
+    assert one.max_grid_error == 0.1
+    assert one.worst_pair == (p, q)
+    # two pairs of the largest corrected gap: the first is the worst
+    r = SurfacePoint(2.0, 0.5)
+    three = DiscrepancyResult(2, "x", GridSpec(32, 32, 2),
+                              plan([(q, r), (p, r), (p, q)], [1.0, 2.0, 3.0],
+                                   [0.3, 0.2, 0.1]),
+                              limit_values=np.array([1.5, 2.0, 3.0]),
+                              reference_values=np.array([1.25, 1.75, 3.25]))
+    assert three.eps_raw == 0.5
+    assert three.eps_corrected == 0.25
+    assert three.max_grid_error == 0.3
+    assert three.worst_pair == (q, r)
+    assert all(type(c) is float for pt in three.worst_pair for c in pt)
 
 
 @pytest.mark.parametrize("grid, pair, grid_list, pair_lists", [
@@ -426,3 +456,66 @@ def test_exact_gap_refuses_a_pair_off_the_minimum_circle():
     # ridge families have no special pair on a minimum circle: no bound
     assert exact_gap(SequenceFamily("single-ridge", depth=1.5), 2,
                      LimitMetric("product")) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# audit tie rule: each pair check reports the first pair of the smallest
+# slack, so two pairs of equal slack but different error bars give the
+# first one's tolerance
+
+
+TIE_PAIRS = [(SurfacePoint(0.0, 0.0), SurfacePoint(1.0, 1.0)),
+             (SurfacePoint(0.5, 0.0), SurfacePoint(1.0, 2.0)),
+             (SurfacePoint(1.0, 0.0), SurfacePoint(2.0, 1.0))]
+
+
+def tie_audit(pairs, values, errors):
+    """Audit rows, by name, of a constant-family stage (delta 0.25, lam 2)
+    whose plan values are the given ones."""
+    grid = GridSpec(32, 32, 2)
+    stage = plan(pairs, values, errors)
+    result = DiscrepancyResult(4, "x", grid, stage, stage.values,
+                               stage.values)
+    row = StageRow(4, grid, len(values), 0.0, 0.0, 0.0, 0.25, 0.25, 2.0, 1.0,
+                   0.0, 0.0, pairs[0])
+    return {a.name: a for a in audit_theorem_bounds(SequenceFamily("constant"),
+                                                    result, row)}
+
+
+def test_lower_bound_row_reports_the_first_of_equal_gaps():
+    row = lower_bound_row(plan(TIE_PAIRS, [2.0, 1.5, 1.25], [0.03, 0.01, 0.02]),
+                          np.array([1.0, 1.0, 0.75]), 1.0, 1.0, 4, 3.0)
+    assert row.observed == 0.5
+    assert row.tolerance == 0.01 + 1e-9
+
+
+def test_sandwich_row_reports_the_first_of_equal_slacks():
+    row = sandwich_row(plan(TIE_PAIRS, [2.0, 1.5, 2.5], [0.03, 0.01, 0.02]),
+                       np.array([2.0, 1.0, 1.5]), 2.0)
+    assert row.slack == 0.5
+    assert row.tolerance == 0.01 + 1e-9
+
+
+def test_level_detour_reports_the_first_of_equal_slacks():
+    pairs = [(SurfacePoint(2.5, 0.0), SurfacePoint(2.5, 1.0)),
+             (SurfacePoint(0.5, 0.0), SurfacePoint(0.5, 1.0)),
+             (SurfacePoint(1.5, 2.0), SurfacePoint(1.5, 3.0))]
+    row = tie_audit(pairs, [0.5, 1.0, 1.0], [0.03, 0.01, 0.02])["level-detour"]
+    assert row.n_samples == 3
+    assert row.observed == 1.0
+    assert row.tolerance == 0.01
+
+
+def test_monotone_uniform_reports_the_first_of_equal_slacks():
+    # the excesses differ in the last bit, the slacks cap - excess do not:
+    # the first pair is the worst, though the second has the larger excess
+    pairs = [(SurfacePoint(0.0, 0.0), SurfacePoint(0.5, 0.0)),
+             (SurfacePoint(0.0, 0.0), SurfacePoint(1.0, 0.0)),
+             (SurfacePoint(1.0, 0.0), SurfacePoint(2.0, 0.0))]
+    excess = np.nextafter(2.0, 3.0) - 1.0
+    row = tie_audit(pairs, [0.5, 2.0, 1.0 + excess],
+                    [0.03, 0.04, 0.05])["monotone-uniform"]
+    assert excess > 1.0 and row.bound - 1.0 == row.bound - excess
+    assert row.n_samples == 3
+    assert row.observed == 1.0
+    assert row.tolerance == 0.04

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from warpconv import (
     ConstantProfile,
+    HypothesisError,
     InvalidDescriptor,
     LimitMetric,
     SequenceFamily,
@@ -22,6 +23,7 @@ from warpconv import (
 from warpconv.families import (
     FAMILY_KINDS,
     MIX_STRETCH,
+    RIDGE_KINDS,
     dyadic_walk,
     lattice_cells,
 )
@@ -187,6 +189,49 @@ def test_limit_metric_validation_and_describe():
     assert (LimitMetric("cinched-product", depth=0.5, cinch_r=1.0).describe()
             == "cinched-product(depth=0.5, r=1)")
     assert LimitMetric("stretched-mix").describe() == "stretched-mix(R=5)"
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("product", {"level": -2.0}),
+    ("product", {"level": 0.0}),
+    ("product", {"level": math.nan}),
+    ("product", {"level": math.inf}),
+    ("cinched-product", {"depth": 0.0}),
+    ("cinched-product", {"depth": 1.5}),
+    ("cinched-product", {"depth": math.nan}),
+    ("cinched-product", {"depth": 0.5, "cinch_r": math.nan}),
+    ("cinched-product", {"depth": 0.5, "cinch_r": math.inf}),
+    ("stretched-mix", {"stretch": 0.5}),
+    ("stretched-mix", {"stretch": math.nan}),
+    ("stretched-mix", {"stretch": math.inf}),
+])
+def test_limit_metric_rejects_bad_parameters_when_built(kind, kwargs):
+    # each of these used to build; the level ones then gave the level-2
+    # distance (level -2), a pseudometric (level 0) or nan, cinch_r nan gave
+    # the flat distance, depth 0 and stretch 0.5 failed at the first call
+    with pytest.raises(InvalidDescriptor):
+        LimitMetric(kind, **kwargs)
+
+
+def test_limit_metric_checks_the_cinch_level_against_the_base():
+    lim = LimitMetric("cinched-product", depth=0.5, cinch_r=4.0)
+    fam = SequenceFamily("cinched-torus", base_shape="interval")
+    p, q = SurfacePoint(0.0, 0.0), SurfacePoint(0.5, 1.0)
+    with pytest.raises(HypothesisError):
+        lim.distance(fam.base, fam.fiber, p, q)
+
+
+@pytest.mark.parametrize("base_shape", ["circle", "interval"])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_every_family_limit_builds(kind, base_shape):
+    depth = 1.5 if kind in RIDGE_KINDS else 0.5
+    fam = SequenceFamily(kind, depth=depth, base_shape=base_shape)
+    limits = list(fam.candidate_limits()) + [fam.naive_limit()]
+    if kind != "moving-cinch":
+        limits.append(fam.limit())
+    p, q = SurfacePoint(0.0, 0.0), SurfacePoint(0.5, 1.0)
+    for lim in limits:
+        assert lim.distance(fam.base, fam.fiber, p, q) > 0.0
 
 
 def test_limit_metric_distances_degenerate_cases():

@@ -51,7 +51,8 @@ def grid_values(graph, pairs):
     reads the distances with `pair_distances` and bars them with
     `error_bound`."""
     stage = plan_values(graph, SamplePlan((), (), tuple(pairs)))
-    return [(ps, qs, d, err) for (ps, qs), d, err in zip(*stage)]
+    return [stage.pair(i) + (d, err) for i, (d, err) in
+            enumerate(zip(stage.values.tolist(), stage.errors.tolist()))]
 
 
 def random_surface_pairs(rng, count):

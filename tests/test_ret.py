@@ -11,8 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle import ret_distance_brute
-from warpconv import FiberSpace, InvalidDescriptor, SurfacePoint, circle_base
-from warpconv.ret import ret_distance, ret_point_distance
+from warpconv import (
+    FiberSpace,
+    InvalidDescriptor,
+    LimitMetric,
+    SurfacePoint,
+    circle_base,
+)
+from warpconv.ret import ret_distance
 
 
 # hand-worked values: (stretch, ds, dsigma, expected)
@@ -95,31 +101,28 @@ def test_triangle_inequality_in_the_plane(s, t, u, stretch):
 
 def test_triangle_inequality_on_product_space():
     base, fiber = circle_base(), FiberSpace()
+    mix = LimitMetric("stretched-mix", stretch=5.0)
 
     def d(a, b):
-        return ret_point_distance(a, b, 5.0, base, fiber)
+        # every (a, b) pair of the two point sets, from one array call
+        return mix.distance(base, fiber,
+                            SurfacePoint(a.r[:, None], a.theta[:, None]),
+                            SurfacePoint(b.r[None, :], b.theta[None, :]))
 
     rng = np.random.default_rng(2)
-    pts = [
-        SurfacePoint(rng.uniform(-math.pi, math.pi), rng.uniform(0, 2 * math.pi))
-        for _ in range(60)
-    ]
-    for a in pts[:20]:
-        for b in pts[20:40]:
-            for c in pts[40:]:
-                lhs = d(a, c)
-                rhs = d(a, b) + d(b, c)
-                assert lhs <= rhs + 1e-10
+    pts = np.array([(rng.uniform(-math.pi, math.pi), rng.uniform(0, 2 * math.pi))
+                    for _ in range(60)])
+    a, b, c = (SurfacePoint(*pts[k:k + 20].T) for k in (0, 20, 40))
+    lhs = d(a, c)[:, None, :]
+    rhs = d(a, b)[:, :, None] + d(b, c)[None, :, :]
+    assert np.all(lhs <= rhs + 1e-10)
 
 
 def test_point_distance_uses_minor_arcs():
+    # across the base seam and the fiber seam
     p = SurfacePoint(-math.pi + 0.05, 0.1)
     q = SurfacePoint(math.pi - 0.05, 2.0 * math.pi - 0.1)
-    assert ret_point_distance(p, q, 2.0, circle_base(), FiberSpace()) == pytest.approx(
+    mix = LimitMetric("stretched-mix", stretch=2.0)
+    assert mix.distance(circle_base(), FiberSpace(), p, q) == pytest.approx(
         float(ret_distance(0.1, 0.2, 2.0)), rel=1e-12
     )
-    # without spaces, displacements are raw absolute differences
-    assert ret_point_distance(p, q, 2.0) == pytest.approx(
-        float(ret_distance(2 * math.pi - 0.1, 2 * math.pi - 0.2, 2.0)), rel=1e-12
-    )
-

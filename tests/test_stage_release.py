@@ -22,7 +22,6 @@ from warpconv import convergence
 from warpconv.convergence import (
     DiscrepancyResult,
     default_grid,
-    limit_probes,
     plan_values,
     stage_row,
 )
@@ -166,16 +165,17 @@ def test_surface_rows_match_probe_plan_on_prebuilt_graphs():
     plan = fam.sample_plan(2, n_sources=3, n_targets=5, offset=4)
     stage = plan_values(GridGraph(fam.space(2), grid), plan)
 
-    def probes(limit):
+    def result(limit):
         reference = GridGraph(convergence.reference_space(
             limit, fam.base, fam.fiber, grid), grid)
-        return limit_probes(
-            stage, lambda p, q: limit.distance(fam.base, fam.fiber, p, q),
+        return DiscrepancyResult(
+            2, limit.describe(), grid, stage,
+            limit.distance(fam.base, fam.fiber, stage.p, stage.q),
             plan_values(reference, plan).values)
 
     limit, wrong = fam.limit(), fam.naive_limit()
-    head = DiscrepancyResult(2, limit.describe(), grid, probes(limit))
-    alt = {wrong.describe(): max(pr.corrected_gap for pr in probes(wrong))}
+    head = result(limit)
+    alt = {wrong.describe(): max(result(wrong).corrected_gaps)}
     row = report.rows[0]
     assert stage_row(head, row.l2_norm, row.l2_bound, row.lam, row.mass, 2,
                      alt) == row
@@ -187,11 +187,10 @@ def test_torus3_rows_match_probe_plan_on_prebuilt_graphs():
     report = run_torus3_experiment(fam, [2], grid, n_sources=3, n_targets=4,
                                    with_audits=False, seed=1)
     plan = fam.sample_plan(2, n_sources=3, n_targets=4, offset=1)
-    reference = Grid3Graph(ConstantField(fam.level), grid)
-    probes = limit_probes(plan_values(Grid3Graph(fam.field(2), grid), plan),
-                          lambda p, q: limit3_distance(fam.level, p, q),
-                          plan_values(reference, plan).values)
+    reference = plan_values(Grid3Graph(ConstantField(fam.level), grid), plan)
+    stage = plan_values(Grid3Graph(fam.field(2), grid), plan)
+    limit = limit3_distance(fam.level, stage.p, stage.q)
     row = report.rows[0]
-    assert row.eps_corrected == max(pr.corrected_gap for pr in probes)
-    assert row.eps_raw == max(pr.raw_gap for pr in probes)
-    assert row.grid_error == max(pr.grid_error for pr in probes)
+    assert row.eps_corrected == max(abs(stage.values - reference.values))
+    assert row.eps_raw == max(abs(stage.values - limit))
+    assert row.grid_error == max(stage.errors)

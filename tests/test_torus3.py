@@ -28,7 +28,7 @@ from warpconv import (
     run_family_experiment,
 )
 from warpconv import torus3
-from warpconv.convergence import PairProbe
+from warpconv.convergence import DiscrepancyResult, PlanValues, point_columns
 from warpconv.core import TAU
 from warpconv.reporting import point_label
 from warpconv.geodesy import GridSizeError
@@ -542,10 +542,17 @@ class TestExperiment3:
             "distance-lower-bound", "diameter", "bilip-sandwich"]
 
     def test_probe_gap_fields(self):
-        # the 3-torus experiment records its probes in the surface probe type
-        pr = PairProbe(Point3(0, 0, 0), Point3(1, 0, 0), 1.05, 0.01, 1.0, 1.04)
-        assert pr.raw_gap == pytest.approx(0.05)
-        assert pr.corrected_gap == pytest.approx(0.01)
+        # the 3-torus experiment records its values in the surface types
+        p, q = Point3(0, 0, 0), Point3(1, 0, 0)
+        res = DiscrepancyResult(
+            2, "x", Grid3Spec(32),
+            PlanValues(point_columns([p]), point_columns([q]),
+                       np.array([1.05]), np.array([0.01])),
+            limit_values=np.array([1.0]), reference_values=np.array([1.04]))
+        assert res.eps_raw == pytest.approx(0.05)
+        assert res.eps_corrected == pytest.approx(0.01)
+        assert res.worst_pair == (p, q)
+        assert type(res.worst_pair[0]) is Point3
 
     @pytest.mark.parametrize("j_list", [[], [2, 2]])
     def test_refuses_empty_or_repeated_stages(self, j_list):
