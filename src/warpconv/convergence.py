@@ -7,8 +7,9 @@ warped 3-tori (`torus3.run_torus3_experiment`) run it through
 
 * probe pairs come from a deterministic sample plan (shared sources) plus
   family-specific worst cases,
-* `plan_values` reads a grid graph's distances and error bars on the plan
-  through the grid oracle's orbit sweeps (`geodesy.OrbitSweepCache`): one
+* `plan_values` snaps the plan's pair ends onto a grid graph's nodes, one
+  array call per side (`geodesy.OrbitSweepCache.snap`), and reads its
+  distances and error bars through the grid oracle's orbit sweeps: one
   sweep per source orbit answers all its pairs, on the graph folded by
   the fiber mirror (about half the nodes), and no swept row outlives the
   read,
@@ -216,25 +217,18 @@ class DiscrepancyResult:
 
 
 def _read_plans(graph, plans: Sequence[SamplePlan]) -> List[PlanValues]:
-    """Snap every plan onto a grid graph (`GridGraph` or
-    `torus3.Grid3Graph`), each distinct point once, and read all their
-    pairs in one `pair_distances` call, one sweep per source orbit.
-    Returns the `PlanValues` of each plan."""
-    snap_cache = {}
-
-    def snap(pt):
-        if pt not in snap_cache:
-            snap_cache[pt] = graph.snap(pt)
-        return snap_cache[pt]
-
-    snapped = [[(snap(a), snap(b)) for a, b in plan.pairs()] for plan in plans]
-    values = np.asarray(graph.pair_distances(
-        [(ia, ib) for pairs in snapped for (ia, _), (ib, _) in pairs]))
-    ends = np.cumsum([len(pairs) for pairs in snapped])[:-1]
-    return [PlanValues(point_columns([pa for (_, pa), _ in pairs]),
-                       point_columns([pb for _, (_, pb) in pairs]),
-                       d, graph.error_bound(d))
-            for pairs, d in zip(snapped, np.split(values, ends))]
+    """Snap the pairs of every plan onto a grid graph (`GridGraph` or
+    `torus3.Grid3Graph`), all their first ends in one array call and all
+    their second ends in another, and read them in one `pair_distances`
+    call, one sweep per source orbit.  Returns the `PlanValues` of each
+    plan."""
+    pairs = [pair for plan in plans for pair in plan.pairs()]
+    (a, p), (b, q) = (graph.snap(point_columns(side)) for side in zip(*pairs))
+    values = np.asarray(graph.pair_distances(np.column_stack((a, b))))
+    ends = np.cumsum([0] + [plan.n_pairs for plan in plans])
+    return [PlanValues(type(p)(*(c[i:k] for c in p)), type(q)(*(c[i:k] for c in q)),
+                       values[i:k], graph.error_bound(values[i:k]))
+            for i, k in zip(ends[:-1], ends[1:])]
 
 
 def plan_values(graph, plan: SamplePlan) -> PlanValues:

@@ -73,15 +73,12 @@ class FiberSpace:
     circumference: float = TAU
 
     def __post_init__(self):
-        if not (self.circumference > 0):
-            raise InvalidDescriptor("fiber circumference must be positive")
+        if not (0 < self.circumference < math.inf):
+            raise InvalidDescriptor("fiber circumference must be finite and positive")
 
     @property
     def diameter(self) -> float:
         return 0.5 * self.circumference
-
-    def wrap(self, theta: float) -> float:
-        return theta % self.circumference
 
     def distance(self, a, b):
         """Arc distance on the fiber (never exceeds half the circumference),
@@ -114,8 +111,8 @@ class BaseSpace:
         if self.kind == "circle":
             object.__setattr__(self, "r_min", -math.pi)
             object.__setattr__(self, "r_max", math.pi)
-        if not (self.r_max > self.r_min):
-            raise InvalidDescriptor("base requires r_max > r_min")
+        if not (-math.inf < self.r_min < self.r_max < math.inf):
+            raise InvalidDescriptor("base requires finite r_min < r_max")
 
     @property
     def is_circle(self) -> bool:
@@ -125,10 +122,11 @@ class BaseSpace:
     def length(self) -> float:
         return self.r_max - self.r_min
 
-    def contains(self, r: float) -> bool:
-        if self.is_circle:
-            return True
-        return self.r_min - 1e-12 <= r <= self.r_max + 1e-12
+    def contains(self, r):
+        """Whether r lies on the base, within 1e-12 on an interval,
+        elementwise over arrays."""
+        r = np.asarray(r)
+        return self.is_circle | ((self.r_min - 1e-12 <= r) & (r <= self.r_max + 1e-12))
 
     def wrap(self, r):
         """Map a coordinate into the fundamental domain (no-op for intervals)."""
@@ -241,8 +239,8 @@ class ConstantProfile(WarpingProfile):
     level: float = 1.0
 
     def __post_init__(self):
-        if not (self.level > 0):
-            raise InvalidDescriptor("constant profile must be positive")
+        if not (0 < self.level < math.inf):
+            raise InvalidDescriptor("constant profile must be finite and positive")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -273,10 +271,12 @@ class BumpProfile(WarpingProfile):
     half_width: float
 
     def __post_init__(self):
-        if not (self.level > 0 and self.peak > 0):
-            raise InvalidDescriptor("profile values must stay positive")
-        if not (self.half_width > 0):
-            raise InvalidDescriptor("half_width must be positive")
+        if not (0 < self.level < math.inf and 0 < self.peak < math.inf):
+            raise InvalidDescriptor("profile values must be finite and positive")
+        if not math.isfinite(self.center):
+            raise InvalidDescriptor("bump center must be finite")
+        if not (0 < self.half_width < math.inf):
+            raise InvalidDescriptor("half_width must be finite and positive")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -326,8 +326,10 @@ class BumpLatticeProfile(WarpingProfile):
     mirror_weights = True
 
     def __post_init__(self):
-        if not (self.level > 0 and self.peak > 0):
-            raise InvalidDescriptor("profile values must stay positive")
+        if not (0 < self.level < math.inf and 0 < self.peak < math.inf):
+            raise InvalidDescriptor("profile values must be finite and positive")
+        if isinstance(self.cells, bool) or not isinstance(self.cells, (int, np.integer)):
+            raise InvalidDescriptor(f"lattice cells must be an integer, got {self.cells!r}")
         if self.cells < 2:
             raise InvalidDescriptor("lattice needs at least 2 cells")
         spacing = TAU / self.cells

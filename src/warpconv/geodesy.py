@@ -114,12 +114,6 @@ class FiberStencil(NamedTuple):
     weight: np.ndarray
 
 
-def _fold(z, m: int):
-    """Fiber position z (mod m) folded by the mirror z -> -z onto [0, m//2]."""
-    z = np.mod(z, m)
-    return np.minimum(z, m - z)
-
-
 def _usable_cpus() -> int:
     """How many CPUs this process may run on; os.cpu_count() where the
     platform cannot say."""
@@ -187,22 +181,26 @@ class OrbitSweepCache:
     `fibered_stencil`) from a (cell, 0) node, and d(a, b) is read from the
     folded sweep of a's orbit representative.
 
-    A subclass passes the base lattice's shape (cells in C order), the
-    fiber length m, its `fibered_stencil` directions, whether the lattice
-    wraps and, optionally, a base mirror: an involution of the base cells,
-    given as the array of each cell's image.  `base_invariant` is set when
-    the lattice wraps and every direction is one translation of it
-    (`_is_translation`): every translation is then an automorphism, so
-    cell 0 represents every source.  Otherwise `base_mirror` keeps the
-    mirror when the built stencil is bitwise invariant under it, every
-    direction mapping each of its edges onto one of its edges of equal
-    weight (`_is_mirrored`); it is None when there is no mirror or the
-    weights do not bear it out.  (cell, z) -> (mirror[cell], z) is then an
-    automorphism, so a source's orbit is represented by the smaller of its
-    cell and the cell's image, and one cell of each mirror pair is swept.
-    The graph keeps no swept row: a row lives only while its sweep runs,
-    and `pair_distances` keeps just the entries its pairs read, so a
-    caller reads each graph once, with all of its pairs.
+    A subclass passes `axes`, one (node coordinate array, step, period or
+    None) per axis, base axes first and the periodic fiber last, which give
+    the base shape (cells in C order), m and whether the lattice wraps
+    (every base axis periodic); its `fibered_stencil` directions; and,
+    optionally, a base mirror: an involution of the base cells, given as
+    the array of each cell's image.  `node_index`, `node_point` and `snap`
+    map node ids to points of the subclass's `point_type` and back, on ints
+    or arrays.  `base_invariant` is set when the lattice wraps and every
+    direction is one translation of it (`_is_translation`): every
+    translation is then an automorphism, so cell 0 represents every source.
+    Otherwise `base_mirror` keeps the mirror when the built stencil is
+    bitwise invariant under it, every direction mapping each of its edges
+    onto one of its edges of equal weight (`_is_mirrored`); it is None when
+    there is no mirror or the weights do not bear it out.  (cell, z) ->
+    (mirror[cell], z) is then an automorphism, so a source's orbit is
+    represented by the smaller of its cell and the cell's image, and one
+    cell of each mirror pair is swept.  The graph keeps no swept row: a row
+    lives only while its sweep runs, and `pair_distances` keeps just the
+    entries its pairs read, so a caller reads each graph once, with all of
+    its pairs.
 
     Every sweep goes through `distances_from`, which runs the C kernel of
     `_sweep.c` on the stencil itself; a call with several cells maps them
@@ -213,14 +211,19 @@ class OrbitSweepCache:
     (thousands on a 1024^2 grid), while a sweep runs.
     """
 
-    def __init__(self, base_shape: Tuple[int, ...], m: int, directions,
-                 wraps: bool, mirror: Optional[Sequence[int]] = None):
-        directions = list(directions)
-        self._base_shape = tuple(base_shape)
+    def __init__(self, axes, directions, mirror: Optional[Sequence[int]] = None):
+        self._axes = list(axes)
+        if self._axes[-1][2] is None:
+            raise ValueError("the fiber axis must be periodic")
+        self._shape = tuple(len(nodes) for nodes, _, _ in self._axes)
+        *base_shape, m = self._shape
         n_cells = math.prod(base_shape)
+        self.n_nodes = n_cells * m
+        directions = list(directions)
         self._stencil = fibered_stencil(n_cells, m, directions)
+        wraps = all(period is not None for _, _, period in self._axes[:-1])
         self.base_invariant = wraps and all(
-            _is_translation(self._base_shape, src, dst, w)
+            _is_translation(self._shape[:-1], src, dst, w)
             for src, dst, _, w in directions)
         self.base_mirror = None
         if mirror is not None:
@@ -235,6 +238,43 @@ class OrbitSweepCache:
                     _is_mirrored(mirror, src, dst, w)
                     for src, dst, _, w in directions):
                 self.base_mirror = mirror
+
+    def node_index(self, *ids):
+        """The node at one id per axis: an int, or an int array for arrays."""
+        node = np.ravel_multi_index(ids, self._shape)
+        return node if node.ndim else int(node)
+
+    def node_point(self, idx):
+        """The point of node idx: float coordinates, or arrays for arrays."""
+        ids = np.unravel_index(idx, self._shape)
+        return self.point_type(*(float_or_array(nodes[i])
+                                 for (nodes, _, _), i in zip(self._axes, ids)))
+
+    def contains(self, p):
+        """Whether each point lies in the graph's domain: every one does."""
+        return True
+
+    def snap(self, p):
+        """Nearest nodes to p, float or array coordinates: (node index, node
+        point).  An axis of n nodes from lo takes id rint(((c - lo) % period
+        + lo - lo) / step) % n if periodic, else rint((c - lo) / step)
+        clamped to [0, n).  Non-finite c raises ValueError, a point off
+        `contains` HypothesisError."""
+        coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in p))
+        if not all(np.all(np.isfinite(c)) for c in coords):
+            raise ValueError("cannot snap a non-finite coordinate")
+        if not np.all(self.contains(p)):
+            raise HypothesisError("a point lies outside the graph's domain")
+        ids = []
+        for c, (nodes, step, period) in zip(coords, self._axes):
+            lo = nodes[0]
+            if period is None:
+                i = np.clip(np.rint((c - lo) / step), 0, nodes.size - 1)
+            else:
+                i = np.rint(((c - lo) % period + lo - lo) / step)
+            ids.append(i.astype(np.int64) % nodes.size)
+        node = self.node_index(*ids)
+        return node, self.node_point(node)
 
     def distances_from(self, cells: Sequence[int],
                        columns: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -294,11 +334,12 @@ class OrbitSweepCache:
 
     def _orbit(self, a: np.ndarray, b: np.ndarray):
         """Representative cells of the a's orbits, and the b's cells and
-        folded fiber offsets under the maps taking each a to (rep, 0)."""
+        fiber offsets, folded by the mirror z -> -z onto [0, m//2], under
+        the maps taking each a to (rep, 0)."""
         m = self._stencil.m
         cell_a, cell_b = a // m, b // m
         if self.base_invariant:
-            shape = self._base_shape
+            shape = self._shape[:-1]
             moved = np.subtract(np.unravel_index(cell_b, shape),
                                 np.unravel_index(cell_a, shape))
             cell_a = np.zeros_like(cell_a)
@@ -307,7 +348,8 @@ class OrbitSweepCache:
             flip = self.base_mirror[cell_a] < cell_a
             cell_a = np.where(flip, self.base_mirror[cell_a], cell_a)
             cell_b = np.where(flip, self.base_mirror[cell_b], cell_b)
-        return cell_a, cell_b, _fold(b - a, m)
+        z = np.mod(b - a, m)
+        return cell_a, cell_b, np.minimum(z, m - z)
 
     def pair_distances(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
         """Distances between (source node, target node) pairs: one
@@ -508,11 +550,11 @@ class GridGraph(OrbitSweepCache):
 
     Weights depend on the start row only: `_direction_weights` gives one
     weight per row and direction, and `_directions` hands them to
-    `OrbitSweepCache` with rows as base cells and theta as the fiber,
-    wrapping on a circle base; sweeps run on the graph folded by the mirror
-    theta -> -theta, columns 0..n_theta//2 of every row, about half the
-    nodes.  Grids over MAX_NODES_2D nodes raise GridSizeError before
-    anything is allocated.  Rolling the fiber is a graph automorphism, so
+    `OrbitSweepCache` with the rows as the base axis, periodic on a circle
+    base, and theta as the fiber axis.  Sweeps run on the graph folded by
+    the mirror theta -> -theta, columns 0..n_theta//2 of every row, about
+    half the nodes.  Grids over MAX_NODES_2D nodes raise GridSizeError
+    before anything is allocated.  Rolling the fiber is a graph automorphism, so
     one sweep per source row, run on the folded graph from the row's
     column 0, answers every pair of a `pair_distances` call; one sweep per
     mirror pair of source rows does on mirrored weights, and one sweep
@@ -520,6 +562,8 @@ class GridGraph(OrbitSweepCache):
     base.  No swept row is kept on the graph.  Sweeps of several rows are
     mapped over a thread pool (see `OrbitSweepCache.distances_from`).
     """
+
+    point_type = SurfacePoint
 
     def __init__(self, space: WarpedSpace, spec: GridSpec = GridSpec()):
         self.space = space
@@ -529,18 +573,17 @@ class GridGraph(OrbitSweepCache):
         self.htheta = fiber.circumference / spec.n_theta
         self.n_rows = spec.n_r if base.is_circle else spec.n_r + 1
         self.n_theta = spec.n_theta
-        self.n_nodes = self.n_rows * self.n_theta
-        if self.n_nodes > MAX_NODES_2D:
+        if self.n_rows * self.n_theta > MAX_NODES_2D:
             raise GridSizeError(
-                f"surface grid of {self.n_nodes} nodes exceeds the "
-                f"{MAX_NODES_2D} node memory guard")
+                f"surface grid of {self.n_rows * self.n_theta} nodes exceeds "
+                f"the {MAX_NODES_2D} node memory guard")
         self.rows = base.r_min + self.hr * np.arange(self.n_rows)
-        self.thetas = self.htheta * np.arange(self.n_theta)
         ratio = self.htheta / self.hr
         self.aniso_bound = stencil_anisotropy(
             spec.k, space.profile_min() * ratio, space.profile_max() * ratio)
-        super().__init__((self.n_rows,), spec.n_theta, self._directions(),
-                         base.is_circle, self._row_mirror())
+        super().__init__([(self.rows, self.hr, base.length if base.is_circle else None),
+                          (self.htheta * np.arange(self.n_theta), self.htheta,
+                           fiber.circumference)], self._directions(), self._row_mirror())
 
     # -- construction -------------------------------------------------
 
@@ -594,31 +637,9 @@ class GridGraph(OrbitSweepCache):
                 dst = (idx + di) % self.n_rows if circle else idx + di
                 yield idx, dst, dj, w
 
-    # -- queries --------------------------------------------------------
-
-    def node_index(self, row: int, col: int) -> int:
-        return row * self.n_theta + col
-
-    def node_point(self, idx: int) -> SurfacePoint:
-        row, col = divmod(int(idx), self.n_theta)
-        return SurfacePoint(float(self.rows[row]), float(self.thetas[col]))
-
-    def snap(self, p: SurfacePoint) -> Tuple[int, SurfacePoint]:
-        """Nearest node to p: (node index, node point).  Distances and the
-        limit metric are evaluated at the node point, not at p."""
-        base = self.space.base
-        r = float(base.wrap(p.r)) if base.is_circle else float(p.r)
-        if not base.contains(r):
-            raise HypothesisError(f"point r={p.r} outside the base interval")
-        i = int(round((r - base.r_min) / self.hr))
-        if base.is_circle:
-            i %= self.n_rows
-        else:
-            i = min(max(i, 0), self.n_rows - 1)
-        th = p.theta % self.space.fiber.circumference
-        l = int(round(th / self.htheta)) % self.n_theta
-        node = self.node_index(i, l)
-        return node, self.node_point(node)
+    def contains(self, p: SurfacePoint):
+        """Whether each point's r lies on the base (`BaseSpace.contains`)."""
+        return self.space.base.contains(p.r)
 
 
 # ---------------------------------------------------------------------------

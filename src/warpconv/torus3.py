@@ -155,8 +155,10 @@ class BumpField(ScalarField2D):
     half_width: float
 
     def __post_init__(self):
-        if not (self.level > 0 and self.peak > 0):
-            raise InvalidDescriptor("field values must stay positive")
+        if not (0 < self.level < math.inf and 0 < self.peak < math.inf):
+            raise InvalidDescriptor("field values must be finite and positive")
+        if len(self.center) != 2 or not all(map(math.isfinite, self.center)):
+            raise InvalidDescriptor("bump center must be two finite coordinates")
         if not (0.0 < self.half_width <= math.pi):
             raise InvalidDescriptor("half_width must lie in (0, pi]")
 
@@ -358,16 +360,18 @@ class Grid3Graph(OrbitSweepCache):
     node costs h * sqrt(dx^2 + dy^2 + f(mid)^2 dz^2) with f read at the
     step's xy midpoint.  Weights depend on (x, y) only and are even in dz,
     so each mirror pair (dx, dy, +-dz) is one n x n sheet of weights, and
-    `_directions` hands them to `OrbitSweepCache` with the (x, y) cells as
-    base cells, z as the fiber and a wrapping base; sweeps run on the
-    graph folded by the mirror z -> -z, z = 0..n//2 of every cell, about
-    half the nodes.  z rolls are automorphisms, so one sweep per source
-    (x, y), run on the folded graph from the cell's z = 0, answers every
-    pair of a `pair_distances` call.  When every sheet is constant, one
-    sweep answers all.  No swept row is kept on the graph.  Sweeps of
+    `_directions` hands them to `OrbitSweepCache` with x and y as periodic
+    base axes and z as the fiber axis, each of nodes -pi + i*h.  Sweeps run
+    on the graph folded by the mirror z -> -z, z = 0..n//2 of every cell,
+    about half the nodes.  z rolls are automorphisms, so one sweep per
+    source (x, y), run on the folded graph from the cell's z = 0, answers
+    every pair of a `pair_distances` call.  When every sheet is constant,
+    one sweep answers all.  No swept row is kept on the graph.  Sweeps of
     several cells are mapped over a thread pool (see
     `OrbitSweepCache.distances_from`).
     """
+
+    point_type = Point3
 
     def __init__(self, fld: ScalarField2D, spec: Grid3Spec = Grid3Spec()):
         n = spec.n
@@ -378,9 +382,8 @@ class Grid3Graph(OrbitSweepCache):
         self.spec = spec
         self.h = TAU / n
         self.coords = -math.pi + self.h * np.arange(n)
-        self.n_nodes = n ** 3
         self.aniso_bound = stencil_anisotropy3(fld.min_value(), fld.max_value())
-        super().__init__((n, n), n, self._directions(), True)
+        super().__init__([(self.coords, self.h, TAU)] * 3, self._directions())
 
     def _directions(self):
         """One (cells, target cells, z step, weight sheet) direction per
@@ -400,28 +403,6 @@ class Grid3Graph(OrbitSweepCache):
                 w_sheet = h * np.sqrt(dx * dx + dy * dy + (f * dz) ** 2)
             sheet_to = plane[(np.arange(n) + dx) % n][:, (np.arange(n) + dy) % n]
             yield plane.ravel(), sheet_to.ravel(), dz, w_sheet.ravel()
-
-    # -- queries --------------------------------------------------------
-
-    def node_index(self, ix: int, iy: int, iz: int) -> int:
-        n = self.spec.n
-        return (ix * n + iy) * n + iz
-
-    def node_point(self, idx: int) -> Point3:
-        n = self.spec.n
-        ixy, iz = divmod(int(idx), n)
-        ix, iy = divmod(ixy, n)
-        return Point3(float(self.coords[ix]), float(self.coords[iy]),
-                      float(self.coords[iz]))
-
-    def snap(self, p: Point3) -> Tuple[int, Point3]:
-        """Nearest node: (index, node point).  Distances and the limit
-        metric are evaluated at the node point, not at p."""
-        n = self.spec.n
-        ids = [int(round((wrap_cube(v) + math.pi) / self.h)) % n
-               for v in (p.x, p.y, p.z)]
-        node = self.node_index(*ids)
-        return node, self.node_point(node)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,45 @@ def test_cinch_and_ridge_validation():
         ridge_bump(2.5, 0.0, 0.25)
 
 
+@pytest.mark.parametrize("build", [
+    # a NaN center reads as no bump at all: the cinched-torus j=4 profile
+    # at center NaN gave the flat distance 3.3734 on (-1, 0) -> (0, pi) at
+    # 64^2 k=2, where center 0 gives 2.3791
+    lambda: BumpProfile(1.0, 0.5, math.nan, 0.25),
+    lambda: BumpProfile(1.0, 0.5, math.inf, 0.25),
+    lambda: BumpProfile(math.inf, 0.5, 0.0, 0.25),
+    lambda: BumpProfile(math.nan, 0.5, 0.0, 0.25),
+    lambda: BumpProfile(1.0, math.inf, 0.0, 0.25),
+    lambda: BumpProfile(1.0, 0.5, 0.0, math.inf),
+    lambda: BumpProfile(1.0, 0.5, 0.0, math.nan),
+    lambda: BumpLatticeProfile(5.0, 1.0, 2.5, 0.1),
+    lambda: BumpLatticeProfile(5.0, 1.0, 4.0, 0.1),
+    lambda: BumpLatticeProfile(5.0, 1.0, True, 0.1),
+    lambda: BumpLatticeProfile(math.inf, 1.0, 4, 0.1),
+    lambda: BumpLatticeProfile(math.nan, 1.0, 4, 0.1),
+    lambda: BumpLatticeProfile(5.0, math.inf, 4, 0.1),
+    lambda: ConstantProfile(math.inf),
+    lambda: ConstantProfile(math.nan),
+    lambda: FiberSpace(math.inf),
+    lambda: FiberSpace(math.nan),
+    lambda: interval_base(0.0, math.inf),
+    lambda: interval_base(-math.inf, 0.0),
+    lambda: interval_base(math.nan, 1.0),
+], ids=["bump-center-nan", "bump-center-inf", "bump-level-inf", "bump-level-nan",
+        "bump-peak-inf", "bump-width-inf", "bump-width-nan",
+        "lattice-cells-float", "lattice-cells-integral-float", "lattice-cells-bool",
+        "lattice-level-inf", "lattice-level-nan", "lattice-peak-inf",
+        "constant-inf", "constant-nan", "fiber-inf", "fiber-nan",
+        "interval-to-inf", "interval-from-inf", "interval-from-nan"])
+def test_non_finite_or_non_integer_descriptors_are_refused_when_built(build):
+    with pytest.raises(InvalidDescriptor):
+        build()
+
+
+def test_lattice_cells_may_be_a_numpy_integer():
+    assert BumpLatticeProfile(5.0, 1.0, np.int64(4), 0.1)(0.0) == 1.0
+
+
 @given(
     peak=st.floats(0.1, 3.0),
     center=st.floats(-3.0, 3.0),
@@ -206,6 +245,15 @@ def test_interval_base_contains_and_rejects():
     assert not b.contains(2.0001)
     with pytest.raises(InvalidDescriptor):
         BaseSpace("interval", 1.0, 1.0)
+
+
+def test_base_contains_is_elementwise():
+    r = np.array([-1.0 - 1e-12, -1.0 - 2e-12, 0.5, 2.0 + 1e-12, 2.0001, np.nan])
+    interval = interval_base(-1.0, 2.0)
+    assert interval.contains(r).tolist() == [True, False, True, True, False, False]
+    assert interval.contains(r).tolist() == [interval.contains(x) for x in r.tolist()]
+    assert circle_base().contains(r).tolist() == [True] * r.size
+    assert circle_base().contains(10.0)
 
 
 def test_fiber_distance_minor_arc():

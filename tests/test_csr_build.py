@@ -263,4 +263,4 @@ def test_pinned_grid_passes_the_guard(monkeypatch):
     # the stencil is never built: no weight is computed
     monkeypatch.setattr(OrbitSweepCache, "__init__", lambda self, *args: None)
     graph = GridGraph(SequenceFamily("ret-cinches").space(1), GridSpec(1024, 1024, 3))
-    assert graph.n_nodes == 1024 * 1024
+    assert graph.n_rows * graph.n_theta == 1024 * 1024

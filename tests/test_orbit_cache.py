@@ -115,6 +115,14 @@ def test_torus3_constant_field_is_invariant_along_every_axis(full_rows):
     assert_cache_matches_direct_sweeps(graph, 5, full_rows)
 
 
+def unit_lattice(shape, m, wraps):
+    """`OrbitSweepCache` axes of unit steps: a base lattice of `shape`,
+    periodic when it wraps, times a periodic fiber of m nodes."""
+    base = [(np.arange(n, dtype=float), 1.0, n if wraps else None)
+            for n in shape]
+    return base + [(np.arange(m, dtype=float), 1.0, m)]
+
+
 def direct_pair_distances(cache, pairs):
     """Each pair's distance read from a direct sweep of its source's own
     cell, rolled by the source's fiber position and folded by the mirror."""
@@ -133,10 +141,10 @@ def test_a_direction_on_some_cells_only_is_not_a_translation():
     # (cell 2, z = 0) reaches node 20 (cell 2, z = 4) in two such steps
     # while cell 0 needs four axis steps
     cells = np.arange(6)
-    axes = [(cells, (cells + 1) % 6, 0, np.ones(6)), (cells, cells, 1, np.ones(6))]
+    steps = [(cells, (cells + 1) % 6, 0, np.ones(6)), (cells, cells, 1, np.ones(6))]
     some = np.array([2, 3])
     partial = geodesy.OrbitSweepCache(
-        (6,), 8, axes + [(some, some, 2, np.full(2, 0.5))], True)
+        unit_lattice((6,), 8, True), steps + [(some, some, 2, np.full(2, 0.5))])
     assert not partial.base_invariant
     assert partial.pair_distances([(16, 20)]) == [1.0]
     assert direct_pair_distances(partial, [(16, 20)]) == [1.0]
@@ -144,12 +152,13 @@ def test_a_direction_on_some_cells_only_is_not_a_translation():
     # moved by one offset
     cycled = np.array([1, 2, 0, 4, 5, 3])
     uneven = geodesy.OrbitSweepCache(
-        (6,), 8, axes + [(cells, cycled, 3, np.full(6, 0.5))], True)
+        unit_lattice((6,), 8, True), steps + [(cells, cycled, 3, np.full(6, 0.5))])
     assert not uneven.base_invariant
     pairs = [(a, b) for a in range(48) for b in range(48)]
     assert uneven.pair_distances(pairs) == direct_pair_distances(uneven, pairs)
-    assert geodesy.OrbitSweepCache((6,), 8, axes, True).base_invariant
-    assert not geodesy.OrbitSweepCache((6,), 8, axes, False).base_invariant
+    assert geodesy.OrbitSweepCache(unit_lattice((6,), 8, True), steps).base_invariant
+    assert not geodesy.OrbitSweepCache(unit_lattice((6,), 8, False),
+                                       steps).base_invariant
 
 
 @st.composite
@@ -202,7 +211,7 @@ def wrapped_stencils(draw):
 @given(wrapped_stencils())
 def test_orbit_cache_equals_direct_sweeps_on_random_wrapped_stencils(stencil):
     shape, m, directions, translations = stencil
-    cache = geodesy.OrbitSweepCache(shape, m, directions, True)
+    cache = geodesy.OrbitSweepCache(unit_lattice(shape, m, True), directions)
     assert cache.base_invariant == translations
     n_nodes = math.prod(shape) * m
     pairs = [(a, b) for a in range(n_nodes) for b in range(n_nodes)]
@@ -656,8 +665,9 @@ def test_mirrored_lattice_sweeps_equal_unmirrored_ones_and_scipy(graph, seed):
              for row in sources for _ in range(5)]
     got = graph.pair_distances(pairs)
     # the graph's own weights, given no base mirror
-    unmirrored = geodesy.OrbitSweepCache((graph.n_rows,), m, graph._directions(),
-                                         graph.space.base.is_circle)
+    unmirrored = geodesy.OrbitSweepCache(
+        unit_lattice((graph.n_rows,), m, graph.space.base.is_circle),
+        graph._directions())
     assert unmirrored.base_mirror is None
     assert got == unmirrored.pair_distances(pairs)
     assert got == oracle_pair_distances(graph, pairs)
@@ -670,12 +680,24 @@ def test_mirrored_lattice_sweeps_equal_unmirrored_ones_and_scipy(graph, seed):
 
 def test_a_base_mirror_must_be_an_involution():
     cells = np.arange(6)
-    axes = [(cells, (cells + 1) % 6, 0, np.ones(6)), (cells, cells, 1, np.ones(6))]
+    steps = [(cells, (cells + 1) % 6, 0, np.ones(6)), (cells, cells, 1, np.ones(6))]
+    lattice = unit_lattice((6,), 8, False)
     assert np.array_equal(geodesy.OrbitSweepCache(
-        (6,), 8, axes, False, -cells % 6).base_mirror, -cells % 6)
+        lattice, steps, -cells % 6).base_mirror, -cells % 6)
     for mirror in ([1, 2, 0, 3, 4, 5], [0, 5, 4, 3, 2], [0, 5, 4, 3, 2, 7]):
         with pytest.raises(ValueError, match="involution"):
-            geodesy.OrbitSweepCache((6,), 8, axes, False, mirror)
+            geodesy.OrbitSweepCache(lattice, steps, mirror)
+
+
+def test_the_fiber_axis_must_be_periodic():
+    cells = np.arange(6)
+    steps = [(cells, (cells + 1) % 6, 0, np.ones(6)), (cells, cells, 1, np.ones(6))]
+    *base, (nodes, step, _) = unit_lattice((6,), 8, True)
+    with pytest.raises(ValueError, match="fiber axis must be periodic"):
+        geodesy.OrbitSweepCache(base + [(nodes, step, None)], steps)
+    # the lattice is read from the axes: 6 cells times a fiber of 8
+    cache = geodesy.OrbitSweepCache(unit_lattice((6,), 8, True), steps)
+    assert cache.n_nodes == 48 and cache._stencil.m == 8
 
 
 def test_one_weight_off_by_an_ulp_refuses_the_mirror(monkeypatch):
@@ -699,8 +721,8 @@ def test_one_weight_off_by_an_ulp_refuses_the_mirror(monkeypatch):
         return idx, w
 
     monkeypatch.setattr(graph, "_direction_weights", nudged)
-    cache = geodesy.OrbitSweepCache((48,), m, graph._directions(), True,
-                                    graph.base_mirror)
+    cache = geodesy.OrbitSweepCache(unit_lattice((48,), m, True),
+                                    graph._directions(), graph.base_mirror)
     assert cache.base_mirror is None and not cache.base_invariant
     log.clear()
     got = cache.pair_distances(pairs)

@@ -119,6 +119,20 @@ class TestFields:
         with pytest.raises(InvalidDescriptor):
             BumpField(1.0, 2.0, (0, 0), 4.0)
 
+    @pytest.mark.parametrize("level, peak, center", [
+        # a NaN center read 1.0 at (0, 0), against 2.0 for the real bump
+        (1.0, 2.0, (math.nan, 0.0)),
+        (1.0, 2.0, (0.0, math.inf)),
+        (1.0, 2.0, (0.0,)),
+        # an infinite peak or level failed only in the graph's stencil bound
+        (1.0, math.inf, (0.0, 0.0)),
+        (math.inf, 2.0, (0.0, 0.0)),
+        (math.nan, 2.0, (0.0, 0.0)),
+    ])
+    def test_bump_field_refuses_non_finite_values(self, level, peak, center):
+        with pytest.raises(InvalidDescriptor):
+            BumpField(level, peak, center, 0.5)
+
 
 # ---------------------------------------------------------------------------
 # limit metric and closed-form bounds
