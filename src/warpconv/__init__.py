@@ -43,12 +43,10 @@ from .convergence import (
 from .families import LimitMetric, SequenceFamily
 from .geodesy import (
     ANISOTROPY_BOUND,
-    GeodesicResult,
     GridGraph,
     GridSizeError,
     GridSpec,
     cinch_limit_distance,
-    clairaut_distance,
     flat_product_distance,
     level_set_distance,
     neighborhood_offsets,

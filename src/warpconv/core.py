@@ -140,14 +140,6 @@ class BaseSpace:
             return minor_arc(a - b, self.length)
         return float_or_array(abs(a - b))
 
-    def signed_minor(self, a: float, b: float) -> float:
-        if not self.is_circle:
-            return b - a
-        d = (b - a) % self.length
-        if d > 0.5 * self.length:
-            d -= self.length
-        return d
-
 
 def interval_base(r_min: float = -math.pi, r_max: float = math.pi) -> BaseSpace:
     return BaseSpace("interval", r_min, r_max)
@@ -669,10 +661,11 @@ def lp_profile_distance(a: WarpingProfile, b: WarpingProfile, p: float,
     """L^p distance between two profiles over the base domain.
 
     Composite Gauss-Legendre quadrature on the pieces cut by both profiles'
-    breakpoints (so cosine-bump boundaries are never straddled).
+    breakpoints (so cosine-bump boundaries are never straddled).  Raises
+    ValueError unless p is finite and >= 1.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError("p must be finite and >= 1")
     lo, hi = base.r_min, base.r_max
     cuts = sorted_distinct(np.concatenate((
         [lo, hi], a.breakpoints_in(lo, hi), b.breakpoints_in(lo, hi))))

@@ -1,6 +1,6 @@
 """Distances on warped-product surfaces.
 
-Three independent routes to the same quantity:
+Two routes to the same quantity:
 
 * a weighted-graph oracle on a regular (r, theta) grid (Dijkstra over a
   k-neighborhood with quadrature edge weights, run by the C kernel of
@@ -10,8 +10,13 @@ Three independent routes to the same quantity:
   translations or the base mirror r -> -r, whose rows pair up as
   {i, mirror[i]}; the sweeps of several rows are mapped over a thread pool
   of at most one thread per usable CPU),
-* Clairaut geodesic shooting using the conserved quantity c = f(r)^2 theta',
 * closed forms (level-set, flat product, the cinch limit).
+
+The test suite checks the grid against the closed forms and, on warped
+profiles, brackets it between the flat floor of every curve and the lengths
+of explicit curves.  The monotone Clairaut shot at the end, with conserved
+quantity c = f(r)^2 theta', gives the turning-rate audit its geodesic; it is
+not a distance route.
 
 The grid oracle's error estimate is the direction-anisotropy term alone:
 probe endpoints snap to grid nodes and the limit metric is evaluated at the
@@ -503,22 +508,6 @@ class GridSpec:
         return [self.n_r, self.n_theta, self.k]
 
 
-@dataclass
-class GeodesicResult:
-    """Distance value with provenance and an error estimate."""
-
-    distance: float
-    method: str
-    error_estimate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "distance": self.distance,
-            "method": self.method,
-            "error_estimate": self.error_estimate,
-        }
-
-
 # ---------------------------------------------------------------------------
 # Grid oracle
 # ---------------------------------------------------------------------------
@@ -711,75 +700,27 @@ def cinch_limit_distance(depth: float, cinch_r: float, base: BaseSpace,
     return float_or_array(best)
 
 
-def _three_segment_candidate(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
-                             dtheta_abs: float) -> Tuple[float, float]:
-    """Best descend/traverse/climb path cost min over the traverse level:
-    |r_p - r^| + |r_q - r^| + f(r^) dtheta.  Returns (cost, level)."""
-    base = space.base
-
-    def g(r_hat: float) -> float:
-        return (base.distance(p.r, r_hat) + base.distance(q.r, r_hat)
-                + float(space.warp_at(r_hat)) * dtheta_abs)
-
-    lo, hi = base.r_min, base.r_max
-    cuts = sorted_distinct(np.concatenate(
-        ([lo, hi, min(max(p.r, lo), hi), min(max(q.r, lo), hi)],
-         space.profile.breakpoints_in(lo, hi))))
-    best_v, best_r = math.inf, p.r
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a < 1e-14:
-            continue
-        x1, x2 = b - phi * (b - a), a + phi * (b - a)
-        f1, f2 = g(x1), g(x2)
-        for _ in range(60):
-            if f1 < f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - phi * (b - a)
-                f1 = g(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + phi * (b - a)
-                f2 = g(x2)
-            if b - a < 1e-12:
-                break
-        for x in (a, b, 0.5 * (a + b)):
-            v = g(x)
-            if v < best_v:
-                best_v, best_r = v, x
-    return best_v, best_r
-
-
 # ---------------------------------------------------------------------------
-# Clairaut shooting
+# Monotone Clairaut shot (the turning-rate audit's geodesic)
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-def _leg_rule(space: WarpedSpace, r_from: float, r_to: float,
-              turning_at_from: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+def _leg_rule(space: WarpedSpace, r_from: float,
+              r_to: float) -> Tuple[np.ndarray, np.ndarray]:
     """Quadrature of a monotone-in-r geodesic leg, which does not depend on
-    the conserved quantity c: (f, wj), the warp at the nodes and each
-    node's weight times the Jacobian.  `_leg_sums` evaluates the leg for a
-    given c.
+    the conserved quantity c: (f, w), the warp at the nodes and each node's
+    weight.  `_leg_sums` evaluates the leg for a given c.
 
-    Composite Gauss-Legendre with pieces cut at profile breakpoints; a
-    turning point at r_from (where f = |c|) is removed by substituting
-    r = r_from +- u^2.  An empty leg has no nodes.
+    Composite Gauss-Legendre over r, with pieces cut at profile breakpoints.
+    An empty leg has no nodes.
     """
     if r_to == r_from:
         return np.empty(0), np.empty(0)
-    sgn = 1.0 if r_to > r_from else -1.0
-    lo, hi = (r_from, r_to) if sgn > 0 else (r_to, r_from)
-    bps = space.breakpoints_unwrapped(lo, hi)
-
-    if turning_at_from:
-        # integrate in u with r = r_from + sgn*u^2
-        u_edges = np.sqrt(np.abs(np.concatenate(([lo, hi], bps)) - r_from))
-        edges = sorted_distinct(u_edges)
-    else:
-        edges = sorted_distinct(np.concatenate(([lo, hi], bps)))
+    lo, hi = min(r_from, r_to), max(r_from, r_to)
+    edges = sorted_distinct(np.concatenate(
+        ([lo, hi], space.breakpoints_unwrapped(lo, hi))))
 
     # every piece gets the same 6 sub-pieces whatever c is; this fixed rule
     # underestimates the log-singular advance of shots with c near an
@@ -794,17 +735,8 @@ def _leg_rule(space: WarpedSpace, r_from: float, r_to: float,
         half = 0.5 * np.diff(grid)
         xs.append((mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel())
         ws.append((half[:, None] * _GL_WEIGHTS[None, :]).ravel())
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
-
-    if turning_at_from:
-        r = r_from + sgn * x * x
-        jac = 2.0 * x
-    else:
-        r = x
-        jac = 1.0
-    f = np.asarray(space.warp_at(r), dtype=float)
-    return f, w * jac
+    f = np.asarray(space.warp_at(np.concatenate(xs)), dtype=float)
+    return f, np.concatenate(ws)
 
 
 def _leg_sums(rule: Tuple[np.ndarray, np.ndarray], c: float) -> Tuple[float, float]:
@@ -814,7 +746,7 @@ def _leg_sums(rule: Tuple[np.ndarray, np.ndarray], c: float) -> Tuple[float, flo
         theta advance = int c / (f^2 sqrt(1 - c^2/f^2)) dr,
         length        = int 1 / sqrt(1 - c^2/f^2) dr.
     """
-    f, wj = rule
+    f, w = rule
     v = 1.0 - (c / f) ** 2
     if np.any(v <= 0.0):
         # the warp drops to (or below) the conserved level inside the leg:
@@ -823,8 +755,8 @@ def _leg_sums(rule: Tuple[np.ndarray, np.ndarray], c: float) -> Tuple[float, flo
     inv = 1.0 / np.sqrt(v)
     # both integrals run over the swept r-range with the positive measure
     # dt = dr/|r'|; the fiber advance carries the sign of c
-    theta = float(np.sum(wj * c / (f * f) * inv))
-    length = float(np.sum(wj * inv))
+    theta = float(np.sum(w * c / (f * f) * inv))
+    length = float(np.sum(w * inv))
     return theta, length
 
 
@@ -866,219 +798,3 @@ def _shoot_monotone(space, r_p, r_q, target, tol, max_iter):
         return None
     resid, c, _adv, ln = best
     return ln, math.copysign(c, target), resid
-
-
-def _one_turn_scan_range(base: BaseSpace, side: int, m_lo: float, m_hi: float):
-    if side < 0:
-        t_a = m_hi - base.length if base.is_circle else base.r_min
-        t_b = m_lo
-    else:
-        t_a = m_hi
-        t_b = m_lo + base.length if base.is_circle else base.r_max
-    return t_a, t_b
-
-
-def _shoot_one_turn(space, r_p, r_q, target, side, tol, max_iter,
-                    prune_above=math.inf, accept=1e-7):
-    """Geodesic running past both endpoints to a turning level and back:
-    r goes r_p -> t -> r_q with f(t) = |c| (branch switch at the turn).
-
-    side=-1 turns below min(r_p, r_q); side=+1 above max(r_p, r_q).  The
-    turning level is scanned (with extra samples around profile
-    breakpoints, since valid turning windows can be narrower than a
-    uniform grid step), then refined by bisection on the fiber advance.
-    Only a shot whose advance matches the target within `accept` is
-    returned.  Returns (length, c, residual) or None.
-    """
-    if target == 0.0:
-        return None
-    want = abs(target)
-    base = space.base
-    m_lo, m_hi = min(r_p, r_q), max(r_p, r_q)
-    t_a, t_b = _one_turn_scan_range(base, side, m_lo, m_hi)
-    if t_b - t_a < 1e-9:
-        return None
-    # cheapest conceivable base travel through this side
-    nearest_turn = t_b if side < 0 else t_a
-    lower = abs(r_p - nearest_turn) + abs(r_q - nearest_turn)
-    if lower >= prune_above:
-        return None
-
-    far = m_hi if side < 0 else m_lo
-
-    def advance(t):
-        c = float(space.warp_at(t))
-        interior_min = space.warp_min_on(t, far)
-        if interior_min < c - 1e-12:
-            return None  # profile dips below the turning level on the way
-        th1, l1 = _leg_sums(_leg_rule(space, t, r_p, turning_at_from=True), c)
-        th2, l2 = _leg_sums(_leg_rule(space, t, r_q, turning_at_from=True), c)
-        adv = abs(th1) + abs(th2)
-        if not math.isfinite(adv):
-            return None
-        return adv, l1 + l2, c
-
-    lo_s, hi_s = t_a + 1e-9, t_b - 1e-9
-    pts = set(np.linspace(lo_s, hi_s, 33).tolist())
-    bps = space.breakpoints_unwrapped(t_a, t_b)
-    if bps.size <= 64:
-        anchors = sorted({t_a, t_b, *bps.tolist()})
-        for u, v in zip(anchors[:-1], anchors[1:]):
-            pts.add(min(max(0.5 * (u + v), lo_s), hi_s))
-            for x in (u + 1e-7, v - 1e-7):
-                if lo_s <= x <= hi_s:
-                    pts.add(x)
-    ts = sorted(pts)
-    vals = [advance(t) for t in ts]
-
-    # densify gaps where validity flips: a narrow turning window may hold
-    # the whole bracket between two coarse samples
-    extra_ts, extra_vals = [], []
-    for i in range(len(ts) - 1):
-        if (vals[i] is None) == (vals[i + 1] is None):
-            continue
-        fine = np.linspace(ts[i], ts[i + 1], 18)[1:-1]
-        for t in fine:
-            extra_ts.append(float(t))
-            extra_vals.append(advance(float(t)))
-    if extra_ts:
-        order = np.argsort(np.concatenate([ts, extra_ts]))
-        allv = vals + extra_vals
-        allt = ts + extra_ts
-        ts = [allt[i] for i in order]
-        vals = [allv[i] for i in order]
-
-    best = None
-    for i in range(len(ts) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va is None or vb is None:
-            continue
-        a, b = va[0], vb[0]
-        if (a - want) * (b - want) > 0:
-            continue
-        t_lo, t_hi, f_lo = ts[i], ts[i + 1], a
-        out = va if abs(a - want) < abs(b - want) else vb
-        for _ in range(max_iter):
-            t_mid = 0.5 * (t_lo + t_hi)
-            mid = advance(t_mid)
-            if mid is None:
-                break
-            if abs(mid[0] - want) < abs(out[0] - want):
-                out = mid  # quadrature noise makes the last iterate unreliable
-            if (f_lo - want) * (mid[0] - want) <= 0:
-                t_hi = t_mid
-            else:
-                t_lo, f_lo = t_mid, mid[0]
-            if t_hi - t_lo < 1e-14 or abs(mid[0] - want) < 0.1 * tol:
-                break
-        adv, length, c = out
-        resid = abs(adv - want)
-        if resid > accept:
-            continue  # bisection did not actually hit the target advance
-        if best is None or length < best[0]:
-            best = (length, c, resid)
-    return best
-
-
-def clairaut_distance(space: WarpedSpace, p: SurfacePoint, q: SurfacePoint,
-                      tol: float = 1e-9, max_iter: int = 60,
-                      max_winding: int = 2) -> GeodesicResult:
-    """Distance by Clairaut geodesic shooting.
-
-    Shoots monotone-in-r geodesics (bisection on the conserved quantity c),
-    geodesics with one turning point (branch switching where f(r) = |c|),
-    and descend/traverse/climb candidates through profile minima; minimizes
-    over fiber winding numbers -max_winding..max_winding and, on circle
-    bases, both ways around the base.  A shot becomes a candidate only when
-    its residual is within the acceptance tolerance of the fiber advance it
-    was shot at (not of its length); when none does, a closed-form candidate
-    wins and the result is exact for that candidate.
-
-    Raises ValueError unless tol is positive and finite, max_iter >= 1 and
-    max_winding >= 0.
-    """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive and finite")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if max_winding < 0:
-        raise ValueError("max_winding must be non-negative")
-    base, fiber = space.base, space.fiber
-    C = fiber.circumference
-    dth0 = fiber.signed_minor(p.theta, q.theta)
-
-    routes = []
-    if base.is_circle:
-        d = base.signed_minor(p.r, q.r)
-        routes.append(d)
-        if d != 0.0:
-            routes.append(d - math.copysign(base.length, d))
-    else:
-        routes.append(q.r - p.r)
-
-    fmin_glob = space.profile_min()
-    # near-degenerate turning legs carry quadrature noise around 1e-6
-    # relative, so residuals cannot be pushed to raw tol there
-    def accept_for(target):
-        return max(10.0 * tol, 1e-6 * (1.0 + abs(target)))
-
-    # no curve can beat the flat product metric at the minimum warp level
-    floor = math.hypot(base.distance(p.r, q.r),
-                       fmin_glob * fiber.distance(p.theta, q.theta))
-    # (length, residual, kind)
-    candidates: List[Tuple[float, float, str]] = []
-
-    # straight segment in parameter space: a genuine curve, so always a
-    # valid upper bound; keeps degenerate pairs (wrapped-equal r, nearly
-    # coincident points) from losing every direct candidate to rounding
-    candidates.append((segment_length(space, p.r, routes[0], dth0,
-                                      points_per_piece=16),
-                       0.0, "param-line"))
-
-    def best_len():
-        return min((c[0] for c in candidates), default=math.inf)
-
-    windings = sorted(range(-max_winding, max_winding + 1), key=abs)
-    for w in windings:
-        target = dth0 + w * C
-        accept = accept_for(target)
-        # any path with this fiber advance costs at least f_min * |advance|
-        if fmin_glob * abs(target) >= best_len():
-            continue
-        if p.r == q.r:
-            candidates.append((float(space.warp_at(p.r)) * abs(target),
-                               0.0, "fiber-level"))
-        if target != 0.0:
-            cost, _lvl = _three_segment_candidate(space, p, q, abs(target))
-            candidates.append((cost, 0.0, "three-segment"))
-        for droute in routes:
-            if target == 0.0:
-                if droute != 0.0:
-                    candidates.append((abs(droute), 0.0, "base-line"))
-                continue
-            if droute != 0.0:
-                out = _shoot_monotone(space, p.r, p.r + droute, target,
-                                      tol, max_iter)
-                if out is not None and out[2] <= accept:
-                    candidates.append((out[0], out[2], "monotone"))
-        for side in (-1, +1):
-            if target == 0.0:
-                continue
-            out = _shoot_one_turn(space, p.r, q.r, target, side, tol,
-                                  max_iter, prune_above=best_len(),
-                                  accept=accept)
-            if out is not None:
-                candidates.append((out[0], out[2], "one-turn"))
-
-    # shooting accuracy can undershoot true lengths by a few 1e-6 at worst,
-    # so the impossibility filter needs matching slack
-    margin = 1e-5 * (1.0 + floor)
-    candidates = [c for c in candidates if c[0] >= floor - margin]
-    if not candidates:
-        raise RuntimeError("no geodesic candidate produced")
-    candidates.sort(key=lambda t: (t[0], t[2]))
-    best_length, best_resid, kind = candidates[0]
-    # the closed-form candidates carry numpy scalars; results hold plain
-    # Python types so that to_dict() is JSON-serializable
-    return GeodesicResult(float(best_length), f"clairaut-{kind}",
-                          float(max(best_resid, tol)))

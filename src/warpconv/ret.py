@@ -33,8 +33,8 @@ __all__ = [
 
 
 def _check_stretch(stretch: float) -> None:
-    if not (stretch >= 1.0):
-        raise InvalidDescriptor("stretch ratio must be >= 1")
+    if not (math.isfinite(stretch) and stretch >= 1.0):
+        raise InvalidDescriptor("stretch ratio must be finite and >= 1")
 
 
 def ret_distance(ds, dsigma, stretch: float):

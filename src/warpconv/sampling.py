@@ -9,6 +9,8 @@ backend answers every pair with one shortest-path sweep per source.
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Tuple
 
+import numpy as np
+
 from .core import BaseSpace, FiberSpace, InvalidDescriptor, SurfacePoint
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
@@ -20,9 +22,16 @@ def radical_inverse(index: int, base: int) -> float:
     """Digit reversal of a nonnegative integer in the given base.
 
     radical_inverse(6, 2): 6 = 110_2, reversed behind the point 0.011_2 = 3/8.
+    Python and numpy integers are accepted; bools and other types raise
+    ValueError, and so do an index below 0 and a base below 2.
     """
+    for name, v in (("index", index), ("base", base)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
     if index < 0:
         raise ValueError("index must be nonnegative")
+    if base < 2:
+        raise ValueError("base must be at least 2")
     inv, denom = 0.0, 1.0
     while index > 0:
         denom *= base

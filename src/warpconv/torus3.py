@@ -441,10 +441,11 @@ class Torus3Family:
     def __post_init__(self):
         if self.kind not in ("moving-bump", "constant"):
             raise InvalidDescriptor(f"unknown 3D family kind {self.kind!r}")
-        if self.level <= 0:
-            raise InvalidDescriptor("limit level must be positive")
-        if self.kind == "moving-bump" and self.peak <= self.level:
-            raise InvalidDescriptor("bump peak must exceed the limit level")
+        if not (0 < self.level < math.inf):
+            raise InvalidDescriptor("limit level must be positive and finite")
+        if self.kind == "moving-bump" and not (self.level < self.peak < math.inf):
+            raise InvalidDescriptor("bump peak must be finite and exceed the "
+                                    "limit level")
 
     def field(self, j: int) -> ScalarField2D:
         if j < 1:

@@ -459,6 +459,14 @@ def test_lp_profile_distance_l1_is_mass_deficit():
     assert got == pytest.approx(delta * (1.0 - h0), rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+def test_lp_profile_distance_rejects_p_outside_its_range(p):
+    # the quadrature has no p = inf limit: the sup distance here is 0.5
+    with pytest.raises(ValueError):
+        lp_profile_distance(cinch_bump(0.5, 0.0, 0.25), ConstantProfile(1.0),
+                            p, circle_base())
+
+
 def test_diameter_upper_bound_components():
     sp = WarpedSpace(circle_base(), FiberSpace(), ConstantProfile(1.0))
     db = diameter_upper_bound(sp, delta_l2=0.0)

@@ -1,4 +1,8 @@
-"""Tests for the grid shortest-path oracle and the Clairaut shooting solver.
+"""Tests for the grid shortest-path oracle and the closed forms.
+
+The grid is checked against the closed forms and, on warped profiles,
+bracketed between the flat floor of every curve and the lengths of explicit
+curves.
 
 The direction-anisotropy constants frozen in ANISOTROPY_BOUND are verified
 here by an independent brute-force sweep: for every direction in the plane,
@@ -7,7 +11,6 @@ direction is solved as a small linear program, and the worst-case stretch is
 compared against both the closed forms and the frozen table.
 """
 
-import json
 import math
 
 import numpy as np
@@ -31,7 +34,6 @@ from warpconv import (
     cinch_bump,
     cinch_limit_distance,
     circle_base,
-    clairaut_distance,
     flat_product_distance,
     interval_base,
     level_set_distance,
@@ -264,62 +266,22 @@ def test_level_set_distance_requires_minimum():
 
 
 # ---------------------------------------------------------------------------
-# Clairaut shooting vs closed forms and vs the grid oracle
+# grid oracle between the flat floor and explicit curves
 
 
-def test_clairaut_flat_matches_closed_form():
-    sp = WarpedSpace(circle_base(), FiberSpace(), ConstantProfile(1.0))
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(200):
-        p = SurfacePoint(rng.uniform(-math.pi, math.pi), rng.uniform(0, 2 * math.pi))
-        q = SurfacePoint(rng.uniform(-math.pi, math.pi), rng.uniform(0, 2 * math.pi))
-        res = clairaut_distance(sp, p, q)
-        exact = flat_product_distance(sp.base, sp.fiber, 1.0, p, q)
-        worst = max(worst, abs(res.distance - exact))
-    assert worst < 1e-6
-
-
-def test_clairaut_scaled_flat_interval():
-    sp = WarpedSpace(interval_base(), FiberSpace(), ConstantProfile(1.4))
-    p, q = SurfacePoint(-1.0, 0.3), SurfacePoint(1.0, 2.3)
-    res = clairaut_distance(sp, p, q)
-    assert res.distance == pytest.approx(math.hypot(2.0, 1.4 * 2.0), abs=1e-8)
-
-
-def test_clairaut_on_cinch_antipodal_is_valley_arc():
-    sp = WarpedSpace(circle_base(), FiberSpace(), cinch_bump(0.5, 0.0, 0.25))
-    res = clairaut_distance(sp, SurfacePoint(0.0, 0.0), SurfacePoint(0.0, math.pi))
-    assert res.distance == pytest.approx(0.5 * math.pi, abs=1e-12)
-    # the valley arc shows up as either label: identical curve either way
-    assert res.method in ("clairaut-fiber-level", "clairaut-param-line")
-
-
-def test_clairaut_on_ridge_antipodal_turns_down_the_flank():
-    # regression for the one-turn branch: the geodesic leaves the crest,
-    # turns near the support edge, and beats both the crest arc and the
-    # corner bypass path
-    sp = WarpedSpace(circle_base(), FiberSpace(), ridge_bump(2.0, 0.0, 0.25))
-    p, q = SurfacePoint(0.0, 0.0), SurfacePoint(0.0, math.pi)
-    res = clairaut_distance(sp, p, q)
-    assert res.method == "clairaut-one-turn"
-    assert res.distance == pytest.approx(3.4611, abs=2e-3)
-    # the corner bypass: two 0.25 legs to the support edge r = 0.25, where
-    # f = 1, and the half fiber pi there
-    assert math.pi <= res.distance < 0.5 + math.pi
-
-
-def test_clairaut_never_reports_impossibly_short():
-    # any fiber displacement costs at least (min f) times the arc
-    sp = WarpedSpace(circle_base(), FiberSpace(), ridge_bump(2.0, 0.0, 0.25))
-    rng = np.random.default_rng(13)
-    for _ in range(40):
-        p = SurfacePoint(rng.uniform(-math.pi, math.pi), rng.uniform(0, 2 * math.pi))
-        q = SurfacePoint(rng.uniform(-math.pi, math.pi), rng.uniform(0, 2 * math.pi))
-        res = clairaut_distance(sp, p, q)
-        floor = math.hypot(sp.base.distance(p.r, q.r),
-                           1.0 * sp.fiber.distance(p.theta, q.theta))
-        assert res.distance >= floor - 1e-4
+def explicit_curve_length(sp, p, q):
+    """Length of the shorter of two explicit curves from p to q on a circle
+    base: the straight parameter line along the minor displacements, by the
+    64-point rule, and the best descend/traverse/climb curve, radial legs
+    to a level r and the minor fiber arc along it, over 4097 levels."""
+    base, fiber = sp.base, sp.fiber
+    dr = (q.r - p.r + 0.5 * base.length) % base.length - 0.5 * base.length
+    line = segment_length(sp, p.r, dr, fiber.signed_minor(p.theta, q.theta),
+                          points_per_piece=64)
+    levels = np.linspace(base.r_min, base.r_max, 4097)
+    via = (base.distance(p.r, levels) + base.distance(q.r, levels)
+           + sp.warp_at(levels) * fiber.distance(p.theta, q.theta))
+    return min(line, float(via.min()))
 
 
 @pytest.mark.parametrize(
@@ -331,53 +293,19 @@ def test_clairaut_never_reports_impossibly_short():
     ],
     ids=["flat", "ridge", "cinch"],
 )
-def test_clairaut_agrees_with_grid_oracle(profile):
+def test_grid_oracle_within_explicit_curve_bracket(profile):
+    # No curve beats the flat product at the lowest warp, and a grid
+    # distance is the length of a grid path up to the edge weights'
+    # quadrature error (at most 9.6e-5 relative, pinned above).  So g sits
+    # above that floor, and at most its anisotropy bar above any curve.
     sp = WarpedSpace(circle_base(), FiberSpace(), profile)
     graph = GridGraph(sp, GridSpec(256, 256, 2))
     pairs = random_surface_pairs(np.random.default_rng(17), 20)
     for ps, qs, d, err in grid_values(graph, pairs):
-        c = clairaut_distance(sp, ps, qs)
-        assert abs(d - c.distance) <= err + c.error_estimate + 1e-6
-
-
-@given(
-    pr=st.floats(-math.pi, math.pi),
-    pth=st.floats(0.0, 2.0 * math.pi),
-    qr=st.floats(-math.pi, math.pi),
-    qth=st.floats(0.0, 2.0 * math.pi),
-)
-@settings(max_examples=25, deadline=None)
-def test_clairaut_symmetric_in_endpoints(pr, pth, qr, qth):
-    sp = WarpedSpace(circle_base(), FiberSpace(), cinch_bump(0.6, 0.4, 0.3))
-    p, q = SurfacePoint(pr, pth), SurfacePoint(qr, qth)
-    d1 = clairaut_distance(sp, p, q).distance
-    d2 = clairaut_distance(sp, q, p).distance
-    assert d1 == pytest.approx(d2, rel=1e-6, abs=1e-8)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"max_winding": -1}, {"max_iter": 0}, {"tol": -1.0}, {"tol": 0.0},
-     {"tol": math.nan}, {"tol": math.inf}],
-    ids=["winding", "iter", "tol-neg", "tol-zero", "tol-nan", "tol-inf"],
-)
-def test_clairaut_rejects_out_of_range_settings(kwargs):
-    # with max_winding=-1 no winding was tried and the parameter line
-    # (3.6477) came back as the distance; tol=-1 gave error_estimate 0
-    sp = SequenceFamily("cinched-torus").space(8)
-    with pytest.raises(ValueError):
-        clairaut_distance(sp, SurfacePoint(-1.0, 0.0),
-                          SurfacePoint(1.0, 3.14159), **kwargs)
-
-
-def test_clairaut_result_round_trips_through_json():
-    # the three-segment candidate wins here; its numpy scalars must not
-    # leak into the result
-    sp = SequenceFamily("cinched-torus").space(8)
-    res = clairaut_distance(sp, SurfacePoint(-1.0, 0.0), SurfacePoint(1.0, 3.14159))
-    assert res.method == "clairaut-three-segment"
-    assert type(res.distance) is float and type(res.error_estimate) is float
-    assert json.loads(json.dumps(res.to_dict())) == res.to_dict()
+        floor = math.hypot(sp.base.distance(ps.r, qs.r),
+                           sp.profile_min() * sp.fiber.distance(ps.theta, qs.theta))
+        assert floor * (1.0 - 1e-4) - 1e-9 <= d
+        assert d <= explicit_curve_length(sp, ps, qs) + err + 1e-6
 
 
 def test_grid_spec_validation():
@@ -615,23 +543,3 @@ def test_cinch_limit_agrees_with_shrinking_grid_family():
     target = cinch_limit_distance(0.5, 0.0, base, fiber, ps, qs)
     extrapolated = 2.0 * vals[1] - vals[0]
     assert abs(extrapolated - target) <= max(errs) + 0.02
-
-
-def test_clairaut_accepts_a_shot_within_the_tolerance_of_its_advance(monkeypatch):
-    # A monotone shot at fiber advance 3.0 is accepted within
-    # 1e-6 * (1 + 3.0) = 4e-6.  Its length, about 1.5, would give the
-    # tighter 2.5e-6; a residual of 3e-6 between the two must still be
-    # accepted, and win, because the residual is one of the advance.
-    from warpconv import geodesy
-
-    sp = WarpedSpace(circle_base(), FiberSpace(), ConstantProfile(0.5))
-    p, q = SurfacePoint(0.0, 0.0), SurfacePoint(0.1, 3.0)
-    # just above the flat floor hypot(0.1, 0.5 * 3.0), so the shot wins
-    length = math.hypot(0.1, 1.5) - 1e-5
-    resid = 3e-6
-    assert 1e-6 * (1.0 + length) < resid <= 1e-6 * (1.0 + 3.0)
-    monkeypatch.setattr(geodesy, "_shoot_monotone",
-                        lambda *args: (length, 0.4, resid))
-    res = clairaut_distance(sp, p, q)
-    assert res.method == "clairaut-monotone"
-    assert res.distance == length

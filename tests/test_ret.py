@@ -69,6 +69,12 @@ def test_rejects_bad_arguments():
         ret_distance(-1.0, 1.0, 2.0)
 
 
+def test_rejects_an_infinite_stretch():
+    # the taxi branch takes inf / inf
+    with pytest.raises(InvalidDescriptor):
+        ret_distance(1.0, 1.0, math.inf)
+
+
 @given(
     ds=st.floats(0.0, 100.0),
     dsig=st.floats(0.0, 100.0),

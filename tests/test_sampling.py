@@ -1,5 +1,6 @@
 """Tests for the deterministic low-discrepancy sample plans."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +22,7 @@ from warpconv.torus3 import cube_samples
 def test_radical_inverse_known_values():
     # 6 = 110 in base 2, digits reversed behind the point: 0.011 = 3/8
     assert radical_inverse(6, 2) == 3 / 8
+    assert radical_inverse(np.int64(6), np.int32(2)) == 3 / 8
     assert radical_inverse(0, 2) == 0.0
     assert radical_inverse(1, 2) == 0.5
     # 5 = 12_3, reversed behind the point 0.21_3 = 2/3 + 1/9 = 7/9
@@ -30,6 +32,15 @@ def test_radical_inverse_known_values():
 def test_radical_inverse_rejects_negative():
     with pytest.raises(ValueError):
         radical_inverse(-1, 2)
+
+
+@pytest.mark.parametrize("index,base", [(5, 1), (5, 0), (2.5, 2)],
+                         ids=["base-1", "base-0", "fractional-index"])
+def test_radical_inverse_rejects_bad_base_and_index(index, base):
+    # base 1 never shrinks the index, base 0 divides by zero, and a
+    # fractional index has no digits
+    with pytest.raises(ValueError):
+        radical_inverse(index, base)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 9),

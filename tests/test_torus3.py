@@ -476,6 +476,15 @@ class TestTorus3Family:
         with pytest.raises(InvalidDescriptor):
             Torus3Family("moving-bump").field(0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"level": math.nan}, {"peak": math.nan},
+        {"kind": "constant", "level": math.inf},
+    ], ids=["level-nan", "peak-nan", "constant-level-inf"])
+    def test_rejects_non_finite_values_when_built(self, kwargs):
+        # rejected here, not only later in field(j)
+        with pytest.raises(InvalidDescriptor):
+            Torus3Family(**kwargs)
+
     def test_special_pairs_are_z_antipodal(self):
         fam = Torus3Family("moving-bump")
         pairs = fam.special_pairs(4)
