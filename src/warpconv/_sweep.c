@@ -57,13 +57,34 @@
  * of d and fl(d + w) == d.
  *
  * With K the largest |step|, a position K <= z <= h - 1 - K reaches only
- * positions z + step in [0, h), which need neither wrap nor fold; those
- * positions take a loop without either, and only the 2K positions at the
- * ends of the folded fiber go through the fold.
+ * positions z + step in [0, h), which need neither wrap nor fold; only the
+ * 2K positions at the ends of the folded fiber go through the fold.  The
+ * wrap-free positions, nearly all of them on a long fiber, scan a node's
+ * slots in two phases.  First a pass without branches compares
+ * d(u) + weight[s] with dist[off[s] + z], 64 slots at a time, and packs
+ * the results into the bits of a 64-bit mask; off[s] = target[s] h +
+ * step[s] is computed once per sweep.  Then relax() runs on the set bits
+ * only, in slot order.  Most comparisons fail, so the scan trades one
+ * unpredictable branch per slot for one per improvement.  No two slots of
+ * a cell share (target, step), so the slots of one scan reach distinct
+ * nodes, no relaxation of the scan changes a value another slot compares
+ * with, and the scan relaxes exactly the slots that a loop relaxing each
+ * slot in turn would, in the same order, with the same double sums: the
+ * queue sees the same entries.  relax() compares again all the same, so
+ * (1) and (2), and with them the rows bit for bit, would hold even if two
+ * slots shared a node.
  *
- * warpconv_sweep returns 0, or WARPCONV_NO_MEMORY when the queue cannot be
- * allocated or grown; dist is then incomplete.  The pool starts at
- * pool_size entries.  The caller checks the sizes, that start runs from 0
+ * run is built twice, for AVX2 and for the baseline x86-64, and the
+ * dynamic loader picks one when the library loads (target_clones, on GCC
+ * and Clang for x86-64 with glibc; one plain build elsewhere).  With AVX2
+ * the comparison pass adds and compares four slots per instruction.
+ * Vector additions and comparisons of doubles round like scalar ones, so
+ * either build gives the same rows.
+ *
+ * warpconv_sweep returns 0, or WARPCONV_NO_MEMORY when the queue or the
+ * offsets cannot be allocated or the queue cannot grow; dist is then
+ * incomplete.  The pool starts at pool_size entries.  The offsets take
+ * 4 bytes per slot.  The caller checks the sizes, that start runs from 0
  * up to the slot count, that every step satisfies |step| < m, every target
  * lies in [0, n_cells) and every weight is positive, and that m and
  * n_cells * h fit an int32.
@@ -140,8 +161,14 @@ static inline int relax(queue *q, int32_t v, double dv)
     return 0;
 }
 
+/* the clones need an ifunc, which glibc's loader resolves and musl's has no
+ * support for */
+#if defined(__x86_64__) && defined(__GLIBC__) \
+    && (defined(__GNUC__) || defined(__clang__))
+__attribute__((target_clones("avx2", "default")))
+#endif
 static int run(queue *q, int32_t m, const int32_t *start,
-               const int32_t *target, const int32_t *step,
+               const int32_t *target, const int32_t *step, const int32_t *off,
                const double *weight, int32_t source, int32_t reach)
 {
     const int32_t h = m / 2 + 1;
@@ -174,8 +201,19 @@ static int run(queue *q, int32_t m, const int32_t *start,
         const int32_t z = u - cell * h;
         const int32_t first = start[cell], end = start[cell + 1];
         if (z >= reach && z < h - reach) {
-            for (int32_t s = first; s < end && status == 0; s++)
-                status = relax(q, target[s] * h + z + step[s], du + weight[s]);
+            const double *dist_z = dist + z;
+            for (int32_t c = first; c < end && status == 0; c += 64) {
+                const uint64_t n = end - c < 64 ? (uint64_t)(end - c) : 64;
+                uint64_t hit = 0;
+                for (uint64_t i = 0; i < n; i++)
+                    hit |= (uint64_t)(du + weight[c + i]
+                                      < dist_z[off[c + i]]) << i;
+                while (hit != 0 && status == 0) {
+                    const int32_t s = c + __builtin_ctzll(hit);
+                    hit &= hit - 1;
+                    status = relax(q, off[s] + z, du + weight[s]);
+                }
+            }
             continue;
         }
         for (int32_t s = first; s < end && status == 0; s++) {
@@ -197,11 +235,12 @@ int warpconv_sweep(int32_t n_cells, int32_t m, const int32_t *start,
                    const double *weight, int32_t source, double *dist,
                    int32_t pool_size)
 {
-    const int32_t n_nodes = n_cells * (m / 2 + 1);
+    const int32_t h = m / 2 + 1, n_nodes = n_cells * h;
+    const int32_t n_slots = start[n_cells];
     int32_t reach = 0;
     double w_min = INFINITY, w_max = 0.0;
 
-    for (int32_t s = 0; s < start[n_cells]; s++) {
+    for (int32_t s = 0; s < n_slots; s++) {
         const int32_t a = step[s] < 0 ? -step[s] : step[s];
         if (a > reach)
             reach = a;
@@ -222,16 +261,25 @@ int warpconv_sweep(int32_t n_cells, int32_t m, const int32_t *start,
     queue q = {malloc((size_t)pool_size * sizeof(entry)), pool_size, 0, -1,
                malloc(2 * (size_t)nb * sizeof(int32_t)), NULL, dist,
                1 / delta, 0.0, 0, nb, 0};
+    /* one entry more: a stencil without slots would ask for malloc(0),
+     * which may return NULL */
+    int32_t *off = malloc(((size_t)n_slots + 1) * sizeof *off);
     int status = WARPCONV_NO_MEMORY;
-    if (q.pool != NULL && q.head != NULL) {
+    if (q.pool != NULL && q.head != NULL && off != NULL) {
         q.tail = q.head + nb;
         for (int32_t i = 0; i < 2 * nb; i++)
             q.head[i] = -1;
         for (int32_t i = 0; i < n_nodes; i++)
             dist[i] = INFINITY;
-        status = run(&q, m, start, target, step, weight, source, reach);
+        /* only the wrap-free band reads off: where it is empty, skip the
+         * sums, which could then leave the int32 range */
+        if (reach < h - reach)
+            for (int32_t s = 0; s < n_slots; s++)
+                off[s] = target[s] * h + step[s];
+        status = run(&q, m, start, target, step, off, weight, source, reach);
     }
     free(q.pool);
     free(q.head);
+    free(off);
     return status;
 }

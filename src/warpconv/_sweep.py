@@ -7,13 +7,21 @@ library is built at import: the first process that imports warpconv from a
 fresh checkout pays the compile (a fraction of a second), every later one
 only loads the cached file.  The flags keep IEEE double arithmetic exact
 (-ffp-contract=off, no fast-math), so a sweep's floats do not depend on the
-compiler's choices.
+compiler's choices.  -O3 rather than -O2: at -O2, GCC 12 leaves the
+kernel's branch-free comparison pass a scalar loop, which gives up what
+the pass is for.  On x86-64 with glibc the source asks GCC or Clang for
+two builds of the sweep loop, one for AVX2 and one for the baseline
+instruction set, and for a resolver that the dynamic loader runs once, when
+the library loads, to pick the AVX2 one where the CPU has it; both give the
+same rows.  One library thus runs on every x86-64 CPU, with no flag to
+choose.
 
 A sweep needs no work array from its caller: beside the row it fills, the
 kernel allocates its own bucket queue, a pool of (node, distance) entries
-sized by the peak number of queued entries, and frees it before it returns.
-It returns NO_MEMORY when that allocation fails.  Flags in the environment
-variable WARPCONV_SWEEP_CFLAGS are appended to CFLAGS, which is how a
+sized by the peak number of queued entries, and an int32 offset per
+stencil slot, and frees them before it returns.  It returns NO_MEMORY when
+that allocation fails.  Flags in the environment variable
+WARPCONV_SWEEP_CFLAGS are appended to CFLAGS, which is how a
 sanitizer build of the same source is loaded, for instance
 ``WARPCONV_SWEEP_CFLAGS="-fsanitize=address,undefined"`` with the
 sanitizer's runtime preloaded.
@@ -32,7 +40,7 @@ from numpy.ctypeslib import ndpointer
 
 SOURCE = Path(__file__).with_name("_sweep.c")
 COMPILER = "cc"
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
+CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off",
           *os.environ.get("WARPCONV_SWEEP_CFLAGS", "").split())
 # Entries the kernel's queue pool starts with; it doubles when full.
 INITIAL_POOL = 1024

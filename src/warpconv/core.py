@@ -661,8 +661,11 @@ def lp_profile_distance(a: WarpingProfile, b: WarpingProfile, p: float,
     """L^p distance between two profiles over the base domain.
 
     Composite Gauss-Legendre quadrature on the pieces cut by both profiles'
-    breakpoints (so cosine-bump boundaries are never straddled).  Raises
-    ValueError unless p is finite and >= 1.
+    breakpoints (so cosine-bump boundaries are never straddled).  For large
+    p every |a - b|^p can underflow to 0 or overflow to inf; only then is
+    the sum taken again on |a - b| / D, D the largest difference, and the
+    result scaled back by D, so p = 1 and 2 give the plain sum's bits.
+    Raises ValueError unless p is finite and >= 1.
     """
     if not (math.isfinite(p) and p >= 1):
         raise ValueError("p must be finite and >= 1")
@@ -670,7 +673,7 @@ def lp_profile_distance(a: WarpingProfile, b: WarpingProfile, p: float,
     cuts = sorted_distinct(np.concatenate((
         [lo, hi], a.breakpoints_in(lo, hi), b.breakpoints_in(lo, hi))))
     nodes, weights = np.polynomial.legendre.leggauss(8)
-    total = 0.0
+    pieces = []  # (half width, |a - b| at the nodes) per quadrature cell
     for x0, x1 in zip(cuts[:-1], cuts[1:]):
         if x1 <= x0:
             continue
@@ -679,8 +682,20 @@ def lp_profile_distance(a: WarpingProfile, b: WarpingProfile, p: float,
             mid = 0.5 * (s0 + s1)
             half = 0.5 * (s1 - s0)
             xs = mid + half * nodes
-            diff = np.abs(np.asarray(a(xs), dtype=float) - np.asarray(b(xs), dtype=float))
-            total += half * np.sum(weights * diff ** p)
+            pieces.append((half, np.abs(np.asarray(a(xs), dtype=float)
+                                        - np.asarray(b(xs), dtype=float))))
+
+    def power_sum(scale):
+        total = 0.0
+        for half, diff in pieces:
+            total += half * np.sum(weights * (diff / scale) ** p)
+        return total
+
+    with np.errstate(over="ignore"):
+        total = power_sum(1.0)
+    largest = max((diff.max() for _, diff in pieces), default=0.0)
+    if (total == 0 and largest > 0) or not math.isfinite(total):
+        return float(largest * power_sum(largest) ** (1.0 / p))
     return float(total ** (1.0 / p))
 
 

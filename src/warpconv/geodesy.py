@@ -211,9 +211,10 @@ class OrbitSweepCache:
     `_sweep.c` on the stencil itself; a call with several cells maps them
     over a thread pool of at most one thread per usable CPU.  No edge list
     or sparse matrix is built.  Each sweeping thread holds one row of 8
-    bytes per folded node while the call runs, and the kernel's queue, a
-    pool of 16-byte entries as large as the most entries queued at once
-    (thousands on a 1024^2 grid), while a sweep runs.
+    bytes per folded node while the call runs, and, while a sweep runs, the
+    kernel's queue, a pool of 16-byte entries as large as the most entries
+    queued at once (thousands on a 1024^2 grid), and its 4-byte offset per
+    stencil slot (416 KiB on the 64^3 lattice, 64 KiB on a 1024^2 grid).
     """
 
     def __init__(self, axes, directions, mirror: Optional[Sequence[int]] = None):

@@ -6,6 +6,7 @@ the library's own quadrature helpers.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -457,6 +458,34 @@ def test_lp_profile_distance_l1_is_mass_deficit():
     prof = cinch_bump(h0, 1.0, delta)
     got = lp_profile_distance(prof, ConstantProfile(1.0), 1, circle_base())
     assert got == pytest.approx(delta * (1.0 - h0), rel=1e-9)
+
+
+def test_lp_profile_distance_keeps_the_plain_sum_at_p_1_and_2():
+    # the bits the golden reports print: the rescaled sum is never taken
+    cinch = cinch_bump(0.5, 0.0, 0.25)
+    ret = SequenceFamily("ret-cinches").profile(1)
+    flat = ConstantProfile(1.0)
+    assert lp_profile_distance(cinch, flat, 1, circle_base()) == 0.125
+    assert lp_profile_distance(cinch, flat, 2, circle_base()) == 0.2165063509461097
+    assert lp_profile_distance(ret, flat, 1, circle_base()) == 24.13274122871835
+    assert lp_profile_distance(ret, flat, 2, circle_base()) == 9.773994317313337
+
+
+@pytest.mark.parametrize("profile, sup", [
+    (cinch_bump(0.5, 0.0, 0.25), 0.5),  # each |a - b|^p underflows
+    (SequenceFamily("ret-cinches").profile(1), 4.0),  # ... or overflows
+], ids=["underflow", "overflow"])
+def test_lp_profile_distance_tends_to_the_sup_distance_at_large_p(profile, sup):
+    # ||g||_p / (2 pi)^(1/p) grows with p towards the sup of |g|
+    flat = ConstantProfile(1.0)
+    means = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in [100, 600, 1e3, 1e4, 1e6]:
+            got = lp_profile_distance(profile, flat, p, circle_base())
+            means.append(got / TAU ** (1 / p))
+    assert all(0 < x <= y for x, y in zip(means, means[1:]))
+    assert means[-1] <= sup and means[-1] == pytest.approx(sup, rel=1e-4)
 
 
 @pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])

@@ -5,9 +5,11 @@ into a cache directory and loads the library from there afterwards; a
 missing or failing compiler is an error that shows what went wrong.  The
 kernel's sweeps must equal scipy's Dijkstra on the folded graph bit for
 bit: where its wrap-free band of fiber positions is empty or one position
-wide, where the weights spread wider than its bucket cap allows (so nodes
-are queued again), where its queue's entry pool starts at one entry and
-grows many times, and where a weight vanishes in the sum it is added to.
+wide, where a cell's slots fill its 64-slot comparison chunks exactly or
+spill one slot or two into the next, where the weights spread wider than
+its bucket cap allows (so nodes are queued again), where its queue's entry
+pool starts at one entry and grows many times, where a weight vanishes in
+the sum it is added to, and on the 64^3 lattice of the 3-torus experiment.
 """
 
 import subprocess
@@ -30,6 +32,7 @@ from warpconv import (
     interval_base,
 )
 from warpconv.geodesy import FiberStencil, _sweep_cell, fibered_stencil
+from warpconv.torus3 import Grid3Graph, Grid3Spec, Torus3Family
 
 
 def count_compiles(monkeypatch):
@@ -214,6 +217,67 @@ def test_a_weight_below_half_an_ulp_leaves_the_sum_unchanged(m):
         u = np.repeat(np.arange(folded.shape[0]), np.diff(folded.indptr))
         assert np.any((dist[u] + folded.data == dist[u]) & (dist[u] > 0))
     assert_sweeps_like_scipy(stencil, [0, 4, 11])
+
+
+def wide_stencil(n_slots, m, seed):
+    """A cycle of 24 cells times a fiber of m positions in which every cell
+    has n_slots slots, with weights drawn log-uniformly from [0.5, 2] and
+    fiber steps up to 3: steps within a cell (2 slots each), translations by
+    a = 1 .. 11 without a step (2 slots) and with one (4 slots), and for an
+    odd count one matching of each cell with the cell 12 on (1 slot)."""
+    n_cells = 24
+    rng = np.random.default_rng(seed)
+    cells = np.arange(n_cells)
+
+    def weights():
+        return np.exp(rng.uniform(np.log(0.5), np.log(2.0), n_cells))
+
+    directions, left = [], n_slots
+    if left % 2:
+        half = cells[:n_cells // 2]
+        directions.append((half, half + n_cells // 2, 0, weights()[:n_cells // 2]))
+        left -= 1
+    kinds = [(0, dz) for dz in (1, 2, 3)]
+    kinds += [(a, dz) for a in range(1, n_cells // 2) for dz in range(4)]
+    for a, dz in kinds:
+        size = 2 if a == 0 or dz == 0 else 4
+        if size <= left:
+            directions.append((cells, (cells + a) % n_cells, dz, weights()))
+            left -= size
+    assert left == 0
+    stencil = fibered_stencil(n_cells, m, directions)
+    assert np.all(np.diff(stencil.start) == n_slots)
+    assert np.abs(stencil.step).max() == 3
+    return stencil
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("n_slots", [64, 65, 130])
+def test_cells_with_as_many_slots_as_a_chunk_or_more(n_slots, seed):
+    # one full 64-slot chunk, a full chunk and one slot, and two full chunks
+    # and two slots; the fiber of 16 leaves positions 3 .. 5 of 9 wrap-free
+    stencil = wide_stencil(n_slots, 16, seed)
+    assert_sweeps_like_scipy(stencil, [0, 11, 23])
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_a_fiber_so_short_that_every_position_folds(m):
+    # steps up to 3 on h = 3 or 4 folded positions: no position z has
+    # 3 <= z < h - 3, so every slot goes through the fold
+    stencil = wide_stencil(65, m, 0)
+    assert 2 * np.abs(stencil.step).max() >= m // 2 + 1
+    assert_sweeps_like_scipy(stencil, [0, 11, 23])
+
+
+def test_the_64_cubed_lattice_of_the_3_torus_experiment():
+    # moving-bump3 j=3 on the experiment's default grid: 26 slots a cell
+    graph = Grid3Graph(Torus3Family().field(3), Grid3Spec())
+    stencil = graph._stencil
+    assert stencil.m == 64 and np.all(np.diff(stencil.start) == 26)
+    folded = reference_fold(graph_reference(graph)[0], stencil.m)
+    cells = [0, 37 * 64 + 11, 4095]
+    assert np.array_equal(graph.distances_from(cells),
+                          oracle_sweeps(folded, stencil.m, cells))
 
 
 def test_a_stencil_without_edges_reaches_only_its_source():
