@@ -65,8 +65,8 @@ from .core import (
     bilipschitz_lambda,
     curve_length,
     diameter_upper_bound,
+    gauss_pieces,
     lp_profile_distance,
-    sorted_distinct,
     theta_energy,
 )
 from .families import LimitMetric, SequenceFamily
@@ -368,10 +368,6 @@ def sandwich_row(stage: PlanValues, unit: np.ndarray, lam: float) -> AuditRow:
                     observed=float(slack[i]), n_samples=len(slack))
 
 
-# 12-point Gauss-Legendre rule for the turning integrals, built once
-_TURN_GL_NODES, _TURN_GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
-
 def _monotone_geodesic_stats(space: WarpedSpace, p: SurfacePoint,
                              q: SurfacePoint):
     """Turning statistics of the monotone geodesic p -> q.
@@ -393,24 +389,18 @@ def _monotone_geodesic_stats(space: WarpedSpace, p: SurfacePoint,
         return None
     length, c, _resid = out
     lo, hi = min(p.r, q.r), max(p.r, q.r)
-    edges = sorted_distinct(np.concatenate(
-        ([lo, hi], space.breakpoints_unwrapped(lo, hi))))
-    total_r = 0.0
-    total_s = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        grid = np.linspace(a, b, 7)
-        mid = 0.5 * (grid[:-1] + grid[1:])
-        half = 0.5 * np.diff(grid)
-        x = (mid[:, None] + half[:, None] * _TURN_GL_NODES[None, :]).ravel()
-        w = (half[:, None] * _TURN_GL_WEIGHTS[None, :]).ravel()
-        f = np.asarray(space.warp_at(x), dtype=float)
-        v = 1.0 - (c / f) ** 2
-        if np.any(v <= 0):
-            return None
-        total_r += float(np.sum(w * c * c / (f ** 4 * v)))
-        total_s += float(np.sum(w * c * c / (f ** 4 * np.sqrt(v))))
+    x, half, weights = gauss_pieces(np.concatenate(
+        ([lo, hi], space.breakpoints_unwrapped(lo, hi))), 12, 6)
+    # one row of 6 x 12 nodes per breakpoint piece: each row is summed
+    # alone and the rows are added as a running total from 0.0
+    x = x.reshape(len(x), -1)
+    w = (half[..., None] * weights).reshape(x.shape)
+    f = np.asarray(space.warp_at(x), dtype=float)
+    v = 1.0 - (c / f) ** 2
+    if np.any(v <= 0):
+        return None
+    total_r = np.cumsum(np.sum(w * c * c / (f ** 4 * v), axis=-1))[-1]
+    total_s = np.cumsum(np.sum(w * c * c / (f ** 4 * np.sqrt(v)), axis=-1))[-1]
     return length, math.sqrt(total_r), math.sqrt(total_s)
 
 

@@ -552,8 +552,10 @@ def segment_length(space: WarpedSpace, r0, dr: float, dtheta: float,
     So every length is the one a call with that start alone gives.
     Pure-r and pure-theta segments are evaluated in closed form.  This is
     the only quadrature of straight segments: every surface grid edge
-    weight comes from it.
+    weight comes from it.  Raises ValueError unless `points_per_piece` is
+    an integer >= 1.
     """
+    _check_points_per_piece(points_per_piece)
     r0 = np.asarray(r0, dtype=float)
     if dtheta == 0.0:
         total = np.full(r0.shape, abs(dr))
@@ -568,6 +570,12 @@ def segment_length(space: WarpedSpace, r0, dr: float, dtheta: float,
                                              points_per_piece)
         total = total.reshape(r0.shape)
     return float(total) if total.ndim == 0 else total
+
+
+def _check_points_per_piece(n) -> None:
+    """Python and numpy integers >= 1 pass; bools and other types do not."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"points_per_piece must be an integer >= 1, got {n!r}")
 
 
 def _refined_chunks(lo: np.ndarray, width: float, span: float):
@@ -617,7 +625,9 @@ def curve_length(space: WarpedSpace, curve: PolylineCurve,
 
     Exact on pure-r, pure-theta, and constant-profile segments; otherwise
     composite midpoint quadrature with forced breakpoints at bump supports.
+    Raises ValueError unless `points_per_piece` is an integer >= 1.
     """
+    _check_points_per_piece(points_per_piece)
     total = 0.0
     for r0, _th0, dr, dtheta in curve.segments(space):
         if not space.base.is_circle:
@@ -652,48 +662,58 @@ def theta_energy(space: WarpedSpace, curve: PolylineCurve) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Profile L^p distance
+# Composite Gauss-Legendre rule and the profile L^p distance
 # ---------------------------------------------------------------------------
+
+# the rules on [-1, 1] by order, built at import: building one loads
+# numpy.polynomial, which a run should not pay for inside an experiment
+_GAUSS_LEGENDRE = {n: np.polynomial.legendre.leggauss(n) for n in (8, 10, 12)}
+
+
+def gauss_pieces(cuts, order: int, sub: int):
+    """Composite Gauss-Legendre rule on the pieces between the distinct
+    values of `cuts`, ascending, each piece split into `sub` equal
+    sub-pieces that carry the `order`-point rule (order 8, 10 or 12).
+
+    Returns (nodes, half, weights): the nodes shaped (pieces, sub, order),
+    each sub-piece's half width shaped (pieces, sub), and the rule's weights
+    on [-1, 1].  A sub-piece adds half * sum(weights * g(nodes)) to the
+    integral of g.  This is the one rule behind the L^p profile distance,
+    the Clairaut legs and the turning integrals.
+    """
+    nodes, weights = _GAUSS_LEGENDRE[order]
+    cuts = sorted_distinct(cuts)
+    grid = np.linspace(cuts[:-1], cuts[1:], sub + 1, axis=-1)
+    mid = 0.5 * (grid[:, :-1] + grid[:, 1:])
+    half = 0.5 * np.diff(grid, axis=-1)
+    return mid[..., None] + half[..., None] * nodes, half, weights
 
 
 def lp_profile_distance(a: WarpingProfile, b: WarpingProfile, p: float,
-                        base: BaseSpace, subdiv: int = 16) -> float:
+                        base: BaseSpace) -> float:
     """L^p distance between two profiles over the base domain.
 
-    Composite Gauss-Legendre quadrature on the pieces cut by both profiles'
-    breakpoints (so cosine-bump boundaries are never straddled).  For large
-    p every |a - b|^p can underflow to 0 or overflow to inf; only then is
-    the sum taken again on |a - b| / D, D the largest difference, and the
-    result scaled back by D, so p = 1 and 2 give the plain sum's bits.
-    Raises ValueError unless p is finite and >= 1.
+    The rule is `gauss_pieces(cuts, 8, 16)`, cut at both profiles'
+    breakpoints (so cosine-bump boundaries are never straddled); each
+    sub-piece's sum is kept apart and the sums are added as a running total
+    from 0.0.  For large p every |a - b|^p can underflow to 0 or overflow to
+    inf; only then is the sum taken again on |a - b| / D, D the largest
+    difference, and the result scaled back by D, so p = 1 and 2 give the
+    plain sum's bits.  Raises ValueError unless p is finite and >= 1.
     """
     if not (math.isfinite(p) and p >= 1):
         raise ValueError("p must be finite and >= 1")
     lo, hi = base.r_min, base.r_max
-    cuts = sorted_distinct(np.concatenate((
-        [lo, hi], a.breakpoints_in(lo, hi), b.breakpoints_in(lo, hi))))
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    pieces = []  # (half width, |a - b| at the nodes) per quadrature cell
-    for x0, x1 in zip(cuts[:-1], cuts[1:]):
-        if x1 <= x0:
-            continue
-        sub = np.linspace(x0, x1, subdiv + 1)
-        for s0, s1 in zip(sub[:-1], sub[1:]):
-            mid = 0.5 * (s0 + s1)
-            half = 0.5 * (s1 - s0)
-            xs = mid + half * nodes
-            pieces.append((half, np.abs(np.asarray(a(xs), dtype=float)
-                                        - np.asarray(b(xs), dtype=float))))
+    xs, half, weights = gauss_pieces(np.concatenate((
+        [lo, hi], a.breakpoints_in(lo, hi), b.breakpoints_in(lo, hi))), 8, 16)
+    diff = np.abs(np.asarray(a(xs), dtype=float) - np.asarray(b(xs), dtype=float))
 
     def power_sum(scale):
-        total = 0.0
-        for half, diff in pieces:
-            total += half * np.sum(weights * (diff / scale) ** p)
-        return total
+        return np.cumsum(half * np.sum(weights * (diff / scale) ** p, axis=-1))[-1]
 
     with np.errstate(over="ignore"):
         total = power_sum(1.0)
-    largest = max((diff.max() for _, diff in pieces), default=0.0)
+    largest = diff.max()
     if (total == 0 and largest > 0) or not math.isfinite(total):
         return float(largest * power_sum(largest) ** (1.0 / p))
     return float(total ** (1.0 / p))
@@ -719,8 +739,8 @@ def diameter_upper_bound(space: WarpedSpace, delta_l2: float = 0.0) -> DiameterB
     where the base term is twice the interval length (or the full 2*pi for a
     circle base, flagged in the result).
     """
-    if delta_l2 < 0:
-        raise ValueError("delta_l2 must be nonnegative")
+    if not (0 <= delta_l2 < math.inf):
+        raise ValueError("delta_l2 must be finite and nonnegative")
     L = space.base.length
     base_term = TAU if space.base.is_circle else 2.0 * L
     sup = space.profile_max()

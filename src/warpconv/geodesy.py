@@ -47,6 +47,7 @@ from .core import (
     SurfacePoint,
     WarpedSpace,
     float_or_array,
+    gauss_pieces,
     segment_length,
     sorted_distinct,
 )
@@ -643,7 +644,10 @@ def flat_product_distance(base: BaseSpace, fiber: FiberSpace, level: float,
     minimum over seam wraps of sqrt(dr^2 + level^2 dtheta^2).
 
     The coordinates of p and q may be arrays, broadcast together; the
-    result is then an array, and a float for float coordinates."""
+    result is then an array, and a float for float coordinates.  Raises
+    InvalidDescriptor unless the level is finite and positive."""
+    if not (0 < level < math.inf):
+        raise InvalidDescriptor("level must be finite and positive")
     dr = base.distance(p.r, q.r)
     dth = fiber.distance(p.theta, q.theta)
     return float_or_array(np.hypot(dr, level * dth))
@@ -705,39 +709,25 @@ def cinch_limit_distance(depth: float, cinch_r: float, base: BaseSpace,
 # Monotone Clairaut shot (the turning-rate audit's geodesic)
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
 def _leg_rule(space: WarpedSpace, r_from: float,
               r_to: float) -> Tuple[np.ndarray, np.ndarray]:
     """Quadrature of a monotone-in-r geodesic leg, which does not depend on
     the conserved quantity c: (f, w), the warp at the nodes and each node's
     weight.  `_leg_sums` evaluates the leg for a given c.
 
-    Composite Gauss-Legendre over r, with pieces cut at profile breakpoints.
-    An empty leg has no nodes.
+    The rule is `gauss_pieces(edges, 10, 6)` over r, with the edges at
+    profile breakpoints.  An empty leg has no nodes.
     """
     if r_to == r_from:
         return np.empty(0), np.empty(0)
     lo, hi = min(r_from, r_to), max(r_from, r_to)
-    edges = sorted_distinct(np.concatenate(
-        ([lo, hi], space.breakpoints_unwrapped(lo, hi))))
-
     # every piece gets the same 6 sub-pieces whatever c is; this fixed rule
     # underestimates the log-singular advance of shots with c near an
     # interior minimum of f, so such shots can miss targets they do reach
-    sub = 6
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 0:
-            continue
-        grid = np.linspace(a, b, sub + 1)
-        mid = 0.5 * (grid[:-1] + grid[1:])
-        half = 0.5 * np.diff(grid)
-        xs.append((mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel())
-        ws.append((half[:, None] * _GL_WEIGHTS[None, :]).ravel())
-    f = np.asarray(space.warp_at(np.concatenate(xs)), dtype=float)
-    return f, np.concatenate(ws)
+    x, half, weights = gauss_pieces(np.concatenate(
+        ([lo, hi], space.breakpoints_unwrapped(lo, hi))), 10, 6)
+    f = np.asarray(space.warp_at(x.ravel()), dtype=float)
+    return f, (half[..., None] * weights).ravel()
 
 
 def _leg_sums(rule: Tuple[np.ndarray, np.ndarray], c: float) -> Tuple[float, float]:

@@ -199,8 +199,8 @@ def limit3_distance(c: float, p: Point3, q: Point3):
 
     The coordinates of p and q may be arrays, broadcast together; the
     result is then an array, and a float for float coordinates."""
-    if not (c > 0):
-        raise InvalidDescriptor("limit level must be positive")
+    if not (0 < c < math.inf):
+        raise InvalidDescriptor("limit level must be finite and positive")
     dx = minor_arc(p.x - q.x, TAU)
     dy = minor_arc(p.y - q.y, TAU)
     dz = minor_arc(p.z - q.z, TAU)
@@ -210,10 +210,10 @@ def limit3_distance(c: float, p: Point3, q: Point3):
 def diameter3_upper_bound(delta_l2: float, c_sup: float) -> float:
     """Diameter cap for any 3-metric whose field is within delta_l2 of a
     constant with sup norm c_sup: xy travel plus one z sweep."""
-    if not (c_sup > 0):
-        raise HypothesisError("field sup must be positive")
-    if delta_l2 < 0:
-        raise InvalidDescriptor("L2 distance cannot be negative")
+    if not (0 < c_sup < math.inf):
+        raise HypothesisError("field sup must be finite and positive")
+    if not (0 <= delta_l2 < math.inf):
+        raise InvalidDescriptor("L2 distance must be finite and nonnegative")
     return 4.0 * math.sqrt(2.0) * math.pi + TAU * (c_sup + delta_l2 / TAU)
 
 

@@ -17,7 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from warpconv import SequenceFamily, WarpedSpace
 from warpconv import geodesy
-from warpconv.geodesy import _GL_NODES, _GL_WEIGHTS, _leg_rule, _leg_sums, _shoot_monotone
+from warpconv.geodesy import _leg_rule, _leg_sums, _shoot_monotone
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 SPACES = {
     "cinched": SequenceFamily("cinched-torus").space(8),

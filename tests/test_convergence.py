@@ -52,6 +52,7 @@ from warpconv.convergence import (
     point_columns,
     sandwich_row,
 )
+from warpconv.families import FAMILY_KINDS, RIDGE_KINDS
 from warpconv.torus3 import Grid3Spec, Point3
 
 TAU = 2.0 * math.pi
@@ -209,6 +210,55 @@ def test_turning_rate_counterexample_is_frozen():
     assert theta_r > cap + 0.2
     # ... while the arclength energy respects it
     assert theta_s < cap - 0.2
+
+
+def reference_monotone_geodesic_stats(space, p, q):
+    """`_monotone_geodesic_stats` as a loop over the breakpoint pieces: 6
+    sub-pieces of the 12-point Gauss-Legendre rule per piece, each piece
+    summed alone and added to a running total from 0.0.  The library keeps
+    each float operation in this order, so the two agree with `==`."""
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    target = space.fiber.signed_minor(p.theta, q.theta)
+    if p.r == q.r or target == 0.0:
+        return None
+    out = convergence._shoot_monotone(space, p.r, q.r, target, 1e-9, 60)
+    if out is None or out[2] > 1e-6 * (1.0 + abs(target)):
+        return None
+    length, c, _resid = out
+    lo, hi = min(p.r, q.r), max(p.r, q.r)
+    edges = np.unique(np.concatenate(
+        ([lo, hi], space.breakpoints_unwrapped(lo, hi))))
+    total_r = 0.0
+    total_s = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        grid = np.linspace(a, b, 7)
+        mid = 0.5 * (grid[:-1] + grid[1:])
+        half = 0.5 * np.diff(grid)
+        x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+        w = (half[:, None] * weights[None, :]).ravel()
+        f = np.asarray(space.warp_at(x), dtype=float)
+        v = 1.0 - (c / f) ** 2
+        if np.any(v <= 0):
+            return None
+        total_r += float(np.sum(w * c * c / (f ** 4 * v)))
+        total_s += float(np.sum(w * c * c / (f ** 4 * np.sqrt(v))))
+    return length, math.sqrt(total_r), math.sqrt(total_s)
+
+
+@pytest.mark.parametrize("j", [1, 2, 4, 8])
+@pytest.mark.parametrize("base_shape", ["circle", "interval"])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_turning_statistics_equal_the_loop_reference(kind, base_shape, j):
+    fam = SequenceFamily(kind, depth=1.5 if kind in RIDGE_KINDS else 0.5,
+                         base_shape=base_shape)
+    space = fam.space(j)
+    rng = np.random.default_rng(j)
+    r = rng.uniform(fam.base.r_min, fam.base.r_max, (30, 2))
+    theta = rng.uniform(0.0, TAU, (30, 2))
+    for (r_p, r_q), (th_p, th_q) in zip(r, theta):
+        p, q = SurfacePoint(r_p, th_p), SurfacePoint(r_q, th_q)
+        got = _monotone_geodesic_stats(space, p, q)
+        assert got == reference_monotone_geodesic_stats(space, p, q), (p, q)
 
 
 def test_audit_reports_the_violation_and_the_companion():

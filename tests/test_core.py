@@ -40,6 +40,7 @@ from warpconv import (
     theta_energy,
 )
 from warpconv.core import sorted_distinct
+from warpconv.families import FAMILY_KINDS, RIDGE_KINDS
 
 
 def dense_integral(fn, lo: float, hi: float, n: int = 200001) -> float:
@@ -357,6 +358,26 @@ def test_segment_length_bounded_by_warp_extremes():
     assert val <= math.hypot(dr, fmax * dth) + 1e-12
 
 
+@pytest.mark.parametrize("points", [0, -1, 2.5, True, np.float64(4)])
+def test_segment_and_curve_length_reject_points_per_piece_not_an_integer_ge_1(points):
+    # 0 divided by zero: a RuntimeWarning here, NaN elsewhere
+    sp = WarpedSpace(circle_base(), FiberSpace(), cinch_bump(0.5, 0.0, 0.25))
+    crv = PolylineCurve([SurfacePoint(-0.4, 0.0), SurfacePoint(0.4, 1.1)])
+    with pytest.raises(ValueError, match="points_per_piece"):
+        segment_length(sp, -0.4, 0.8, 1.1, points_per_piece=points)
+    with pytest.raises(ValueError, match="points_per_piece"):
+        curve_length(sp, crv, points_per_piece=points)
+
+
+def test_segment_and_curve_length_take_numpy_integers():
+    sp = WarpedSpace(circle_base(), FiberSpace(), cinch_bump(0.5, 0.0, 0.25))
+    crv = PolylineCurve([SurfacePoint(-0.4, 0.0), SurfacePoint(0.4, 1.1)])
+    assert segment_length(sp, -0.4, 0.8, 1.1, points_per_piece=np.int64(4)) == \
+        segment_length(sp, -0.4, 0.8, 1.1, points_per_piece=4)
+    assert curve_length(sp, crv, points_per_piece=np.int32(1)) == \
+        curve_length(sp, crv, points_per_piece=1)
+
+
 def test_curve_length_rejects_interval_exit():
     sp = WarpedSpace(interval_base(), FiberSpace(), ConstantProfile(1.0))
     crv = PolylineCurve([SurfacePoint(3.0, 0.0), SurfacePoint(4.0, 0.0)])
@@ -488,6 +509,62 @@ def test_lp_profile_distance_tends_to_the_sup_distance_at_large_p(profile, sup):
     assert means[-1] <= sup and means[-1] == pytest.approx(sup, rel=1e-4)
 
 
+def reference_lp_profile_distances(a, b, ps, base):
+    """The L^p distances for each p in `ps` as a loop: every breakpoint
+    piece cut into 16 sub-pieces, each summed alone under the 8-point
+    Gauss-Legendre rule and added to a running total from 0.0.
+    `lp_profile_distance` keeps each float operation in this order, so the
+    two agree with `==`.  The profiles are evaluated once, on all nodes,
+    which leaves each value's bits as they are."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    lo, hi = base.r_min, base.r_max
+    cuts = np.unique(np.concatenate((
+        [lo, hi], a.breakpoints_in(lo, hi), b.breakpoints_in(lo, hi))))
+    halves, xs = [], []
+    for x0, x1 in zip(cuts[:-1], cuts[1:]):
+        sub = np.linspace(x0, x1, 17)
+        for s0, s1 in zip(sub[:-1], sub[1:]):
+            mid = 0.5 * (s0 + s1)
+            half = 0.5 * (s1 - s0)
+            halves.append(half)
+            xs.append(mid + half * nodes)
+    xs = np.concatenate(xs)
+    diffs = np.split(np.abs(np.asarray(a(xs), dtype=float)
+                            - np.asarray(b(xs), dtype=float)), len(halves))
+
+    def power_sum(p, scale):
+        total = 0.0
+        for half, diff in zip(halves, diffs):
+            total += half * np.sum(weights * (diff / scale) ** p)
+        return total
+
+    out = []
+    for p in ps:
+        with np.errstate(over="ignore"):
+            total = power_sum(p, 1.0)
+        largest = max(diff.max() for diff in diffs)
+        if (total == 0 and largest > 0) or not math.isfinite(total):
+            out.append(float(largest * power_sum(p, largest) ** (1.0 / p)))
+        else:
+            out.append(float(total ** (1.0 / p)))
+    return out
+
+
+@pytest.mark.parametrize("j", [1, 2, 4, 8])
+@pytest.mark.parametrize("base_shape", ["circle", "interval"])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_lp_profile_distance_equals_the_loop_reference(kind, base_shape, j):
+    fam = SequenceFamily(kind, depth=1.5 if kind in RIDGE_KINDS else 0.5,
+                         base_shape=base_shape)
+    ps = [1, 2, 3.5, 50, 1e6]
+    # the level, and a second profile whose breakpoints cut the pieces too
+    for other in (ConstantProfile(fam.limit_level), fam.profile(j + 1)):
+        got = [lp_profile_distance(fam.profile(j), other, p, fam.base)
+               for p in ps]
+        assert got == reference_lp_profile_distances(fam.profile(j), other,
+                                                     ps, fam.base), other
+
+
 @pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
 def test_lp_profile_distance_rejects_p_outside_its_range(p):
     # the quadrature has no p = inf limit: the sup distance here is 0.5
@@ -503,6 +580,13 @@ def test_diameter_upper_bound_components():
     assert db.base_term == pytest.approx(TAU)
     assert db.fiber_term == pytest.approx(math.pi)  # sup f * fiber diameter
     assert db.value == pytest.approx(TAU + math.pi)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -0.5])
+def test_diameter_upper_bound_rejects_a_distance_not_finite_and_nonnegative(delta):
+    sp = WarpedSpace(circle_base(), FiberSpace(), ConstantProfile(1.0))
+    with pytest.raises(ValueError):
+        diameter_upper_bound(sp, delta_l2=delta)
 
 
 def test_sandwich_and_lambda():

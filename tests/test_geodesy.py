@@ -481,6 +481,14 @@ def test_cinch_limit_depth_one_is_flat():
         flat_product_distance(base, fiber, 1.0, p, q)
 
 
+@pytest.mark.parametrize("level", [-1.0, 0.0, math.nan, math.inf])
+def test_flat_product_distance_rejects_a_level_not_finite_and_positive(level):
+    # np.hypot drops the sign: level -1 read as 1
+    p, q = SurfacePoint(0.0, 0.0), SurfacePoint(1.0, 1.0)
+    with pytest.raises(InvalidDescriptor):
+        flat_product_distance(circle_base(), FiberSpace(), level, p, q)
+
+
 def test_cinch_limit_validation():
     base, fiber = circle_base(), FiberSpace()
     p = SurfacePoint(0.0, 0.0)

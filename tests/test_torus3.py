@@ -156,6 +156,11 @@ class TestLimitMetric:
         with pytest.raises(InvalidDescriptor):
             limit3_distance(0.0, Point3(0, 0, 0), Point3(1, 0, 0))
 
+    def test_rejects_an_infinite_level(self):
+        # inf * 0 is NaN along the z-free pair
+        with pytest.raises(InvalidDescriptor):
+            limit3_distance(math.inf, Point3(0, 0, 0), Point3(1, 0, 0))
+
     @given(point_st, point_st, st.floats(0.2, 5.0))
     @settings(max_examples=50, deadline=None)
     def test_symmetry_and_bounds(self, p, q, c):
@@ -185,6 +190,16 @@ class TestLimitMetric:
             diameter3_upper_bound(TAU, 0.0)
         with pytest.raises(InvalidDescriptor):
             diameter3_upper_bound(-0.5, 1.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_diameter_bound_rejects_a_distance_not_finite(self, delta):
+        with pytest.raises(InvalidDescriptor):
+            diameter3_upper_bound(delta, 1.0)
+
+    @pytest.mark.parametrize("c_sup", [math.nan, math.inf])
+    def test_diameter_bound_rejects_a_sup_not_finite(self, c_sup):
+        with pytest.raises(HypothesisError):
+            diameter3_upper_bound(0.0, c_sup)
 
     def test_bilip_lambda(self):
         # lambda comes from the field's own range [a, b]
